@@ -17,7 +17,7 @@ from .config import (
     config_from_dict,
     config_from_file,
 )
-from .env import ArmSet, TurnOutcome, env_step, resolve_collisions, sample_arm_rewards
+from .env import ArmSet, draw_arm_rewards, env_step
 from .metrics import (
     GameHistory,
     RunRecord,
@@ -27,17 +27,13 @@ from .metrics import (
     cumulative_regret_occupancy,
     cumulative_reward,
     expected_turn_loss,
-    occupancy_indicator,
     optimal_per_turn_reward,
-    total_loss,
-    total_reward,
 )
-from .network import CommGraph, Observation, disseminate, sample_graph
+from .network import disseminate, sample_reach
 from .policies import (
     AsympOptPolicy,
     EpsilonGreedyPolicy,
     MixProbabilities,
-    PlayerEstimator,
     Policy,
     ThompsonPolicy,
     Ucb1Policy,
@@ -52,7 +48,6 @@ from .runner import (
     AggregateRecord,
     emit_results,
     episode_seed,
-    read_results_csv,
     regret_vs_turns,
     run_episode,
     run_episode_with_history,
@@ -67,19 +62,15 @@ __all__ = [
     "ArmSet",
     "AsympOptPolicy",
     "CLUSTERED_MEANS",
-    "CommGraph",
     "ConfigError",
     "EpsilonGreedyPolicy",
     "ExperimentConfig",
     "GameHistory",
     "MixProbabilities",
-    "Observation",
-    "PlayerEstimator",
     "Policy",
     "RunRecord",
     "SPREAD_MEANS",
     "ThompsonPolicy",
-    "TurnOutcome",
     "Ucb1Policy",
     "UniformRandomPolicy",
     "apply_overrides",
@@ -94,24 +85,19 @@ __all__ = [
     "cumulative_reward",
     "derive_seed",
     "disseminate",
+    "draw_arm_rewards",
     "emit_results",
     "env_step",
     "episode_seed",
     "expected_turn_loss",
     "make_policy",
-    "occupancy_indicator",
     "optimal_per_turn_reward",
-    "read_results_csv",
     "regret_vs_turns",
-    "resolve_collisions",
     "run_episode",
     "run_episode_with_history",
-    "sample_arm_rewards",
     "sample_categorical",
-    "sample_graph",
+    "sample_reach",
     "simulate_episode",
     "substream",
     "sweep_alpha",
-    "total_loss",
-    "total_reward",
 ]

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -49,10 +51,19 @@ class ExperimentConfig:
     out_format: str = "csv"
 
     def __post_init__(self) -> None:
+        self._check_types()
         object.__setattr__(self, "means", tuple(float(m) for m in self.means))
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         object.__setattr__(self, "checkpoints", tuple(int(t) for t in self.checkpoints))
         self._validate()
+
+    def _check_types(self) -> None:
+        """Reject wrong types and non-finite numbers before any conversion."""
+        for names, test, kind in _FIELD_TYPES:
+            for name in names:
+                value = getattr(self, name)
+                if not test(value):
+                    raise ConfigError(f"{name} must be {kind}, got {value!r}")
 
     def _validate(self) -> None:
         n_arms = len(self.means)
@@ -103,6 +114,33 @@ class ExperimentConfig:
             if isinstance(value, tuple):
                 out[key] = list(value)
         return out
+
+
+def _is_int(value) -> bool:
+    # bool is an Integral in Python, but never a meaningful count or seed
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _list_of(test):
+    def check(value) -> bool:
+        iterable = hasattr(value, "__iter__") and not isinstance(value, (str, bytes, dict))
+        return iterable and all(map(test, value))
+
+    return check
+
+
+_FIELD_TYPES = (
+    (("n_players", "turns", "repetitions", "base_seed"), _is_int, "an integer"),
+    (("epsilon0", "decay", "mean_floor"), _is_finite, "a finite number"),
+    (("means", "alphas"), _list_of(_is_finite), "a list of finite numbers"),
+    (("checkpoints",), _list_of(_is_int), "a list of integers"),
+    (("algorithm", "init_order", "out_format"), lambda v: isinstance(v, str), "a string"),
+    (("out_path",), lambda v: v is None or isinstance(v, str), "a string or null"),
+)
 
 
 def config_from_file(path: str | Path) -> ExperimentConfig:

@@ -1,10 +1,12 @@
-"""Bernoulli arm environment with a random-winner collision channel.
+"""Bernoulli arms and the random-winner collision channel.
 
-Rewards are realized per (arm, turn) before anyone is paid: all players
-pulling the same arm compete for one realization, a uniformly chosen
-winner takes it, and the losers get zero.  The environment never tells a
-player whether it collided; a loser's zero is indistinguishable from a
-true zero draw.
+An episode's arm realizations are one (turns, arms) 0/1 matrix, drawn up
+front by ``draw_arm_rewards``: every arm is realized every turn, pulled or
+not.  ``env_step`` then pays one turn's row to the players.  A player
+alone on an arm receives its realization; when several players chose the
+same arm, one uniformly drawn winner receives it and the losers get 0.
+The environment never tells a player whether it collided; a loser's zero
+is indistinguishable from a true zero draw.
 """
 
 from __future__ import annotations
@@ -39,83 +41,39 @@ class ArmSet:
         return np.asarray(self.means, dtype=float)
 
 
-@dataclass(frozen=True)
-class TurnOutcome:
-    """Everything that happened in one turn.
+def draw_arm_rewards(arms: ArmSet, n_turns: int, rng: np.random.Generator) -> np.ndarray:
+    """(turns, arms) 0/1 realizations of every arm, pulled or not.
 
-    ``winners`` maps each pulled arm to the player who took its reward;
-    arms nobody pulled are absent.  ``arm_rewards`` is realized for every
-    arm whether or not it was pulled.
+    One draw of ``n_turns * n_arms`` uniforms in row-major order: the
+    same values as one draw of ``n_arms`` uniforms per turn.
     """
-
-    choices: tuple[int, ...]
-    arm_rewards: np.ndarray
-    winners: dict[int, int]
-    realized_rewards: np.ndarray
-
-    @property
-    def n_players(self) -> int:
-        return len(self.choices)
-
-    @property
-    def n_arms(self) -> int:
-        return len(self.arm_rewards)
-
-
-def sample_arm_rewards(arms: ArmSet, rng: np.random.Generator) -> np.ndarray:
-    """Draw this turn's 0/1 realization for every arm, pulled or not."""
-    return (rng.random(arms.n_arms) < arms.means_array).astype(np.int64)
-
-
-def resolve_collisions(
-    choices: Sequence[int],
-    arm_rewards: np.ndarray,
-    rng: np.random.Generator,
-) -> TurnOutcome:
-    """Pay each pulled arm's realization to one uniformly chosen puller.
-
-    Players alone on an arm receive its realization unmodified.  Raises
-    ``ValueError`` on an out-of-range choice; that is a programming
-    error, not a gameplay event.
-    """
-    arm_rewards = np.asarray(arm_rewards)
-    n_arms = len(arm_rewards)
-    pullers: dict[int, list[int]] = {}
-    for player, choice in enumerate(choices):
-        arm = int(choice)
-        if not 0 <= arm < n_arms:
-            raise ValueError(
-                f"player {player} chose arm {arm}, outside [0, {n_arms})"
-            )
-        pullers.setdefault(arm, []).append(player)
-
-    realized = np.zeros(len(choices), dtype=np.int64)
-    winners: dict[int, int] = {}
-    for arm in sorted(pullers):
-        contenders = pullers[arm]
-        if len(contenders) == 1:
-            winner = contenders[0]
-        else:
-            winner = contenders[int(rng.integers(len(contenders)))]
-        winners[arm] = winner
-        realized[winner] = arm_rewards[arm]
-    return TurnOutcome(
-        choices=tuple(int(c) for c in choices),
-        arm_rewards=arm_rewards,
-        winners=winners,
-        realized_rewards=realized,
-    )
+    return (rng.random((n_turns, arms.n_arms)) < arms.means_array).astype(np.int64)
 
 
 def env_step(
-    arms: ArmSet,
     choices: Sequence[int],
-    reward_rng: np.random.Generator,
+    arm_rewards: Sequence[int],
     winner_rng: np.random.Generator,
-) -> TurnOutcome:
-    """Realize one turn: sample all arm rewards, then resolve collisions.
+) -> list[int]:
+    """Each player's reward for one turn of ``arm_rewards``.
 
-    The two generators must be disjoint substreams so the reward sequence
-    does not depend on the collision pattern.
+    Collided arms are resolved in ascending arm order, one
+    ``winner_rng.integers(k)`` each, over their k contenders in ascending
+    player order; the losers receive 0.  ``winner_rng`` must be a
+    substream of its own, so the rewards do not depend on the collision
+    pattern.
     """
-    return resolve_collisions(choices, sample_arm_rewards(arms, reward_rng), winner_rng)
+    realized = [arm_rewards[arm] for arm in choices]
+    if len(set(choices)) == len(choices):
+        return realized
+    pullers: dict[int, list[int]] = {}
+    for player, arm in enumerate(choices):
+        pullers.setdefault(arm, []).append(player)
+    for arm in sorted(pullers):
+        contenders = pullers[arm]
+        if len(contenders) > 1:
+            winner = contenders[int(winner_rng.integers(len(contenders)))]
+            for player in contenders:
+                if player != winner:
+                    realized[player] = 0
+    return realized

@@ -1,4 +1,8 @@
-"""Game-level reward, loss and regret accounting.
+"""Game-level reward, loss and regret accounting over an episode's arrays.
+
+An episode is three (turn-major) arrays: the arm each player chose, the
+realization of every arm, and the reward each player received.  Every
+series here is a cumulative sum over turns of a per-turn array reduction.
 
 Two regret flavors are computed for every run.  The literal one charges
 each player its chosen arm's true mean even when several players chose
@@ -17,44 +21,40 @@ from typing import Sequence
 
 import numpy as np
 
-from .env import ArmSet, TurnOutcome
+from .env import ArmSet
 
 
 @dataclass(frozen=True)
 class GameHistory:
-    """An episode's turn outcomes plus the ground-truth arms (metrics-side only)."""
+    """An episode's arrays plus the ground-truth arms (metrics-side only).
 
-    turns: tuple[TurnOutcome, ...]
+    ``choices_matrix`` is (turns, players) chosen arms, ``rewards_matrix``
+    (turns, arms) realizations of every arm, pulled or not, and
+    ``realized_matrix`` (turns, players) the reward each player received,
+    0 for a collision loser.
+    """
+
+    choices_matrix: np.ndarray
+    rewards_matrix: np.ndarray
+    realized_matrix: np.ndarray
     arms: ArmSet
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "turns", tuple(self.turns))
-        if not self.turns:
+        n_turns, n_players = self.choices_matrix.shape
+        if n_turns < 1:
             raise ValueError("history must contain at least one turn")
-        n_players = self.turns[0].n_players
-        for k, turn in enumerate(self.turns):
-            if turn.n_players != n_players:
-                raise ValueError(f"turn {k} has {turn.n_players} players, expected {n_players}")
-            if turn.n_arms != self.arms.n_arms:
-                raise ValueError(f"turn {k} has {turn.n_arms} arms, expected {self.arms.n_arms}")
+        if self.rewards_matrix.shape != (n_turns, self.arms.n_arms):
+            raise ValueError(f"rewards have shape {self.rewards_matrix.shape}")
+        if self.realized_matrix.shape != (n_turns, n_players):
+            raise ValueError(f"realized rewards have shape {self.realized_matrix.shape}")
 
     @property
     def n_turns(self) -> int:
-        return len(self.turns)
+        return self.choices_matrix.shape[0]
 
     @property
     def n_players(self) -> int:
-        return self.turns[0].n_players
-
-    @cached_property
-    def choices_matrix(self) -> np.ndarray:
-        """(turns, players) chosen arm indices."""
-        return np.asarray([t.choices for t in self.turns], dtype=np.int64)
-
-    @cached_property
-    def rewards_matrix(self) -> np.ndarray:
-        """(turns, arms) realized 0/1 rewards, pulled or not."""
-        return np.asarray([t.arm_rewards for t in self.turns], dtype=np.int64)
+        return self.choices_matrix.shape[1]
 
     @cached_property
     def occupancy_matrix(self) -> np.ndarray:
@@ -80,19 +80,6 @@ class RunRecord:
         return len(self.cumulative_reward)
 
 
-def occupancy_indicator(choices: Sequence[int], n_arms: int) -> np.ndarray:
-    """0/1 vector over arms: was the arm chosen by at least one player."""
-    if len(choices) == 0:
-        raise ValueError("choices must be nonempty")
-    out = np.zeros(n_arms, dtype=np.int64)
-    for choice in choices:
-        arm = int(choice)
-        if not 0 <= arm < n_arms:
-            raise ValueError(f"choice {arm} outside [0, {n_arms})")
-        out[arm] = 1
-    return out
-
-
 def cumulative_reward(history: GameHistory) -> np.ndarray:
     """Running total of each pulled arm's realization, counted once per turn."""
     per_turn = (history.occupancy_matrix * history.rewards_matrix).sum(axis=1)
@@ -103,14 +90,6 @@ def cumulative_loss(history: GameHistory) -> np.ndarray:
     """Running total of realizations left on unpulled arms."""
     per_turn = ((1 - history.occupancy_matrix) * history.rewards_matrix).sum(axis=1)
     return np.cumsum(per_turn)
-
-
-def total_reward(history: GameHistory) -> int:
-    return int(cumulative_reward(history)[-1])
-
-
-def total_loss(history: GameHistory) -> int:
-    return int(cumulative_loss(history)[-1])
 
 
 def optimal_per_turn_reward(arms: ArmSet, n_players: int) -> float:

@@ -1,90 +1,63 @@
-"""Per-turn random communication graphs and outcome dissemination.
+"""Per-turn random communication graphs and report delivery.
 
-A fresh undirected graph is sampled at the end of every turn: each of the
-N(N-1)/2 player pairs is connected independently with probability
-``alpha``.  Every player then reports the arm it pulled and the reward it
-actually received (a collision loser reports 0) to its current neighbors.
+Every turn a fresh undirected graph connects each of the N(N-1)/2 player
+pairs independently with probability ``alpha``.  A turn's graph is held
+as its reach matrix: the symmetric 0/1 adjacency plus the identity, so a
+player always hears its own report.
+
+Reports land in one shared (N, 2S) tally matrix: its left half counts
+every (arm) report a player has heard, its right half the successes among
+them.  Delivering a turn is one product, ``tallies += reach @ reports``,
+where row j of ``reports`` is player j's one-hot arm followed by the same
+one-hot times the reward it received.  Duplicate reports (two neighbours
+on one arm) are kept, and a collision loser reports its 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
-from typing import NamedTuple
+from typing import Sequence
 
 import numpy as np
 
-from .env import TurnOutcome
 
+def sample_reach(
+    n_players: int, alpha: float, n_turns: int, rng: np.random.Generator
+) -> np.ndarray:
+    """(turns, N, N) reach matrices of ``n_turns`` independent graphs.
 
-@lru_cache(maxsize=None)
-def _player_pairs(n_players: int) -> tuple[tuple[int, int], ...]:
-    return tuple(combinations(range(n_players), 2))
-
-
-class Observation(NamedTuple):
-    """One (arm, reward) report as seen by a receiving player."""
-
-    arm: int
-    reward: int
-    source: int
-
-
-@dataclass(frozen=True)
-class CommGraph:
-    """Undirected neighbor relation for a single turn."""
-
-    n_players: int
-    edges: frozenset[tuple[int, int]]
-
-    def __post_init__(self) -> None:
-        for a, b in self.edges:
-            if a == b:
-                raise ValueError(f"self-loop on player {a}")
-            if not (0 <= a < b < self.n_players):
-                raise ValueError(f"edge ({a}, {b}) is not an ordered in-range pair")
-
-    def neighbors(self, player: int) -> list[int]:
-        out = [b if a == player else a for a, b in self.edges if player in (a, b)]
-        return sorted(out)
-
-
-def sample_graph(
-    n_players: int, alpha: float, rng: np.random.Generator
-) -> CommGraph:
-    """Sample a graph with independent edge probability ``alpha``."""
+    Always N(N-1)/2 uniforms per turn, pairs in ``itertools.combinations``
+    order, so the stream holds the same values whatever ``alpha`` is.
+    """
     if n_players < 1:
         raise ValueError(f"need at least 1 player, got {n_players}")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"connectivity {alpha} outside [0, 1]")
-    pairs = _player_pairs(n_players)
-    # Always N(N-1)/2 draws, so a dedicated stream stays aligned with the
-    # turn counter no matter what alpha is.
-    keep = rng.random(len(pairs)) < alpha
-    edges = frozenset(pair for pair, kept in zip(pairs, keep) if kept)
-    return CommGraph(n_players=n_players, edges=edges)
+    upper, lower = np.triu_indices(n_players, k=1)
+    edges = rng.random((n_turns, len(upper))) < alpha
+    reach = np.zeros((n_turns, n_players, n_players), dtype=np.int64)
+    reach[:, upper, lower] = edges
+    reach[:, lower, upper] = edges
+    reach[:, np.arange(n_players), np.arange(n_players)] = 1
+    return reach
 
 
-def disseminate(outcome: TurnOutcome, graph: CommGraph) -> list[list[Observation]]:
-    """Deliver each player's report to itself and its current neighbors.
+@lru_cache(maxsize=None)
+def _report_rows(n_arms: int) -> np.ndarray:
+    """(arm, reward) -> one report row: one-hot arm, then one-hot times reward."""
+    rows = np.zeros((n_arms, 2, 2 * n_arms), dtype=np.int64)
+    arms = np.arange(n_arms)
+    rows[arms, :, arms] = 1
+    rows[arms, 1, n_arms + arms] = 1
+    rows.flags.writeable = False
+    return rows
 
-    Returns one inbox per player: the player's own observation first, then
-    one observation per neighbor in ascending neighbor order.  Delivery is
-    symmetric, and duplicate information (two neighbors on the same arm)
-    is kept.
-    """
-    n = graph.n_players
-    if n != outcome.n_players:
-        raise ValueError(
-            f"graph has {n} players but outcome has {outcome.n_players}"
-        )
-    reports = [
-        Observation(outcome.choices[p], int(outcome.realized_rewards[p]), p)
-        for p in range(n)
-    ]
-    inboxes = [[reports[p]] for p in range(n)]
-    for a, b in sorted(graph.edges):
-        inboxes[a].append(reports[b])
-        inboxes[b].append(reports[a])
-    return inboxes
+
+def disseminate(
+    tallies: np.ndarray,
+    reach: np.ndarray,
+    choices: Sequence[int],
+    realized: Sequence[int],
+) -> None:
+    """Add every player's (arm, reward) report to the tallies of all it reaches."""
+    tallies += reach @ _report_rows(tallies.shape[1] // 2)[choices, realized]

@@ -1,20 +1,21 @@
-"""Player-side decision state and the arm-selection algorithms.
+"""The arm-selection algorithms.
 
-All policies share one estimator that folds neighbor reports into the
-same per-arm tallies as the player's own pulls, and expose the same
-``select()`` / ``observe()`` interface.  Selection randomness (ties,
-exploration, posterior draws) comes exclusively from the player's own
-substream, so a run is reproducible from its seed alone.
+Every player's knowledge is its row of two shared (N, S) tally matrices:
+how many (arm) reports it has heard and how many of them were successes,
+its own pulls and its neighbours' reports counted alike.  The network
+layer writes the tallies; a policy only reads its rows in ``select()``.
+Selection randomness (ties, exploration, posterior draws) comes
+exclusively from the player's own substream, so a run is reproducible
+from its seed alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
-
-from .network import Observation
 
 POLICY_NAMES = ("ucb1", "egreedy", "thompson", "asympopt", "random")
 INIT_ORDERS = ("sequential", "random")
@@ -22,49 +23,6 @@ INIT_ORDERS = ("sequential", "random")
 DEFAULT_EPSILON = 1.0
 DEFAULT_DECAY = 0.995
 DEFAULT_MEAN_FLOOR = 1e-3
-
-
-class PlayerEstimator:
-    """Per-arm tallies of everything one player has observed.
-
-    Counts own pulls and neighbor reports identically: one observation of
-    arm ``i`` with reward ``r`` bumps the arm's count and, if ``r`` is 1,
-    its success tally.
-    """
-
-    __slots__ = ("n_arms", "counts", "successes", "total")
-
-    def __init__(self, n_arms: int):
-        if n_arms < 1:
-            raise ValueError(f"need at least 1 arm, got {n_arms}")
-        self.n_arms = n_arms
-        self.counts = [0] * n_arms
-        self.successes = [0] * n_arms
-        self.total = 0
-
-    def record(self, arm: int, reward: int) -> None:
-        self.counts[arm] += 1
-        self.successes[arm] += reward
-        self.total += 1
-
-    def update(self, observations: Iterable[Observation]) -> None:
-        for arm, reward, _source in observations:
-            self.record(arm, reward)
-
-    @property
-    def failures(self) -> list[int]:
-        return [c - s for c, s in zip(self.counts, self.successes)]
-
-    def counts_array(self) -> np.ndarray:
-        return np.asarray(self.counts, dtype=float)
-
-    def observed_means(self, default: float = 0.0) -> np.ndarray:
-        """Empirical success rate per arm; ``default`` where nothing was seen."""
-        counts = self.counts_array()
-        means = np.full(self.n_arms, default, dtype=float)
-        seen = counts > 0
-        means[seen] = np.asarray(self.successes, dtype=float)[seen] / counts[seen]
-        return means
 
 
 def argmax_random_tie(values: Sequence[float], rng: np.random.Generator) -> int:
@@ -115,18 +73,24 @@ def compute_mix_probabilities(means: Sequence[float], n_players: int) -> MixProb
     and discarding arms whose probability would go nonpositive.  Dropping
     only ever shrinks the active set: removing an arm raises the common
     level for the rest, which can only push further arms out.
-
-    Runs on plain scalars: it sits on the per-select hot path and the arm
-    count is small.
     """
     if n_players < 2:
         raise ValueError(f"need at least 2 players for the mixing exponent, got {n_players}")
     mu = [float(m) for m in means]
     if not mu:
         raise ValueError("means must be a nonempty vector")
-    if min(mu) <= 0.0:
+    if not min(mu) > 0.0:
         raise ValueError("every candidate mean must be positive (clamp before calling)")
+    c, active = _mix(mu, n_players)
+    return MixProbabilities(probabilities=np.asarray(c), active=tuple(active))
 
+
+def _mix(mu: list[float], n_players: int) -> tuple[list[float], list[int]]:
+    """``compute_mix_probabilities`` on checked inputs, as plain lists.
+
+    Runs on Python floats: it sits on the per-select hot path and the arm
+    count is small, so NumPy's per-call cost would dominate.
+    """
     exponent = 1.0 / (n_players - 1)
     inv_root = [(1.0 / m) ** exponent for m in mu]
     active = list(range(len(mu)))
@@ -141,28 +105,26 @@ def compute_mix_probabilities(means: Sequence[float], n_players: int) -> MixProb
             else:
                 c[i] = 0.0
         if len(kept) == len(active):
-            break
+            return c, active
         active = kept
         if not active:  # impossible: the active c always sum to 1
             raise AssertionError("all arms discarded from the active set")
-    return MixProbabilities(probabilities=np.asarray(c), active=tuple(active))
 
 
 class Policy:
-    """Common observe/select machinery: one estimator plus a private RNG."""
+    """A player's arm selection: its rows of the shared tallies plus a private RNG.
+
+    ``counts`` and ``successes`` are views of the player's rows; the
+    policy reads them and never writes them.
+    """
 
     name = "?"
 
-    def __init__(self, n_arms: int, rng: np.random.Generator):
-        self.estimator = PlayerEstimator(n_arms)
+    def __init__(self, counts: np.ndarray, successes: np.ndarray, rng: np.random.Generator):
+        self.counts = counts
+        self.successes = successes
+        self.n_arms = len(counts)
         self.rng = rng
-
-    @property
-    def n_arms(self) -> int:
-        return self.estimator.n_arms
-
-    def observe(self, observations: Iterable[Observation]) -> None:
-        self.estimator.update(observations)
 
     def select(self) -> int:
         raise NotImplementedError
@@ -172,28 +134,26 @@ class _InitSweepPolicy(Policy):
     """Base for policies that start by pulling each arm once.
 
     The sweep order is by arm index, or a per-player random permutation
-    when ``init_order="random"``.  Neighbor reports received during the
-    sweep still update the estimator; they just don't redirect it.
+    when ``init_order="random"``.  Reports heard during the sweep still
+    reach the tallies; they just don't redirect it.
     """
 
-    def __init__(self, n_arms: int, rng: np.random.Generator, init_order: str = "sequential"):
-        super().__init__(n_arms, rng)
+    def __init__(self, counts, successes, rng, init_order: str = "sequential"):
+        super().__init__(counts, successes, rng)
         if init_order == "sequential":
-            self._init_arms = list(range(n_arms))
+            order = list(range(self.n_arms))
         elif init_order == "random":
-            self._init_arms = [int(a) for a in rng.permutation(n_arms)]
+            order = rng.permutation(self.n_arms).tolist()
         else:
             raise ValueError(f"unknown init_order {init_order!r}, expected one of {INIT_ORDERS}")
-        self.init_cursor = 0
+        self.init_pending = order[::-1]  # arms still to sweep; pop() yields the next
 
-    @property
-    def in_init_phase(self) -> bool:
-        return self.init_cursor < self.n_arms
 
-    def _next_init_arm(self) -> int:
-        arm = self._init_arms[self.init_cursor]
-        self.init_cursor += 1
-        return arm
+def _check_annealing(epsilon: float, decay: float) -> None:
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValueError(f"epsilon {epsilon} outside [0, 1]")
+    if not 0.0 < decay < 1.0:
+        raise ValueError(f"decay {decay} outside (0, 1)")
 
 
 class Ucb1Policy(_InitSweepPolicy):
@@ -202,15 +162,11 @@ class Ucb1Policy(_InitSweepPolicy):
     name = "ucb1"
 
     def select(self) -> int:
-        if self.in_init_phase:
-            return self._next_init_arm()
-        est = self.estimator
-        counts = est.counts_array()
-        unseen = counts == 0
-        if unseen.any():  # only reachable if observe() was never called
-            return argmax_random_tie(unseen.astype(float), self.rng)
-        means = np.asarray(est.successes, dtype=float) / counts
-        index = means + np.sqrt(2.0 * np.log(est.total) / counts)
+        if self.init_pending:
+            return self.init_pending.pop()
+        # the sweep's own reports make every count positive from here on
+        counts = self.counts
+        index = self.successes / counts + np.sqrt(2.0 * np.log(counts.sum()) / counts)
         return argmax_random_tie(index, self.rng)
 
 
@@ -221,25 +177,25 @@ class EpsilonGreedyPolicy(_InitSweepPolicy):
 
     def __init__(
         self,
-        n_arms: int,
+        counts,
+        successes,
         rng: np.random.Generator,
         epsilon: float = DEFAULT_EPSILON,
         decay: float = DEFAULT_DECAY,
         init_order: str = "sequential",
     ):
-        super().__init__(n_arms, rng, init_order)
-        if not 0.0 <= epsilon <= 1.0:
-            raise ValueError(f"epsilon {epsilon} outside [0, 1]")
-        if not 0.0 < decay < 1.0:
-            raise ValueError(f"decay {decay} outside (0, 1)")
+        super().__init__(counts, successes, rng, init_order)
+        _check_annealing(epsilon, decay)
         self.epsilon = epsilon
         self.decay = decay
 
     def select(self) -> int:
-        if self.in_init_phase:
-            arm = self._next_init_arm()
+        if self.init_pending:
+            arm = self.init_pending.pop()
         elif self.rng.random() < 1.0 - self.epsilon:
-            arm = argmax_random_tie(self.estimator.observed_means(), self.rng)
+            # unseen arms read mean 0: their successes are 0 too
+            means = self.successes / np.maximum(self.counts, 1)
+            arm = argmax_random_tie(means, self.rng)
         else:
             arm = int(self.rng.integers(self.n_arms))
         self.epsilon *= self.decay  # once per selection, so epsilon = eps0 * k^t exactly
@@ -252,12 +208,10 @@ class ThompsonPolicy(_InitSweepPolicy):
     name = "thompson"
 
     def select(self) -> int:
-        if self.in_init_phase:
-            return self._next_init_arm()
-        est = self.estimator
-        successes = np.asarray(est.successes, dtype=float)
-        failures = est.counts_array() - successes
-        theta = self.rng.beta(successes + 1.0, failures + 1.0)
+        if self.init_pending:
+            return self.init_pending.pop()
+        successes = self.successes
+        theta = self.rng.beta(successes + 1.0, self.counts - successes + 1.0)
         return argmax_random_tie(theta, self.rng)
 
 
@@ -275,44 +229,37 @@ class AsympOptPolicy(Policy):
 
     def __init__(
         self,
-        n_arms: int,
+        counts,
+        successes,
         n_players: int,
         rng: np.random.Generator,
         epsilon: float = DEFAULT_EPSILON,
         decay: float = DEFAULT_DECAY,
         mean_floor: float = DEFAULT_MEAN_FLOOR,
     ):
-        super().__init__(n_arms, rng)
+        super().__init__(counts, successes, rng)
         if n_players < 2:
             raise ValueError(f"need at least 2 players for the mixing exponent, got {n_players}")
-        if not 0.0 <= epsilon <= 1.0:
-            raise ValueError(f"epsilon {epsilon} outside [0, 1]")
-        if not 0.0 < decay < 1.0:
-            raise ValueError(f"decay {decay} outside (0, 1)")
-        if mean_floor <= 0.0:
-            raise ValueError(f"mean_floor must be positive, got {mean_floor}")
+        _check_annealing(epsilon, decay)
+        if not (mean_floor > 0.0 and math.isfinite(mean_floor)):
+            raise ValueError(f"mean_floor must be positive and finite, got {mean_floor}")
         self.n_players = n_players
         self.epsilon = epsilon
         self.decay = decay
         self.mean_floor = mean_floor
-        self._mix_cache: tuple[int, MixProbabilities] | None = None
 
-    def current_mix(self) -> MixProbabilities:
-        # Tallies only change through record(), which bumps the total, so
-        # the total is a sufficient cache key.
-        total = self.estimator.total
-        if self._mix_cache is None or self._mix_cache[0] != total:
-            est = self.estimator
-            clamped = [
-                max(s / c, self.mean_floor) if c else self.mean_floor
-                for c, s in zip(est.counts, est.successes)
-            ]
-            self._mix_cache = (total, compute_mix_probabilities(clamped, self.n_players))
-        return self._mix_cache[1]
+    def current_mix(self) -> list[float]:
+        """Mixing probabilities for the observed means, clamped at the floor."""
+        floor = self.mean_floor
+        clamped = [
+            max(s / c, floor) if c else floor
+            for c, s in zip(self.counts.tolist(), self.successes.tolist())
+        ]
+        return _mix(clamped, self.n_players)[0]
 
     def select(self) -> int:
         if self.rng.random() < 1.0 - self.epsilon:
-            arm = sample_categorical(self.current_mix().probabilities, self.rng)
+            arm = sample_categorical(self.current_mix(), self.rng)
         else:
             arm = int(self.rng.integers(self.n_arms))
         self.epsilon *= self.decay
@@ -330,7 +277,8 @@ class UniformRandomPolicy(Policy):
 
 def make_policy(
     name: str,
-    n_arms: int,
+    counts: np.ndarray,
+    successes: np.ndarray,
     n_players: int,
     rng: np.random.Generator,
     *,
@@ -339,17 +287,19 @@ def make_policy(
     mean_floor: float = DEFAULT_MEAN_FLOOR,
     init_order: str = "sequential",
 ) -> Policy:
-    """Build one player's policy by configured kind."""
+    """Build one player's policy by configured kind, reading the given tally rows."""
     if name == "ucb1":
-        return Ucb1Policy(n_arms, rng, init_order=init_order)
+        return Ucb1Policy(counts, successes, rng, init_order=init_order)
     if name == "egreedy":
-        return EpsilonGreedyPolicy(n_arms, rng, epsilon=epsilon, decay=decay, init_order=init_order)
+        return EpsilonGreedyPolicy(
+            counts, successes, rng, epsilon=epsilon, decay=decay, init_order=init_order
+        )
     if name == "thompson":
-        return ThompsonPolicy(n_arms, rng, init_order=init_order)
+        return ThompsonPolicy(counts, successes, rng, init_order=init_order)
     if name == "asympopt":
         return AsympOptPolicy(
-            n_arms, n_players, rng, epsilon=epsilon, decay=decay, mean_floor=mean_floor
+            counts, successes, n_players, rng, epsilon=epsilon, decay=decay, mean_floor=mean_floor
         )
     if name == "random":
-        return UniformRandomPolicy(n_arms, rng)
+        return UniformRandomPolicy(counts, successes, rng)
     raise ValueError(f"unknown policy {name!r}, expected one of {POLICY_NAMES}")

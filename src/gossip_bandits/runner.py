@@ -1,10 +1,19 @@
 """Seeded episode execution, Monte Carlo sweeps and result emission.
 
-An episode is a pure function of (config, alpha, seed): player selection,
-reward realization, collision resolution, graph sampling and message
-delivery each draw from their own named substream of the episode seed.
-Repetitions therefore parallelize trivially; serial and process-pool
-execution produce identical aggregates.
+An episode's state is arrays.  Its arm realizations (turns, S) and graph
+reach matrices (turns, N, N) are drawn up front, each from its own
+substream of the episode seed, and the players share one (N, 2S) tally
+matrix of which each policy reads its own row.  Each turn every player
+selects an arm, ``env_step`` pays the turn's realizations and
+``disseminate`` adds every report to the tallies it reaches.  The history
+is three preallocated arrays: choices (turns, N), realizations (turns, S)
+and received rewards (turns, N).
+
+Determinism contract: an episode is a pure function of (config, alpha,
+seed), and a config with a given ``base_seed`` writes byte-identical CSV
+and JSON whatever ``n_jobs`` is, because serial and pooled sweeps run the
+same seeded episodes and aggregate them in task order.  The CSV digests
+are pinned by ``tests/test_golden.py``.
 """
 
 from __future__ import annotations
@@ -12,6 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
@@ -20,31 +30,20 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import ExperimentConfig
-from .env import ArmSet, env_step
+from .config import ConfigError, ExperimentConfig
+from .env import ArmSet, draw_arm_rewards, env_step
 from .metrics import GameHistory, RunRecord, build_run_record
-from .network import disseminate, sample_graph
+from .network import disseminate, sample_reach
 from .policies import make_policy
 from .rng import derive_seed, substream
 
-CSV_COLUMNS = (
-    "algorithm",
-    "alpha",
-    "turn",
-    "repetitions",
-    "regret_occupancy_mean",
-    "regret_occupancy_std",
-    "regret_literal_mean",
-    "regret_literal_std",
-    "reward_mean",
-    "loss_mean",
-    "seed_base",
-)
-
-
 @dataclass(frozen=True)
 class AggregateRecord:
-    """Metric means/stds over repetitions at one (algorithm, alpha, turn)."""
+    """Metric means/stds over repetitions at one (algorithm, alpha, turn).
+
+    The ``*_std`` fields are population standard deviations (ddof=0); the
+    acceptance tests compute their standard errors with ddof=1.
+    """
 
     algorithm: str
     alpha: float
@@ -59,18 +58,16 @@ class AggregateRecord:
     seed_base: int
 
 
+CSV_COLUMNS = tuple(f.name for f in fields(AggregateRecord))
+
+
 def episode_seed(base_seed: int, alpha_index: int, repetition: int) -> int:
     """Stable per-episode seed from the sweep coordinates."""
     return derive_seed(base_seed, "episode", alpha_index, repetition)
 
 
 def run_episode(config: ExperimentConfig, alpha: float, seed: int) -> RunRecord:
-    """Play one full episode and return its metric series.
-
-    Each turn: every player selects an arm, the environment realizes
-    rewards and resolves collisions, a fresh graph is sampled, and every
-    player ingests its own outcome plus its neighbors' reports.
-    """
+    """Play one full episode and return its metric series."""
     record, _ = run_episode_with_history(config, alpha, seed)
     return record
 
@@ -86,19 +83,19 @@ def run_episode_with_history(
 
 def simulate_episode(
     config: ExperimentConfig, alpha: float, seed: int
-) -> tuple[GameHistory, list]:
-    """Play the turns and return (history, final player policies)."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"connectivity {alpha} outside [0, 1]")
+) -> tuple[GameHistory, np.ndarray]:
+    """Play the turns; return the history and the final (N, 2S) tallies."""
     arms = ArmSet(config.means)
-    n_players = config.n_players
-    reward_rng = substream(seed, "env-arms")
+    n_players, n_arms, n_turns = config.n_players, arms.n_arms, config.turns
+    rewards = draw_arm_rewards(arms, n_turns, substream(seed, "env-arms"))
+    reach = sample_reach(n_players, alpha, n_turns, substream(seed, "graph"))
     winner_rng = substream(seed, "env-winners")
-    graph_rng = substream(seed, "graph")
+    tallies = np.zeros((n_players, 2 * n_arms), dtype=np.int64)
     players = [
         make_policy(
             config.algorithm,
-            arms.n_arms,
+            tallies[p, :n_arms],
+            tallies[p, n_arms:],
             n_players,
             substream(seed, "player", p),
             epsilon=config.epsilon0,
@@ -109,29 +106,27 @@ def simulate_episode(
         for p in range(n_players)
     ]
 
-    turns = []
-    for _ in range(config.turns):
-        choices = [player.select() for player in players]
-        outcome = env_step(arms, choices, reward_rng, winner_rng)
-        graph = sample_graph(n_players, alpha, graph_rng)
-        inboxes = disseminate(outcome, graph)
-        for player, inbox in zip(players, inboxes):
-            player.observe(inbox)
-        turns.append(outcome)
+    choices = np.empty((n_turns, n_players), dtype=np.int64)
+    realized = np.empty((n_turns, n_players), dtype=np.int64)
+    for t in range(n_turns):
+        chosen = [player.select() for player in players]
+        choices[t] = chosen
+        realized[t] = env_step(chosen, rewards[t].tolist(), winner_rng)
+        disseminate(tallies, reach[t], choices[t], realized[t])
 
-    return GameHistory(turns=tuple(turns), arms=arms), players
+    return GameHistory(choices, rewards, realized, arms), tallies
 
 
-def _episode_checkpoints(args: tuple) -> tuple[int, int, np.ndarray]:
-    """Worker: run one episode, return metric values at the checkpoints.
+def _episode_checkpoints(args: tuple) -> np.ndarray:
+    """Worker: run one episode, return its metric values at the checkpoints.
 
-    Module-level so process pools can pickle it; returns (alpha_index,
-    repetition, (4, n_checkpoints) array of occ/lit regrets, reward, loss).
+    Module-level so process pools can pickle it; returns a
+    (4, n_checkpoints) array of occupancy and literal regret, reward, loss.
     """
     config, alpha_index, alpha, repetition, checkpoints = args
     record = run_episode(config, alpha, episode_seed(config.base_seed, alpha_index, repetition))
     idx = np.asarray(checkpoints, dtype=np.int64) - 1
-    values = np.stack(
+    return np.stack(
         [
             record.regret_occupancy[idx],
             record.regret_literal[idx],
@@ -139,7 +134,6 @@ def _episode_checkpoints(args: tuple) -> tuple[int, int, np.ndarray]:
             record.cumulative_loss[idx].astype(float),
         ]
     )
-    return alpha_index, repetition, values
 
 
 def _aggregate(
@@ -147,43 +141,34 @@ def _aggregate(
     checkpoints: Sequence[int],
     n_jobs: int,
 ) -> list[AggregateRecord]:
+    if isinstance(n_jobs, bool) or not isinstance(n_jobs, int) or n_jobs < 1:
+        raise ConfigError(f"jobs must be a positive integer, got {n_jobs!r}")
     tasks = [
         (config, alpha_index, alpha, repetition, tuple(checkpoints))
         for alpha_index, alpha in enumerate(config.alphas)
         for repetition in range(config.repetitions)
     ]
-    if n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+    workers = min(n_jobs, os.cpu_count() or 1, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_episode_checkpoints, tasks, chunksize=1))
     else:
         results = [_episode_checkpoints(task) for task in tasks]
 
-    # (alphas, repetitions, metrics, checkpoints), repetition order restored
-    stacked = np.zeros((len(config.alphas), config.repetitions, 4, len(checkpoints)))
-    for alpha_index, repetition, values in results:
-        stacked[alpha_index, repetition] = values
+    # map keeps task order: (alphas, repetitions, metrics, checkpoints)
+    stacked = np.reshape(results, (len(config.alphas), config.repetitions, 4, len(checkpoints)))
     means = stacked.mean(axis=1)
     stds = stacked.std(axis=1)
-
-    records = []
-    for alpha_index, alpha in enumerate(config.alphas):
-        for c, turn in enumerate(checkpoints):
-            records.append(
-                AggregateRecord(
-                    algorithm=config.algorithm,
-                    alpha=alpha,
-                    turn=int(turn),
-                    repetitions=config.repetitions,
-                    regret_occupancy_mean=float(means[alpha_index, 0, c]),
-                    regret_occupancy_std=float(stds[alpha_index, 0, c]),
-                    regret_literal_mean=float(means[alpha_index, 1, c]),
-                    regret_literal_std=float(stds[alpha_index, 1, c]),
-                    reward_mean=float(means[alpha_index, 2, c]),
-                    loss_mean=float(means[alpha_index, 3, c]),
-                    seed_base=config.base_seed,
-                )
-            )
-    return records
+    # per (alpha, checkpoint), in field order: occ mean/std, lit mean/std, reward, loss
+    stats = np.stack([means[:, 0], stds[:, 0], means[:, 1], stds[:, 1], means[:, 2], means[:, 3]], -1)
+    return [
+        AggregateRecord(
+            config.algorithm, alpha, int(turn), config.repetitions,
+            *map(float, stats[alpha_index, c]), config.base_seed,
+        )
+        for alpha_index, alpha in enumerate(config.alphas)
+        for c, turn in enumerate(checkpoints)
+    ]
 
 
 def sweep_alpha(config: ExperimentConfig, n_jobs: int = 1) -> list[AggregateRecord]:
@@ -266,22 +251,3 @@ def emit_results(
         path.write_text(text, encoding="utf-8", newline="\n")
     except OSError as exc:
         raise OSError(f"cannot write results to {path}: {exc}") from exc
-
-
-def read_results_csv(path: str | Path) -> list[AggregateRecord]:
-    """Parse a CSV written by ``emit_results`` back into records."""
-    types = {f.name: f.type for f in fields(AggregateRecord)}
-    records = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        for row in csv.DictReader(handle):
-            kwargs = {}
-            for col in CSV_COLUMNS:
-                kind = types[col]
-                if kind == "int":
-                    kwargs[col] = int(row[col])
-                elif kind == "float":
-                    kwargs[col] = float(row[col])
-                else:
-                    kwargs[col] = row[col]
-            records.append(AggregateRecord(**kwargs))
-    return records

@@ -1,26 +1,9 @@
-"""Shared builders for the test-suite."""
+"""Shared fixtures for the test-suite."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-
-from gossip_bandits import ArmSet, GameHistory, env_step
-
-
-def build_random_history(
-    means, n_players: int, n_turns: int, seed: int
-) -> GameHistory:
-    """Episode of uniformly random play, bypassing the policy layer."""
-    arms = ArmSet(means)
-    rng = np.random.default_rng(seed)
-    reward_rng = np.random.default_rng(seed + 1)
-    winner_rng = np.random.default_rng(seed + 2)
-    turns = []
-    for _ in range(n_turns):
-        choices = rng.integers(arms.n_arms, size=n_players)
-        turns.append(env_step(arms, choices, reward_rng, winner_rng))
-    return GameHistory(turns=tuple(turns), arms=arms)
 
 
 @pytest.fixture

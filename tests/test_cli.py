@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from gossip_bandits import read_results_csv
 from gossip_bandits.cli import main
+from support import read_results_csv
 
 
 def run_cli(*args):
@@ -93,6 +93,16 @@ class TestConfigHandling:
         code = run_cli(
             "sweep-alpha", "--algorithm", "random", "--means", "0.9,0.5", "--players", "1",
             "--alpha", "1.5", "--turns", "10", "--reps", "1", "--seed", "0",
+        )
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--jobs", "0"], ["--jobs", "-2"], ["--mean-floor", "nan"],
+                                      ["--mean-floor", "inf"]])
+    def test_bad_numeric_flag_is_a_config_error(self, capsys, flag):
+        code = run_cli(
+            "sweep-alpha", "--algorithm", "asympopt", "--means", "0.9,0.5,0.2", "--players", "2",
+            "--alpha", "0", "--turns", "10", "--reps", "1", "--seed", "0", *flag,
         )
         assert code == 2
         assert "config error" in capsys.readouterr().err

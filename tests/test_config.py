@@ -40,6 +40,32 @@ class TestValidation:
         with pytest.raises(ConfigError, match=match):
             ExperimentConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"n_players": 2.5}, "n_players must be an integer"),
+            ({"repetitions": 1.5}, "repetitions must be an integer"),
+            ({"turns": "5000"}, "turns must be an integer"),
+            ({"alphas": 0.5}, "alphas must be a list"),
+            ({"means": "0.5"}, "means must be a list"),
+            ({"means": (0.5, float("nan"))}, "means must be a list of finite"),
+            ({"mean_floor": float("nan")}, "mean_floor must be a finite number"),
+            ({"mean_floor": float("inf")}, "mean_floor must be a finite number"),
+            ({"n_players": True}, "n_players must be an integer"),
+            ({"turns": False}, "turns must be an integer"),
+            ({"checkpoints": (True, 10)}, "checkpoints must be a list of integers"),
+            ({"epsilon0": "1"}, "epsilon0 must be a finite number"),
+        ],
+    )
+    def test_rejects_wrong_types_and_non_finite_values(self, kwargs, match):
+        with pytest.raises(ConfigError, match=match):
+            ExperimentConfig(**kwargs)
+
+    def test_json_fields_of_the_wrong_type_are_config_errors(self):
+        for raw in ({"turns": "5000"}, {"alphas": 0.5}, {"means": "0.5"}):
+            with pytest.raises(ConfigError):
+                config_from_dict(raw)
+
     def test_single_player_fine_for_nonmixing_policies(self):
         cfg = ExperimentConfig(algorithm="ucb1", n_players=1)
         assert cfg.n_players == 1

@@ -6,44 +6,19 @@ import pytest
 from gossip_bandits import (
     ArmSet,
     GameHistory,
-    TurnOutcome,
     build_run_record,
     cumulative_loss,
     cumulative_regret_literal,
     cumulative_regret_occupancy,
     cumulative_reward,
     expected_turn_loss,
-    occupancy_indicator,
     optimal_per_turn_reward,
-    total_loss,
-    total_reward,
 )
-from gossip_bandits.oracles import best_subset_reward
-from tests.conftest import build_random_history
+from oracles import best_subset_reward
+from support import build_random_history, make_history, occupancy_indicator, total_loss, total_reward
 
 MU_SPREAD = (0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.01)
 MU_CLUSTERED = (0.7, 0.68, 0.66, 0.64, 0.62, 0.4, 0.38, 0.36, 0.34, 0.32)
-
-
-def make_history(arms, turn_specs):
-    """Build a history from (choices, arm_rewards) pairs, winners lowest-index."""
-    turns = []
-    for choices, rewards in turn_specs:
-        winners = {}
-        realized = np.zeros(len(choices), dtype=np.int64)
-        for player, arm in enumerate(choices):
-            if arm not in winners:
-                winners[arm] = player
-                realized[player] = rewards[arm]
-        turns.append(
-            TurnOutcome(
-                choices=tuple(choices),
-                arm_rewards=np.asarray(rewards),
-                winners=winners,
-                realized_rewards=realized,
-            )
-        )
-    return GameHistory(turns=tuple(turns), arms=arms)
 
 
 class TestOccupancyIndicator:
@@ -76,8 +51,7 @@ class TestRewardAndLoss:
 
     def test_reward_equals_sum_of_realized(self):
         hist = build_random_history(MU_SPREAD, 5, 200, seed=61)
-        realized = sum(int(t.realized_rewards.sum()) for t in hist.turns)
-        assert total_reward(hist) == realized
+        assert total_reward(hist) == int(hist.realized_matrix.sum())
 
     def test_loss_zero_when_every_arm_pulled(self):
         arms = ArmSet((0.9, 0.9))
@@ -156,8 +130,8 @@ class TestRegretOccupancy:
         hist = build_random_history(MU_SPREAD, 5, 150, seed=64)
         best = optimal_per_turn_reward(hist.arms, hist.n_players)
         per_turn = [
-            best - float(occupancy_indicator(t.choices, 10) @ hist.arms.means_array)
-            for t in hist.turns
+            best - float(occupancy_indicator(choices, 10) @ hist.arms.means_array)
+            for choices in hist.choices_matrix
         ]
         assert np.allclose(cumulative_regret_occupancy(hist), np.cumsum(per_turn), atol=1e-9)
 
@@ -199,14 +173,22 @@ class TestExpectedTurnLoss:
 
 
 class TestHistoryAndRunRecord:
-    def test_history_validates_uniform_shapes(self):
+    def test_history_validates_shapes(self):
         arms = ArmSet((0.5, 0.5))
-        t1 = make_history(arms, [([0, 1], [1, 0])]).turns[0]
-        t2 = make_history(arms, [([0], [1, 0])]).turns[0]
-        with pytest.raises(ValueError, match="players"):
-            GameHistory(turns=(t1, t2), arms=arms)
+        choices, rewards = np.zeros((3, 2), dtype=int), np.zeros((3, 2), dtype=int)
+        with pytest.raises(ValueError, match="realized"):
+            GameHistory(choices, rewards, np.zeros((3, 1), dtype=int), arms)
+        with pytest.raises(ValueError, match="rewards"):
+            GameHistory(choices, np.zeros((2, 2), dtype=int), choices, arms)
         with pytest.raises(ValueError, match="at least one turn"):
-            GameHistory(turns=(), arms=arms)
+            GameHistory(choices[:0], rewards[:0], choices[:0], arms)
+
+    def test_random_history_pays_collision_winners_only(self):
+        hist = build_random_history(MU_SPREAD, 5, 100, seed=67)
+        paid = hist.rewards_matrix[np.arange(100)[:, None], hist.choices_matrix]
+        assert (hist.realized_matrix <= paid).all()
+        assert np.array_equal(hist.realized_matrix.sum(axis=1),
+                              (hist.occupancy_matrix * hist.rewards_matrix).sum(axis=1))
 
     def test_run_record_series_are_consistent(self):
         hist = build_random_history(MU_SPREAD, 5, 80, seed=66)

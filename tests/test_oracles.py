@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gossip_bandits.oracles import (
+from oracles import (
     best_subset_reward,
     minimize_expected_turn_loss,
     project_to_simplex,

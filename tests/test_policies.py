@@ -6,75 +6,58 @@ import pytest
 from gossip_bandits import (
     AsympOptPolicy,
     EpsilonGreedyPolicy,
-    Observation,
-    PlayerEstimator,
     ThompsonPolicy,
     Ucb1Policy,
     UniformRandomPolicy,
     argmax_random_tie,
     compute_mix_probabilities,
+    disseminate,
     make_policy,
     sample_categorical,
 )
-from gossip_bandits.oracles import minimize_expected_turn_loss, random_simplex_points
+from oracles import minimize_expected_turn_loss, random_simplex_points
 
 MU_SPREAD = (0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.01)
 
 
-def prime(estimator, counts, successes):
-    """Load tallies directly, keeping the running total consistent."""
-    estimator.counts = list(counts)
-    estimator.successes = list(successes)
-    estimator.total = sum(counts)
+def rows(n_arms):
+    """A lone player's (counts, successes) rows of a fresh tally matrix."""
+    tallies = np.zeros((2, n_arms), dtype=np.int64)
+    return tallies[0], tallies[1]
+
+
+def prime(policy, counts, successes):
+    """Load the policy's tally rows directly."""
+    policy.counts[:] = counts
+    policy.successes[:] = successes
 
 
 def skip_init(policy):
-    policy.init_cursor = policy.n_arms
+    policy.init_pending.clear()
     return policy
 
 
-class TestPlayerEstimator:
-    def test_single_observation(self):
-        est = PlayerEstimator(4)
-        est.update([Observation(2, 1, 0)])
-        assert est.counts == [0, 0, 1, 0]
-        assert est.successes == [0, 0, 1, 0]
-        assert est.failures == [0, 0, 0, 0]
-        assert est.observed_means()[2] == 1.0
-
-    def test_neighbor_reports_average_with_own(self):
-        est = PlayerEstimator(2)
-        est.update([Observation(0, 1, 0), Observation(0, 0, 1)])
-        assert est.counts[0] == 2
-        assert est.successes[0] == 1
-        assert est.observed_means()[0] == 0.5
-
-    def test_empty_update_is_identity(self):
-        est = PlayerEstimator(3)
-        est.update([Observation(1, 1, 0)])
-        before = (list(est.counts), list(est.successes), est.total)
-        est.update([])
-        assert (list(est.counts), list(est.successes), est.total) == before
-
-    def test_tally_conservation_under_random_streams(self):
-        rng = np.random.default_rng(31)
-        for _ in range(50):
-            est = PlayerEstimator(6)
-            for _ in range(int(rng.integers(1, 30))):
-                obs = [
-                    Observation(int(rng.integers(6)), int(rng.integers(2)), 0)
-                    for _ in range(int(rng.integers(0, 5)))
-                ]
-                est.update(obs)
-            assert all(s + f == c for s, f, c in zip(est.successes, est.failures, est.counts))
-            assert sum(est.counts) == est.total
-
-    def test_unseen_arms_take_default_mean(self):
-        est = PlayerEstimator(3)
-        est.update([Observation(0, 1, 0)])
-        means = est.observed_means(default=-1.0)
-        assert means[0] == 1.0
-        assert means[1] == -1.0 and means[2] == -1.0
+class TestSharedTallies:
+    @pytest.mark.parametrize("name", ["ucb1", "egreedy", "thompson", "asympopt", "random"])
+    def test_policy_reads_live_rows_and_never_writes_them(self, name):
+        tallies = np.zeros((3, 8), dtype=np.int64)
+        players = [
+            make_policy(name, tallies[p, :4], tallies[p, 4:], 3, np.random.default_rng(p))
+            for p in range(3)
+        ]
+        reach = np.ones((3, 3), dtype=np.int64)
+        for _ in range(20):
+            choices = np.array([player.select() for player in players])
+            before = tallies.copy()
+            disseminate(tallies, reach, choices, choices % 2)
+            assert (tallies - before)[:, :4].sum() == 9
+            for player in players:
+                assert np.shares_memory(player.counts, tallies)
+                assert player.counts.sum() == tallies[:, :4].sum() // 3
+        snapshot = tallies.copy()
+        for player in players:
+            player.select()
+        assert np.array_equal(tallies, snapshot)
 
 
 class TestArgmaxRandomTie:
@@ -103,29 +86,29 @@ class TestArgmaxRandomTie:
 
 class TestUcb1:
     def test_init_phase_sweeps_arms_in_order(self):
-        pol = Ucb1Policy(10, np.random.default_rng(0))
+        pol = Ucb1Policy(*rows(10), np.random.default_rng(0))
         assert [pol.select() for _ in range(4)] == [0, 1, 2, 3]
-        assert pol.init_cursor == 4
+        assert len(pol.init_pending) == 6
         assert pol.select() == 4
-        assert pol.init_cursor == 5
+        assert len(pol.init_pending) == 5
 
     def test_random_init_order_is_a_permutation(self):
-        pol = Ucb1Policy(10, np.random.default_rng(1), init_order="random")
+        pol = Ucb1Policy(*rows(10), np.random.default_rng(1), init_order="random")
         sweep = [pol.select() for _ in range(10)]
         assert sorted(sweep) == list(range(10))
 
     def test_index_formula_prefers_observed_winner(self, rng):
         # n = [1, 1], means [1.0, 0.0]: indices 1 + sqrt(2 ln 2) vs sqrt(2 ln 2)
-        pol = skip_init(Ucb1Policy(2, rng))
-        prime(pol.estimator, counts=[1, 1], successes=[1, 0])
+        pol = skip_init(Ucb1Policy(*rows(2), rng))
+        prime(pol, counts=[1, 1], successes=[1, 0])
         bonus = math.sqrt(2 * math.log(2))
         assert 1.0 + bonus == pytest.approx(2.177410022515475)
         assert bonus == pytest.approx(1.1774100225154747)
         assert pol.select() == 0
 
     def test_symmetric_tie_selects_uniformly(self):
-        pol = skip_init(Ucb1Policy(3, np.random.default_rng(34)))
-        prime(pol.estimator, counts=[2, 2, 2], successes=[1, 1, 1])
+        pol = skip_init(Ucb1Policy(*rows(3), np.random.default_rng(34)))
+        prime(pol, counts=[2, 2, 2], successes=[1, 1, 1])
         n = 10**4
         picks = np.array([pol.select() for _ in range(n)])
         sigma = np.sqrt((1 / 3) * (2 / 3) / n)
@@ -135,12 +118,17 @@ class TestUcb1:
 
 class TestEpsilonGreedy:
     def test_pure_greedy(self, rng):
-        pol = skip_init(EpsilonGreedyPolicy(3, rng, epsilon=0.0))
-        prime(pol.estimator, counts=[10, 10, 10], successes=[1, 9, 3])
+        pol = skip_init(EpsilonGreedyPolicy(*rows(3), rng, epsilon=0.0))
+        prime(pol, counts=[10, 10, 10], successes=[1, 9, 3])
         assert all(pol.select() == 1 for _ in range(100))
 
+    def test_unseen_arms_read_mean_zero(self, rng):
+        pol = skip_init(EpsilonGreedyPolicy(*rows(3), rng, epsilon=0.0))
+        prime(pol, counts=[4, 0, 0], successes=[1, 0, 0])
+        assert all(pol.select() == 0 for _ in range(100))
+
     def test_pure_exploration_is_uniform(self):
-        pol = EpsilonGreedyPolicy(5, np.random.default_rng(35), epsilon=1.0, decay=0.9999999)
+        pol = EpsilonGreedyPolicy(*rows(5), np.random.default_rng(35), epsilon=1.0, decay=0.9999999)
         skip_init(pol)
         n = 10**4
         picks = np.array([pol.select() for _ in range(n)])
@@ -149,7 +137,7 @@ class TestEpsilonGreedy:
             assert abs((picks == arm).mean() - 0.2) < 3 * sigma
 
     def test_decay_is_geometric_in_selections(self):
-        pol = EpsilonGreedyPolicy(4, np.random.default_rng(2), epsilon=1.0, decay=0.9)
+        pol = EpsilonGreedyPolicy(*rows(4), np.random.default_rng(2), epsilon=1.0, decay=0.9)
         for _ in range(3):
             pol.select()
         assert pol.epsilon == 1.0 * 0.9 * 0.9 * 0.9  # 0.729 up to float repr
@@ -165,13 +153,13 @@ class TestEpsilonGreedy:
     )
     def test_rejects_bad_hyperparameters(self, rng, kwargs):
         with pytest.raises(ValueError):
-            EpsilonGreedyPolicy(3, rng, **kwargs)
+            EpsilonGreedyPolicy(*rows(3), rng, **kwargs)
 
 
 class TestThompson:
     def test_fresh_priors_are_symmetric(self):
-        pol = skip_init(ThompsonPolicy(2, np.random.default_rng(36)))
-        prime(pol.estimator, counts=[0, 0], successes=[0, 0])
+        pol = skip_init(ThompsonPolicy(*rows(2), np.random.default_rng(36)))
+        prime(pol, counts=[0, 0], successes=[0, 0])
         n = 10**4
         picks = np.array([pol.select() for _ in range(n)])
         sigma = np.sqrt(0.25 / n)
@@ -179,8 +167,8 @@ class TestThompson:
 
     def test_separated_posteriors_pick_the_winner(self):
         # P(Beta(101,1) < Beta(1,101)) is negligible
-        pol = skip_init(ThompsonPolicy(2, np.random.default_rng(37)))
-        prime(pol.estimator, counts=[100, 100], successes=[100, 0])
+        pol = skip_init(ThompsonPolicy(*rows(2), np.random.default_rng(37)))
+        prime(pol, counts=[100, 100], successes=[100, 0])
         n = 10**4
         picks = np.array([pol.select() for _ in range(n)])
         assert (picks == 0).mean() > 0.99
@@ -285,7 +273,7 @@ class TestSampleCategorical:
 
 class TestAsympOpt:
     def test_full_exploration_is_uniform(self):
-        pol = AsympOptPolicy(10, 5, np.random.default_rng(43), epsilon=1.0, decay=0.9999999)
+        pol = AsympOptPolicy(*rows(10), 5, np.random.default_rng(43), epsilon=1.0, decay=0.9999999)
         n = 10**4
         picks = np.array([pol.select() for _ in range(n)])
         sigma = np.sqrt(0.1 * 0.9 / n)
@@ -293,8 +281,8 @@ class TestAsympOpt:
             assert abs((picks == arm).mean() - 0.1) < 3 * sigma
 
     def test_equal_observed_means_mix_uniformly(self):
-        pol = AsympOptPolicy(10, 5, np.random.default_rng(44), epsilon=0.0)
-        prime(pol.estimator, counts=[10] * 10, successes=[5] * 10)
+        pol = AsympOptPolicy(*rows(10), 5, np.random.default_rng(44), epsilon=0.0)
+        prime(pol, counts=[10] * 10, successes=[5] * 10)
         n = 10**4
         picks = np.array([pol.select() for _ in range(n)])
         sigma = np.sqrt(0.1 * 0.9 / n)
@@ -302,10 +290,10 @@ class TestAsympOpt:
             assert abs((picks == arm).mean() - 0.1) < 3 * sigma
 
     def test_exact_observed_means_reproduce_mix_frequencies(self):
-        # estimator tuned so observed means equal the spread vector exactly
-        pol = AsympOptPolicy(10, 5, np.random.default_rng(45), epsilon=0.0)
-        prime(pol.estimator, counts=[100] * 10, successes=[90, 80, 70, 60, 50, 40, 30, 20, 10, 1])
-        assert np.array_equal(pol.estimator.observed_means(), MU_SPREAD)
+        # tallies primed so observed means equal the spread vector exactly
+        pol = AsympOptPolicy(*rows(10), 5, np.random.default_rng(45), epsilon=0.0)
+        prime(pol, counts=[100] * 10, successes=[90, 80, 70, 60, 50, 40, 30, 20, 10, 1])
+        assert np.array_equal(pol.successes / pol.counts, MU_SPREAD)
         c = compute_mix_probabilities(MU_SPREAD, 5).probabilities
         n = 10**5
         picks = np.array([pol.select() for _ in range(n)])
@@ -318,12 +306,12 @@ class TestAsympOpt:
                 assert abs(frac - c[arm]) < 3 * sigma
 
     def test_unseen_arms_fall_back_to_floor(self):
-        pol = AsympOptPolicy(4, 3, np.random.default_rng(46), epsilon=0.0)
+        pol = AsympOptPolicy(*rows(4), 3, np.random.default_rng(46), epsilon=0.0)
         mix = pol.current_mix()  # nothing observed: all means clamp to the floor
-        assert np.allclose(mix.probabilities, 0.25, atol=1e-12)
+        assert np.allclose(mix, 0.25, atol=1e-12)
 
     def test_decay_matches_sequential_product(self):
-        pol = AsympOptPolicy(5, 2, np.random.default_rng(47), epsilon=1.0, decay=0.995)
+        pol = AsympOptPolicy(*rows(5), 2, np.random.default_rng(47), epsilon=1.0, decay=0.995)
         expected = 1.0
         for _ in range(25):
             pol.select()
@@ -332,12 +320,12 @@ class TestAsympOpt:
 
     def test_rejects_single_player(self, rng):
         with pytest.raises(ValueError, match="2 players"):
-            AsympOptPolicy(5, 1, rng)
+            AsympOptPolicy(*rows(5), 1, rng)
 
 
 class TestUniformRandom:
     def test_uniform_over_arms(self):
-        pol = UniformRandomPolicy(4, np.random.default_rng(48))
+        pol = UniformRandomPolicy(*rows(4), np.random.default_rng(48))
         n = 10**4
         picks = np.array([pol.select() for _ in range(n)])
         sigma = np.sqrt(0.25 * 0.75 / n)
@@ -355,24 +343,23 @@ class TestMakePolicyAndDeterminism:
             "random": UniformRandomPolicy,
         }
         for name, cls in kinds.items():
-            assert isinstance(make_policy(name, 10, 5, rng), cls)
+            assert isinstance(make_policy(name, *rows(10), 5, rng), cls)
         with pytest.raises(ValueError, match="unknown policy"):
-            make_policy("oracle", 10, 5, rng)
+            make_policy("oracle", *rows(10), 5, rng)
 
     @pytest.mark.parametrize("name", ["ucb1", "egreedy", "thompson", "asympopt", "random"])
     def test_identical_seed_and_observations_give_identical_selections(self, name):
         def run():
-            pol = make_policy(name, 6, 3, np.random.default_rng(4242))
+            tallies = np.zeros((3, 12), dtype=np.int64)
+            pol = make_policy(name, tallies[0, :6], tallies[0, 6:], 3, np.random.default_rng(4242))
             obs_rng = np.random.default_rng(777)
             picks = []
             for _ in range(200):
                 arm = pol.select()
                 picks.append(arm)
-                reports = [Observation(arm, int(obs_rng.integers(2)), 0)] + [
-                    Observation(int(obs_rng.integers(6)), int(obs_rng.integers(2)), q)
-                    for q in (1, 2)
-                ]
-                pol.observe(reports)
+                choices = np.array([arm, obs_rng.integers(6), obs_rng.integers(6)])
+                disseminate(tallies, np.ones((3, 3), dtype=np.int64), choices,
+                            obs_rng.integers(2, size=3))
             return picks
 
         assert run() == run()

@@ -3,17 +3,19 @@ import pytest
 
 from gossip_bandits import (
     AggregateRecord,
+    ConfigError,
     ExperimentConfig,
     config_from_dict,
     emit_results,
     episode_seed,
-    read_results_csv,
     regret_vs_turns,
     run_episode,
     run_episode_with_history,
     simulate_episode,
     sweep_alpha,
 )
+from gossip_bandits import runner
+from support import read_results_csv
 
 SMALL = dict(means=(0.9, 0.5, 0.3, 0.1), n_players=2, turns=40, repetitions=3)
 
@@ -40,17 +42,20 @@ class TestRunEpisode:
 
     def test_no_communication_counts_only_own_pulls(self):
         cfg = small_config(algorithm="thompson")
-        history, players = simulate_episode(cfg, 0.0, 11)
-        for p, player in enumerate(players):
-            assert player.estimator.total == cfg.turns
+        history, tallies = simulate_episode(cfg, 0.0, 11)
+        for p in range(cfg.n_players):
             own = np.bincount(history.choices_matrix[:, p], minlength=4)
-            assert np.array_equal(player.estimator.counts, own)
+            assert np.array_equal(tallies[p, :4], own)
+            own_wins = np.bincount(history.choices_matrix[:, p], history.realized_matrix[:, p], 4)
+            assert np.array_equal(tallies[p, 4:], own_wins)
 
     def test_full_communication_counts_everyones_pulls(self):
         cfg = ExperimentConfig(algorithm="thompson", turns=100, repetitions=1, alphas=(1.0,))
-        _, players = simulate_episode(cfg, 1.0, 13)
-        for player in players:
-            assert player.estimator.total == 5 * 100
+        history, tallies = simulate_episode(cfg, 1.0, 13)
+        everyone = np.bincount(history.choices_matrix.ravel(), minlength=10)
+        for row in tallies:
+            assert np.array_equal(row[:10], everyone)
+            assert row[10:].sum() == history.realized_matrix.sum()
 
     def test_identical_inputs_reproduce_bitwise(self):
         cfg = small_config(algorithm="egreedy")
@@ -112,6 +117,35 @@ class TestAggregation:
     def test_serial_and_concurrent_agree_exactly(self):
         cfg = small_config(algorithm="ucb1")
         assert sweep_alpha(cfg, n_jobs=1) == sweep_alpha(cfg, n_jobs=3)
+
+    @pytest.mark.parametrize("n_jobs", [0, -1, 1.5, True])
+    def test_rejects_jobs_below_one_or_not_integer(self, n_jobs):
+        with pytest.raises(ConfigError, match="jobs"):
+            sweep_alpha(small_config(), n_jobs=n_jobs)
+
+    @pytest.mark.parametrize("n_jobs, cpus, expected", [(8, 2, 2), (8, 64, 6), (3, 64, 3)])
+    def test_pool_is_capped_by_cpus_and_tasks(self, monkeypatch, n_jobs, cpus, expected):
+        # 2 alphas x 3 repetitions = 6 episodes; the fake pool starts no process
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(runner.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", SerialPool)
+        cfg = small_config()
+        assert sweep_alpha(cfg, n_jobs=n_jobs) == sweep_alpha(cfg)
+        assert started == [expected]
 
     def test_regret_curve_serial_and_concurrent_agree(self):
         cfg = small_config(algorithm="thompson", alphas=(1.0,), checkpoints=(10, 40))
