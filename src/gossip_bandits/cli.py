@@ -50,7 +50,8 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", metavar="PATH", help="output file (default: stdout)")
     parser.add_argument("--format", choices=OUTPUT_FORMATS)
     parser.add_argument("--jobs", type=int, default=1,
-                        help="episodes to run concurrently (default 1; results identical)")
+                        help="worker processes, at least 1 and capped at the CPU count "
+                        "(default 1; results identical)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,8 +2,8 @@
 
 Every turn a fresh undirected graph connects each of the N(N-1)/2 player
 pairs independently with probability ``alpha``.  A turn's graph is held
-as its reach matrix: the symmetric 0/1 adjacency plus the identity, so a
-player always hears its own report.
+as its boolean reach matrix: the symmetric adjacency plus the identity,
+so a player always hears its own report.
 
 Reports land in one shared (N, 2S) tally matrix: its left half counts
 every (arm) report a player has heard, its right half the successes among
@@ -35,10 +35,10 @@ def sample_reach(
         raise ValueError(f"connectivity {alpha} outside [0, 1]")
     upper, lower = np.triu_indices(n_players, k=1)
     edges = rng.random((n_turns, len(upper))) < alpha
-    reach = np.zeros((n_turns, n_players, n_players), dtype=np.int64)
+    reach = np.zeros((n_turns, n_players, n_players), dtype=bool)
     reach[:, upper, lower] = edges
     reach[:, lower, upper] = edges
-    reach[:, np.arange(n_players), np.arange(n_players)] = 1
+    reach[:, np.arange(n_players), np.arange(n_players)] = True
     return reach
 
 

@@ -12,7 +12,7 @@ def reference_tallies(reach, choices, realized, n_arms):
     tallies = np.zeros((n, 2 * n_arms), dtype=np.int64)
     for receiver in range(n):
         for sender in range(n):
-            for _ in range(reach[receiver, sender]):
+            for _ in range(int(reach[receiver, sender])):
                 tallies[receiver, choices[sender]] += 1
                 tallies[receiver, n_arms + choices[sender]] += realized[sender]
     return tallies
@@ -36,7 +36,6 @@ class TestSampleReach:
         reach = sample_reach(6, 0.5, 200, rng)
         assert np.array_equal(reach, reach.transpose(0, 2, 1))
         assert (reach[:, np.arange(6), np.arange(6)] == 1).all()
-        assert set(np.unique(reach)) <= {0, 1}
 
     def test_rejects_bad_alpha(self, rng):
         for bad in (-0.1, 1.5):
@@ -57,12 +56,12 @@ class TestSampleReach:
         # one draw of N(N-1)/2 uniforms per turn, pair k = k-th combination
         turns, n, alpha = 30, 5, 0.4
         replay = np.random.default_rng(24)
-        expected = np.zeros((turns, n, n), dtype=np.int64)
+        expected = np.zeros((turns, n, n), dtype=bool)
         for t in range(turns):
             keep = replay.random(n * (n - 1) // 2) < alpha
             for (a, b), kept in zip(combinations(range(n), 2), keep):
                 expected[t, a, b] = expected[t, b, a] = kept
-            expected[t] += np.eye(n, dtype=np.int64)
+            expected[t] |= np.eye(n, dtype=bool)
         assert np.array_equal(sample_reach(n, alpha, turns, np.random.default_rng(24)), expected)
 
 
