@@ -52,6 +52,8 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         self._check_types()
+        for name in ("n_players", "turns", "repetitions", "base_seed"):
+            object.__setattr__(self, name, int(getattr(self, name)))  # NumPy ints break echo()
         object.__setattr__(self, "means", tuple(float(m) for m in self.means))
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         object.__setattr__(self, "checkpoints", tuple(int(t) for t in self.checkpoints))

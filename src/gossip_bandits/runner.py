@@ -23,7 +23,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -150,6 +149,9 @@ def _aggregate(
     ]
     workers = min(n_jobs, os.cpu_count() or 1, len(tasks))
     if workers > 1:
+        # imported here: the pool machinery is a tenth of the package's import time
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_episode_checkpoints, tasks, chunksize=1))
     else:

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from gossip_bandits import ConfigError, ExperimentConfig, apply_overrides, config_from_file
@@ -65,6 +66,11 @@ class TestValidation:
         for raw in ({"turns": "5000"}, {"alphas": 0.5}, {"means": "0.5"}):
             with pytest.raises(ConfigError):
                 config_from_dict(raw)
+
+    def test_numpy_integers_are_stored_as_python_ints(self):
+        cfg = ExperimentConfig(n_players=np.int64(2), turns=np.int32(100), base_seed=np.uint8(3))
+        assert json.loads(json.dumps(cfg.echo()))["n_players"] == 2
+        assert type(cfg.turns) is int and type(cfg.base_seed) is int
 
     def test_single_player_fine_for_nonmixing_policies(self):
         cfg = ExperimentConfig(algorithm="ucb1", n_players=1)

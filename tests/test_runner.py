@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -142,7 +144,7 @@ class TestAggregation:
                 return map(fn, tasks)
 
         monkeypatch.setattr(runner.os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(runner, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         cfg = small_config()
         assert sweep_alpha(cfg, n_jobs=n_jobs) == sweep_alpha(cfg)
         assert started == [expected]
