@@ -33,11 +33,11 @@ def sample_reach(
         raise ValueError(f"need at least 1 player, got {n_players}")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"connectivity {alpha} outside [0, 1]")
-    upper, lower = np.triu_indices(n_players, k=1)
-    edges = rng.random((n_turns, len(upper))) < alpha
+    first, second = np.triu_indices(n_players, k=1)  # pair k is (first[k], second[k])
+    edges = rng.random((n_turns, len(first))) < alpha
     reach = np.zeros((n_turns, n_players, n_players), dtype=bool)
-    reach[:, upper, lower] = edges
-    reach[:, lower, upper] = edges
+    reach[:, first, second] = edges
+    reach[:, second, first] = edges
     reach[:, np.arange(n_players), np.arange(n_players)] = True
     return reach
 
