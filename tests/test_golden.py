@@ -33,6 +33,13 @@ GOLDEN = {
     ("random", "random"): "646bff62a1a402628ceef79c3c8584ad15787de809e05be779cf559a66de036d",
 }
 GOLDEN_DENSE = "66fc858b547ce7adede0b1ba16408cba14c75e42aed9ffe083384d1e679ff483"
+# N=9 players: row-wise selection and tie-breaks over more than five rows
+GOLDEN_N9 = {
+    "ucb1": "036e3f23b4cf517818bd2a5ef2f653b40e7133ef0bd1b0a64bcf732c3e4741a7",
+    "egreedy": "d3f28e048a6d2b52123846fec806d890320375abbd6503214c8a45604f6f0751",
+    "thompson": "872f7abbdb7f5ceaa240652b6bfd9e3201d4452ed4fdcfa38109823a994c9867",
+    "asympopt": "08c64a95086990a1cd9b3e46bf5372806f9a54173ab8da49f5654658890b975e",
+}
 
 
 def csv_digest(config, path) -> str:
@@ -55,3 +62,12 @@ def test_dense_random_sweep_csv_is_byte_identical(tmp_path):
         alphas=(0.0, 0.5, 1.0), turns=100, repetitions=2, base_seed=2024,
     )
     assert csv_digest(cfg, tmp_path / "out.csv") == GOLDEN_DENSE
+
+
+@pytest.mark.parametrize("algorithm", sorted(GOLDEN_N9))
+def test_nine_player_regret_curve_csv_is_byte_identical(algorithm, tmp_path):
+    cfg = ExperimentConfig(
+        algorithm=algorithm, means=MU_SPREAD, n_players=9,
+        alphas=(0.0, 0.5, 1.0), turns=600, repetitions=2, base_seed=2024,
+    )
+    assert csv_digest(cfg, tmp_path / "out.csv") == GOLDEN_N9[algorithm]
