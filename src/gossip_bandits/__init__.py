@@ -17,41 +17,12 @@ from .config import (
     config_from_dict,
     config_from_file,
 )
-from .env import ArmSet, draw_arm_rewards, env_step
-from .metrics import (
-    GameHistory,
-    RunRecord,
-    build_run_record,
-    cumulative_loss,
-    cumulative_regret_literal,
-    cumulative_regret_occupancy,
-    cumulative_reward,
-    expected_turn_loss,
-    optimal_per_turn_reward,
-)
-from .network import disseminate, sample_reach
-from .policies import (
-    AsympOptPolicy,
-    EpsilonGreedyPolicy,
-    MixProbabilities,
-    Policy,
-    ThompsonPolicy,
-    Ucb1Policy,
-    UniformRandomPolicy,
-    argmax_random_tie,
-    compute_mix_probabilities,
-    make_policy,
-    sample_categorical,
-)
-from .rng import derive_seed, substream
 from .runner import (
     AggregateRecord,
     emit_results,
     episode_seed,
     regret_vs_turns,
     run_episode,
-    run_episode_with_history,
-    simulate_episode,
     sweep_alpha,
 )
 
@@ -59,45 +30,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AggregateRecord",
-    "ArmSet",
-    "AsympOptPolicy",
     "CLUSTERED_MEANS",
     "ConfigError",
-    "EpsilonGreedyPolicy",
     "ExperimentConfig",
-    "GameHistory",
-    "MixProbabilities",
-    "Policy",
-    "RunRecord",
     "SPREAD_MEANS",
-    "ThompsonPolicy",
-    "Ucb1Policy",
-    "UniformRandomPolicy",
     "apply_overrides",
-    "argmax_random_tie",
-    "build_run_record",
-    "compute_mix_probabilities",
     "config_from_dict",
     "config_from_file",
-    "cumulative_loss",
-    "cumulative_regret_literal",
-    "cumulative_regret_occupancy",
-    "cumulative_reward",
-    "derive_seed",
-    "disseminate",
-    "draw_arm_rewards",
     "emit_results",
-    "env_step",
     "episode_seed",
-    "expected_turn_loss",
-    "make_policy",
-    "optimal_per_turn_reward",
     "regret_vs_turns",
     "run_episode",
-    "run_episode_with_history",
-    "sample_categorical",
-    "sample_reach",
-    "simulate_episode",
-    "substream",
     "sweep_alpha",
 ]

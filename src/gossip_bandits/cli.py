@@ -44,7 +44,8 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--players", type=int, help="number of players (must stay below the arm count)")
     parser.add_argument("--epsilon0", type=float, help="initial exploration probability")
     parser.add_argument("--decay", type=float, help="per-selection epsilon decay factor in (0, 1)")
-    parser.add_argument("--mean-floor", type=float, help="lower clamp on observed means for the mixing policy")
+    parser.add_argument("--mean-floor", type=float,
+                        help="lower clamp in (0, 1) on observed means for the mixing policy")
     parser.add_argument("--init-order", choices=INIT_ORDERS,
                         help="arm order for the pull-each-arm-once phase")
     parser.add_argument("--out", metavar="PATH", help="output file (default: stdout)")

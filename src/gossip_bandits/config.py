@@ -9,13 +9,7 @@ import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
-from .policies import (
-    DEFAULT_DECAY,
-    DEFAULT_EPSILON,
-    DEFAULT_MEAN_FLOOR,
-    INIT_ORDERS,
-    POLICY_NAMES,
-)
+from .policies import INIT_ORDERS, POLICY_NAMES
 
 OUTPUT_FORMATS = ("csv", "json")
 
@@ -25,6 +19,9 @@ SPREAD_MEANS = (0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.01)
 CLUSTERED_MEANS = (0.7, 0.68, 0.66, 0.64, 0.62, 0.4, 0.38, 0.36, 0.34, 0.32)
 
 DEFAULT_ALPHAS = tuple(round(0.1 * i, 1) for i in range(11))
+DEFAULT_EPSILON = 1.0
+DEFAULT_DECAY = 0.995
+DEFAULT_MEAN_FLOOR = 1e-3
 
 
 class ConfigError(ValueError):
@@ -94,8 +91,9 @@ class ExperimentConfig:
             raise ConfigError(f"epsilon0 {self.epsilon0} outside [0, 1]")
         if not 0.0 < self.decay < 1.0:
             raise ConfigError(f"decay {self.decay} outside (0, 1)")
-        if self.mean_floor <= 0.0:
-            raise ConfigError(f"mean_floor must be positive, got {self.mean_floor}")
+        if not 0.0 < self.mean_floor < 1.0:
+            # a floor of 1 or more clamps every observed mean to it: uniform play
+            raise ConfigError(f"mean_floor must lie in (0, 1), got {self.mean_floor}")
         if self.init_order not in INIT_ORDERS:
             raise ConfigError(f"unknown init_order {self.init_order!r}, expected one of {INIT_ORDERS}")
         if any(not 1 <= t <= self.turns for t in self.checkpoints):

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -73,7 +72,6 @@ class RunRecord:
     cumulative_loss: np.ndarray
     regret_literal: np.ndarray
     regret_occupancy: np.ndarray
-    metadata: dict
 
     @property
     def n_turns(self) -> int:
@@ -123,22 +121,11 @@ def cumulative_regret_occupancy(history: GameHistory) -> np.ndarray:
     return np.cumsum(best - occupied_means)
 
 
-def expected_turn_loss(
-    mix: Sequence[float], arms: ArmSet, n_players: int
-) -> float:
-    """Expected one-turn loss when every player samples arms from ``mix``."""
-    c = np.asarray(mix, dtype=float)
-    if c.shape != (arms.n_arms,):
-        raise ValueError(f"mix has shape {c.shape}, expected ({arms.n_arms},)")
-    return float(np.sum((1.0 - c) ** n_players * arms.means_array))
-
-
-def build_run_record(history: GameHistory, metadata: dict) -> RunRecord:
+def build_run_record(history: GameHistory) -> RunRecord:
     """Assemble all four metric series for one completed episode."""
     return RunRecord(
         cumulative_reward=cumulative_reward(history),
         cumulative_loss=cumulative_loss(history),
         regret_literal=cumulative_regret_literal(history),
         regret_occupancy=cumulative_regret_occupancy(history),
-        metadata=dict(metadata),
     )

@@ -1,37 +1,46 @@
-"""The arm-selection algorithms.
+"""The arm-selection algorithms, one object per episode.
 
-Every player's knowledge is its row of two shared (N, S) tally matrices:
-how many (arm) reports it has heard and how many of them were successes,
-its own pulls and its neighbours' reports counted alike.  The network
-layer writes the tallies; a policy only reads its rows in ``select()``.
-Selection randomness (ties, exploration, posterior draws) comes
-exclusively from the player's own substream, so a run is reproducible
-from its seed alone.
+All N players run the same algorithm, so an episode builds one policy
+from its validated ``ExperimentConfig``, which is the only place the
+hyperparameters are checked.  The policy reads the shared (N, 2S) tally
+matrix that the network layer writes: row p holds how many reports of
+each arm player p has heard, then how many of them were successes, its
+own pulls and its neighbours' reports counted alike.  It never writes the
+tallies.  ``select()`` returns the turn's N choices, computing indices
+and means for all rows at once.
+
+Player p's randomness (sweep order, ties, exploration, posterior draws)
+comes only from ``rngs[p]``, in the same order of calls a lone player
+would make, so a run is reproducible from its seed alone and a player's
+choices do not depend on how many others draw.  The annealed ε is one
+shared value: every player selects once per turn, so all of theirs are
+equal at every turn.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-POLICY_NAMES = ("ucb1", "egreedy", "thompson", "asympopt", "random")
+if TYPE_CHECKING:
+    from .config import ExperimentConfig
+
 INIT_ORDERS = ("sequential", "random")
 
-DEFAULT_EPSILON = 1.0
-DEFAULT_DECAY = 0.995
-DEFAULT_MEAN_FLOOR = 1e-3
 
+def argmax_rows(values: np.ndarray, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """Each row's index of its maximum; exact ties are broken uniformly at random.
 
-def argmax_random_tie(values: Sequence[float], rng: np.random.Generator) -> int:
-    """Index of the maximum; exact ties are broken uniformly at random."""
-    values = np.asarray(values)
-    best = int(np.argmax(values))
-    ties = np.flatnonzero(values == values[best])
-    if len(ties) > 1:
-        best = int(ties[rng.integers(len(ties))])
+    Only a row with more than one maximum draws: ``rngs[row].integers(k)``
+    over its k maxima in index order.
+    """
+    tied = values == values.max(axis=1, keepdims=True)
+    best = tied.argmax(axis=1)
+    n_tied = tied.sum(axis=1)
+    for row in np.flatnonzero(n_tied > 1):
+        best[row] = np.flatnonzero(tied[row])[rngs[row].integers(n_tied[row])]
     return best
 
 
@@ -112,194 +121,143 @@ def _mix(mu: list[float], n_players: int) -> tuple[list[float], list[int]]:
 
 
 class Policy:
-    """A player's arm selection: its rows of the shared tallies plus a private RNG.
+    """Every player's selection for one episode, from the shared tallies.
 
-    ``counts`` and ``successes`` are views of the player's rows; the
-    policy reads them and never writes them.
+    ``counts`` and ``successes`` are the (N, S) halves of the tally
+    matrix.  A policy that sweeps first pulls each arm once before its own
+    rule: in arm order, or with ``init_order="random"`` in a permutation
+    each player draws from its generator at construction.  Reports heard
+    during the sweep still reach the tallies; they just don't redirect it.
     """
 
-    name = "?"
+    sweeps_first = True
 
-    def __init__(self, counts: np.ndarray, successes: np.ndarray, rng: np.random.Generator):
-        self.counts = counts
-        self.successes = successes
-        self.n_arms = len(counts)
-        self.rng = rng
+    def __init__(self, config: ExperimentConfig, tallies: np.ndarray,
+                 rngs: Sequence[np.random.Generator]):
+        self.n_arms = n_arms = config.n_arms
+        self.counts, self.successes = tallies[:, :n_arms], tallies[:, n_arms:]
+        self.rngs = rngs
+        self.sweep: list[list[int]] = []  # the sweep's turns still to play, last turn first
+        if self.sweeps_first:
+            if config.init_order == "random":
+                order = [rng.permutation(n_arms) for rng in rngs]
+            else:
+                order = [range(n_arms)] * len(rngs)
+            self.sweep = np.array(order).T[::-1].tolist()
 
-    def select(self) -> int:
+    def select(self) -> list[int]:
         raise NotImplementedError
 
 
-class _InitSweepPolicy(Policy):
-    """Base for policies that start by pulling each arm once.
-
-    The sweep order is by arm index, or a per-player random permutation
-    when ``init_order="random"``.  Reports heard during the sweep still
-    reach the tallies; they just don't redirect it.
-    """
-
-    def __init__(self, counts, successes, rng, init_order: str = "sequential"):
-        super().__init__(counts, successes, rng)
-        if init_order == "sequential":
-            order = list(range(self.n_arms))
-        elif init_order == "random":
-            order = rng.permutation(self.n_arms).tolist()
-        else:
-            raise ValueError(f"unknown init_order {init_order!r}, expected one of {INIT_ORDERS}")
-        self.init_pending = order[::-1]  # arms still to sweep; pop() yields the next
+def _annealed_draws(rngs: Sequence[np.random.Generator], epsilon: float, n_arms: int) -> list[int]:
+    """Each player exploits with probability 1 - ``epsilon`` (-1 here), else draws a uniform arm."""
+    threshold = 1.0 - epsilon
+    return [-1 if rng.random() < threshold else int(rng.integers(n_arms)) for rng in rngs]
 
 
-def _check_annealing(epsilon: float, decay: float) -> None:
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon {epsilon} outside [0, 1]")
-    if not 0.0 < decay < 1.0:
-        raise ValueError(f"decay {decay} outside (0, 1)")
-
-
-class Ucb1Policy(_InitSweepPolicy):
+class Ucb1Policy(Policy):
     """Upper-confidence-bound selection on all observations seen so far."""
 
-    name = "ucb1"
-
-    def select(self) -> int:
-        if self.init_pending:
-            return self.init_pending.pop()
+    def select(self) -> list[int]:
+        if self.sweep:
+            return self.sweep.pop()
         # the sweep's own reports make every count positive from here on
         counts = self.counts
-        index = self.successes / counts + np.sqrt(2.0 * np.log(counts.sum()) / counts)
-        return argmax_random_tie(index, self.rng)
+        total = counts.sum(axis=1, keepdims=True)
+        index = self.successes / counts + np.sqrt(2.0 * np.log(total) / counts)
+        return argmax_rows(index, self.rngs).tolist()
 
 
-class EpsilonGreedyPolicy(_InitSweepPolicy):
+class EpsilonGreedyPolicy(Policy):
     """Exploit the best observed mean, explore uniformly with decaying odds."""
 
-    name = "egreedy"
+    def __init__(self, config, tallies, rngs):
+        super().__init__(config, tallies, rngs)
+        self.epsilon, self.decay = config.epsilon0, config.decay
 
-    def __init__(
-        self,
-        counts,
-        successes,
-        rng: np.random.Generator,
-        epsilon: float = DEFAULT_EPSILON,
-        decay: float = DEFAULT_DECAY,
-        init_order: str = "sequential",
-    ):
-        super().__init__(counts, successes, rng, init_order)
-        _check_annealing(epsilon, decay)
-        self.epsilon = epsilon
-        self.decay = decay
-
-    def select(self) -> int:
-        if self.init_pending:
-            arm = self.init_pending.pop()
-        elif self.rng.random() < 1.0 - self.epsilon:
-            # unseen arms read mean 0: their successes are 0 too
-            means = self.successes / np.maximum(self.counts, 1)
-            arm = argmax_random_tie(means, self.rng)
+    def select(self) -> list[int]:
+        if self.sweep:
+            arms = self.sweep.pop()
         else:
-            arm = int(self.rng.integers(self.n_arms))
-        self.epsilon *= self.decay  # once per selection, so epsilon = eps0 * k^t exactly
-        return arm
+            arms = _annealed_draws(self.rngs, self.epsilon, self.n_arms)
+            greedy = [p for p, arm in enumerate(arms) if arm < 0]
+            if greedy:
+                # unseen arms read mean 0: their successes are 0 too
+                means = self.successes[greedy] / np.maximum(self.counts[greedy], 1)
+                best = argmax_rows(means, [self.rngs[p] for p in greedy])
+                for p, arm in zip(greedy, best.tolist()):
+                    arms[p] = arm
+        self.epsilon *= self.decay  # once per turn, so epsilon = eps0 * k^t exactly
+        return arms
 
 
-class ThompsonPolicy(_InitSweepPolicy):
+class ThompsonPolicy(Policy):
     """Sample a Beta posterior per arm and pull the best draw."""
 
-    name = "thompson"
-
-    def select(self) -> int:
-        if self.init_pending:
-            return self.init_pending.pop()
+    def select(self) -> list[int]:
+        if self.sweep:
+            return self.sweep.pop()
         successes = self.successes
-        theta = self.rng.beta(successes + 1.0, self.counts - successes + 1.0)
-        return argmax_random_tie(theta, self.rng)
+        a, b = successes + 1.0, self.counts - successes + 1.0
+        theta = np.array([rng.beta(a[p], b[p]) for p, rng in enumerate(self.rngs)])
+        return argmax_rows(theta, self.rngs).tolist()
 
 
 class AsympOptPolicy(Policy):
     """Anneal from uniform exploration into the closed-form mixing play.
 
-    With probability ``epsilon`` pulls a uniform random arm, otherwise
-    recomputes the mixing probabilities from the current observed means
-    (clamped below at ``mean_floor`` so unseen or all-zero arms stay
-    admissible) and samples from them.  No pull-each-arm-once sweep: the
-    initial ``epsilon = 1`` plays that role.
+    With probability ``epsilon`` a player pulls a uniform random arm,
+    otherwise it recomputes the mixing probabilities from its current
+    observed means (clamped below at ``mean_floor`` so unseen or all-zero
+    arms stay admissible) and samples from them.  No pull-each-arm-once
+    sweep: the initial ``epsilon = 1`` plays that role.
     """
 
-    name = "asympopt"
+    sweeps_first = False
 
-    def __init__(
-        self,
-        counts,
-        successes,
-        n_players: int,
-        rng: np.random.Generator,
-        epsilon: float = DEFAULT_EPSILON,
-        decay: float = DEFAULT_DECAY,
-        mean_floor: float = DEFAULT_MEAN_FLOOR,
-    ):
-        super().__init__(counts, successes, rng)
-        if n_players < 2:
-            raise ValueError(f"need at least 2 players for the mixing exponent, got {n_players}")
-        _check_annealing(epsilon, decay)
-        if not (mean_floor > 0.0 and math.isfinite(mean_floor)):
-            raise ValueError(f"mean_floor must be positive and finite, got {mean_floor}")
-        self.n_players = n_players
-        self.epsilon = epsilon
-        self.decay = decay
-        self.mean_floor = mean_floor
+    def __init__(self, config, tallies, rngs):
+        super().__init__(config, tallies, rngs)
+        self.epsilon, self.decay = config.epsilon0, config.decay
+        self.n_players, self.mean_floor = config.n_players, config.mean_floor
 
-    def current_mix(self) -> list[float]:
-        """Mixing probabilities for the observed means, clamped at the floor."""
-        floor = self.mean_floor
-        clamped = [
-            max(s / c, floor) if c else floor
-            for c, s in zip(self.counts.tolist(), self.successes.tolist())
-        ]
-        return _mix(clamped, self.n_players)[0]
-
-    def select(self) -> int:
-        if self.rng.random() < 1.0 - self.epsilon:
-            arm = sample_categorical(self.current_mix(), self.rng)
-        else:
-            arm = int(self.rng.integers(self.n_arms))
+    def select(self) -> list[int]:
+        arms = _annealed_draws(self.rngs, self.epsilon, self.n_arms)
         self.epsilon *= self.decay
-        return arm
+        if min(arms) < 0:
+            floor = self.mean_floor
+            counts, successes = self.counts.tolist(), self.successes.tolist()
+            for p, arm in enumerate(arms):
+                if arm < 0:
+                    clamped = [max(s / c, floor) if c else floor
+                               for c, s in zip(counts[p], successes[p])]
+                    arms[p] = sample_categorical(_mix(clamped, self.n_players)[0], self.rngs[p])
+        return arms
 
 
 class UniformRandomPolicy(Policy):
-    """Calibration baseline: every turn an independent uniform arm."""
+    """Calibration baseline: every turn an independent uniform arm per player."""
 
-    name = "random"
+    sweeps_first = False
 
-    def select(self) -> int:
-        return int(self.rng.integers(self.n_arms))
+    def select(self) -> list[int]:
+        n_arms = self.n_arms
+        return [int(rng.integers(n_arms)) for rng in self.rngs]
 
 
-def make_policy(
-    name: str,
-    counts: np.ndarray,
-    successes: np.ndarray,
-    n_players: int,
-    rng: np.random.Generator,
-    *,
-    epsilon: float = DEFAULT_EPSILON,
-    decay: float = DEFAULT_DECAY,
-    mean_floor: float = DEFAULT_MEAN_FLOOR,
-    init_order: str = "sequential",
-) -> Policy:
-    """Build one player's policy by configured kind, reading the given tally rows."""
-    if name == "ucb1":
-        return Ucb1Policy(counts, successes, rng, init_order=init_order)
-    if name == "egreedy":
-        return EpsilonGreedyPolicy(
-            counts, successes, rng, epsilon=epsilon, decay=decay, init_order=init_order
-        )
-    if name == "thompson":
-        return ThompsonPolicy(counts, successes, rng, init_order=init_order)
-    if name == "asympopt":
-        return AsympOptPolicy(
-            counts, successes, n_players, rng, epsilon=epsilon, decay=decay, mean_floor=mean_floor
-        )
-    if name == "random":
-        return UniformRandomPolicy(counts, successes, rng)
-    raise ValueError(f"unknown policy {name!r}, expected one of {POLICY_NAMES}")
+_KINDS = {
+    "ucb1": Ucb1Policy,
+    "egreedy": EpsilonGreedyPolicy,
+    "thompson": ThompsonPolicy,
+    "asympopt": AsympOptPolicy,
+    "random": UniformRandomPolicy,
+}
+POLICY_NAMES = tuple(_KINDS)
+
+
+def make_policy(config: ExperimentConfig, tallies: np.ndarray,
+                rngs: Sequence[np.random.Generator]) -> Policy:
+    """The episode's policy for ``config.algorithm``, over the whole tally matrix.
+
+    ``rngs[p]`` is player p's substream; ``config`` has been validated.
+    """
+    return _KINDS[config.algorithm](config, tallies, rngs)

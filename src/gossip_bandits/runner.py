@@ -3,11 +3,12 @@
 An episode's state is arrays.  Its arm realizations (turns, S) and graph
 reach matrices (turns, N, N) are drawn up front, each from its own
 substream of the episode seed, and the players share one (N, 2S) tally
-matrix of which each policy reads its own row.  Each turn every player
-selects an arm, ``env_step`` pays the turn's realizations and
-``disseminate`` adds every report to the tallies it reaches.  The history
-is three preallocated arrays: choices (turns, N), realizations (turns, S)
-and received rewards (turns, N).
+matrix.  There are no per-player objects: one policy, built once per
+episode, reads the whole matrix and returns every player's choice each
+turn.  ``env_step`` pays the turn's realizations and ``disseminate`` adds
+every report to the tallies it reaches.  The history is three
+preallocated arrays: choices (turns, N), realizations (turns, S) and
+received rewards (turns, N).
 
 Determinism contract: an episode is a pure function of (config, alpha,
 seed), and a config with a given ``base_seed`` writes byte-identical CSV
@@ -67,17 +68,8 @@ def episode_seed(base_seed: int, alpha_index: int, repetition: int) -> int:
 
 def run_episode(config: ExperimentConfig, alpha: float, seed: int) -> RunRecord:
     """Play one full episode and return its metric series."""
-    record, _ = run_episode_with_history(config, alpha, seed)
-    return record
-
-
-def run_episode_with_history(
-    config: ExperimentConfig, alpha: float, seed: int
-) -> tuple[RunRecord, GameHistory]:
-    """As ``run_episode`` but also return the raw turn-by-turn history."""
     history, _ = simulate_episode(config, alpha, seed)
-    metadata = dict(config.echo(), alpha=alpha, seed=seed)
-    return build_run_record(history, metadata), history
+    return build_run_record(history)
 
 
 def simulate_episode(
@@ -90,25 +82,12 @@ def simulate_episode(
     reach = sample_reach(n_players, alpha, n_turns, substream(seed, "graph"))
     winner_rng = substream(seed, "env-winners")
     tallies = np.zeros((n_players, 2 * n_arms), dtype=np.int64)
-    players = [
-        make_policy(
-            config.algorithm,
-            tallies[p, :n_arms],
-            tallies[p, n_arms:],
-            n_players,
-            substream(seed, "player", p),
-            epsilon=config.epsilon0,
-            decay=config.decay,
-            mean_floor=config.mean_floor,
-            init_order=config.init_order,
-        )
-        for p in range(n_players)
-    ]
+    policy = make_policy(config, tallies, [substream(seed, "player", p) for p in range(n_players)])
 
     choices = np.empty((n_turns, n_players), dtype=np.int64)
     realized = np.empty((n_turns, n_players), dtype=np.int64)
     for t in range(n_turns):
-        chosen = [player.select() for player in players]
+        chosen = policy.select()
         choices[t] = chosen
         realized[t] = env_step(chosen, rewards[t].tolist(), winner_rng)
         disseminate(tallies, reach[t], choices[t], realized[t])

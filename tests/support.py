@@ -7,8 +7,8 @@ import dataclasses
 
 import numpy as np
 
-from gossip_bandits import ArmSet, GameHistory, draw_arm_rewards, env_step
-from gossip_bandits.metrics import cumulative_loss, cumulative_reward
+from gossip_bandits.env import ArmSet, draw_arm_rewards, env_step
+from gossip_bandits.metrics import GameHistory, cumulative_loss, cumulative_reward
 from gossip_bandits.runner import CSV_COLUMNS, AggregateRecord
 
 

@@ -14,19 +14,17 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from gossip_bandits import (
-    ExperimentConfig,
-    cumulative_loss,
-    cumulative_reward,
-    episode_seed,
-    optimal_per_turn_reward,
-    run_episode,
-    run_episode_with_history,
-    sample_reach,
-    sweep_alpha,
-)
+from gossip_bandits import ExperimentConfig, episode_seed, run_episode, sweep_alpha
 from gossip_bandits.cli import main as cli_main
 from gossip_bandits.env import ArmSet
+from gossip_bandits.metrics import (
+    build_run_record,
+    cumulative_loss,
+    cumulative_reward,
+    optimal_per_turn_reward,
+)
+from gossip_bandits.network import sample_reach
+from gossip_bandits.runner import simulate_episode
 from oracles import (
     best_subset_reward,
     minimize_expected_turn_loss,
@@ -85,7 +83,8 @@ def test_criterion_1_loss_reward_identity():
             algorithm=algorithm, means=MU_SPREAD, alphas=(alpha,),
             turns=60, repetitions=1, base_seed=9000 + i,
         )
-        record, history = run_episode_with_history(cfg, alpha, episode_seed(9000 + i, 0, 0))
+        history, _ = simulate_episode(cfg, alpha, episode_seed(9000 + i, 0, 0))
+        record = build_run_record(history)
         draws = np.cumsum(history.rewards_matrix.sum(axis=1))
         assert np.array_equal(record.cumulative_loss + record.cumulative_reward, draws)
         assert np.array_equal(cumulative_loss(history) + cumulative_reward(history), draws)

@@ -98,7 +98,7 @@ class TestConfigHandling:
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", [["--jobs", "0"], ["--jobs", "-2"], ["--mean-floor", "nan"],
-                                      ["--mean-floor", "inf"]])
+                                      ["--mean-floor", "inf"], ["--mean-floor", "2"]])
     def test_bad_numeric_flag_is_a_config_error(self, capsys, flag):
         code = run_cli(
             "sweep-alpha", "--algorithm", "asympopt", "--means", "0.9,0.5,0.2", "--players", "2",

@@ -35,6 +35,7 @@ class TestValidation:
             ({"checkpoints": (10, 10)}, "increasing"),
             ({"checkpoints": (10, 6000)}, "checkpoints"),
             ({"out_format": "xml"}, "format"),
+            ({"mean_floor": 1.0}, "mean_floor"),
         ],
     )
     def test_rejects_invalid_fields(self, kwargs, match):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gossip_bandits import ArmSet, draw_arm_rewards, env_step
+from gossip_bandits.env import ArmSet, draw_arm_rewards, env_step
 from gossip_bandits.rng import substream
 
 MU_SPREAD = (0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.01)

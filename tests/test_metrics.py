@@ -3,15 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from gossip_bandits import (
-    ArmSet,
+from gossip_bandits.env import ArmSet
+from gossip_bandits.metrics import (
     GameHistory,
     build_run_record,
     cumulative_loss,
     cumulative_regret_literal,
     cumulative_regret_occupancy,
     cumulative_reward,
-    expected_turn_loss,
     optimal_per_turn_reward,
 )
 from oracles import best_subset_reward
@@ -155,23 +154,6 @@ class TestRegretOccupancy:
         assert abs(counts.mean() - expected) < 3 * sigma
 
 
-class TestExpectedTurnLoss:
-    def test_concentrated_mix_loses_everything_else(self):
-        arms = ArmSet(MU_SPREAD)
-        c = np.zeros(10)
-        c[0] = 1.0
-        assert expected_turn_loss(c, arms, 5) == pytest.approx(math.fsum(MU_SPREAD[1:]))
-
-    def test_uniform_mix_closed_form(self):
-        arms = ArmSet((0.5,) * 10)
-        value = expected_turn_loss(np.full(10, 0.1), arms, 5)
-        assert value == pytest.approx(0.9**5 * 5.0, rel=1e-12)
-
-    def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError, match="shape"):
-            expected_turn_loss(np.array([1.0]), ArmSet((0.5, 0.5)), 2)
-
-
 class TestHistoryAndRunRecord:
     def test_history_validates_shapes(self):
         arms = ArmSet((0.5, 0.5))
@@ -192,9 +174,8 @@ class TestHistoryAndRunRecord:
 
     def test_run_record_series_are_consistent(self):
         hist = build_random_history(MU_SPREAD, 5, 80, seed=66)
-        record = build_run_record(hist, {"seed": 66})
+        record = build_run_record(hist)
         assert record.n_turns == 80
-        assert record.metadata["seed"] == 66
         assert np.array_equal(record.cumulative_reward, cumulative_reward(hist))
         assert np.array_equal(record.cumulative_loss, cumulative_loss(hist))
         assert np.array_equal(record.regret_literal, cumulative_regret_literal(hist))

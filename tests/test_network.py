@@ -3,7 +3,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from gossip_bandits import disseminate, env_step, sample_reach
+from gossip_bandits.env import env_step
+from gossip_bandits.network import disseminate, sample_reach
 
 
 def reference_tallies(reach, choices, realized, n_arms):

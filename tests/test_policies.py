@@ -3,75 +3,86 @@ import math
 import numpy as np
 import pytest
 
-from gossip_bandits import (
+from gossip_bandits.config import ConfigError, ExperimentConfig
+from gossip_bandits.network import disseminate
+from gossip_bandits.policies import (
     AsympOptPolicy,
     EpsilonGreedyPolicy,
     ThompsonPolicy,
     Ucb1Policy,
     UniformRandomPolicy,
-    argmax_random_tie,
+    argmax_rows,
     compute_mix_probabilities,
-    disseminate,
     make_policy,
     sample_categorical,
 )
 from oracles import minimize_expected_turn_loss, random_simplex_points
 
 MU_SPREAD = (0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.01)
+POLICIES = ["ucb1", "egreedy", "thompson", "asympopt", "random"]
 
 
-def rows(n_arms):
-    """A lone player's (counts, successes) rows of a fresh tally matrix."""
-    tallies = np.zeros((2, n_arms), dtype=np.int64)
-    return tallies[0], tallies[1]
+def episode(name, n_arms, n_players=1, seed=0, seeds=None, **fields):
+    """An episode policy over a fresh tally matrix; player p draws from seed + p."""
+    cfg = ExperimentConfig(algorithm=name, means=(0.5,) * n_arms, n_players=n_players, **fields)
+    tallies = np.zeros((n_players, 2 * n_arms), dtype=np.int64)
+    seeds = seeds if seeds is not None else [seed + p for p in range(n_players)]
+    return make_policy(cfg, tallies, [np.random.default_rng(s) for s in seeds]), tallies
 
 
-def prime(policy, counts, successes):
-    """Load the policy's tally rows directly."""
-    policy.counts[:] = counts
-    policy.successes[:] = successes
+def prime(tallies, counts, successes):
+    """Load every player's tally row directly; a flat list is copied to each row."""
+    n_arms = tallies.shape[1] // 2
+    tallies[:, :n_arms] = counts
+    tallies[:, n_arms:] = successes
 
 
-def skip_init(policy):
-    policy.init_pending.clear()
+def skip_sweep(policy):
+    policy.sweep.clear()
     return policy
 
 
+def picks(policy, turns):
+    """(turns, players) choices of ``turns`` selections."""
+    return np.array([policy.select() for _ in range(turns)])
+
+
 class TestSharedTallies:
-    @pytest.mark.parametrize("name", ["ucb1", "egreedy", "thompson", "asympopt", "random"])
+    @pytest.mark.parametrize("name", POLICIES)
     def test_policy_reads_live_rows_and_never_writes_them(self, name):
-        tallies = np.zeros((3, 8), dtype=np.int64)
-        players = [
-            make_policy(name, tallies[p, :4], tallies[p, 4:], 3, np.random.default_rng(p))
-            for p in range(3)
-        ]
-        reach = np.ones((3, 3), dtype=np.int64)
+        policy, tallies = episode(name, 4, n_players=3)
+        reach = np.ones((3, 3), dtype=bool)
         for _ in range(20):
-            choices = np.array([player.select() for player in players])
+            choices = np.array(policy.select())
             before = tallies.copy()
             disseminate(tallies, reach, choices, choices % 2)
             assert (tallies - before)[:, :4].sum() == 9
-            for player in players:
-                assert np.shares_memory(player.counts, tallies)
-                assert player.counts.sum() == tallies[:, :4].sum() // 3
+            assert np.shares_memory(policy.counts, tallies)
+            assert np.array_equal(policy.counts, tallies[:, :4])
+            assert np.array_equal(policy.successes, tallies[:, 4:])
         snapshot = tallies.copy()
-        for player in players:
-            player.select()
+        policy.select()
         assert np.array_equal(tallies, snapshot)
 
 
 class TestArgmaxRandomTie:
     def test_unique_maximum(self, rng):
-        assert argmax_random_tie([0.1, 0.9, 0.3], rng) == 1
+        values = np.array([[0.1, 0.9, 0.3], [0.5, 0.2, 0.1]])
+        untouched = np.random.default_rng(5)
+        assert argmax_rows(values, [rng, untouched]).tolist() == [1, 0]
+        # a row without a tie draws nothing from its stream
+        assert untouched.random() == np.random.default_rng(5).random()
 
     def test_tie_is_uniform(self):
-        rng = np.random.default_rng(32)
+        rngs = [np.random.default_rng(32), np.random.default_rng(31)]
+        values = np.array([[1.0, 0.2, 1.0], [0.2, 0.2, 0.0]])
         n = 10**4
-        picks = np.array([argmax_random_tie([1.0, 0.2, 1.0], rng) for _ in range(n)])
-        frac = (picks == 0).mean()
+        chosen = np.array([argmax_rows(values, rngs) for _ in range(n)])
         sigma = np.sqrt(0.25 / n)
-        assert abs(frac - 0.5) < 3 * sigma
-        assert not (picks == 1).any()
+        assert abs((chosen[:, 0] == 0).mean() - 0.5) < 3 * sigma
+        assert not (chosen[:, 0] == 1).any()
+        assert abs((chosen[:, 1] == 0).mean() - 0.5) < 3 * sigma
+        assert not (chosen[:, 1] == 2).any()
 
     def test_scale_invariance_of_maximizer_set(self):
         # exact powers of two keep float comparisons exact
@@ -79,65 +90,81 @@ class TestArgmaxRandomTie:
         for _ in range(100):
             v = np.round(rng.random(6), 3)
             base = set(np.flatnonzero(v == v.max()))
+            pick = argmax_rows(v[None], [np.random.default_rng(0)])[0]
+            assert pick in base
             for scale in (0.25, 0.5, 2.0, 1024.0):
                 w = v * scale
                 assert set(np.flatnonzero(w == w.max())) == base
+                assert argmax_rows(w[None], [np.random.default_rng(0)])[0] == pick
 
 
 class TestUcb1:
     def test_init_phase_sweeps_arms_in_order(self):
-        pol = Ucb1Policy(*rows(10), np.random.default_rng(0))
-        assert [pol.select() for _ in range(4)] == [0, 1, 2, 3]
-        assert len(pol.init_pending) == 6
-        assert pol.select() == 4
-        assert len(pol.init_pending) == 5
+        pol, _ = episode("ucb1", 10, n_players=3)
+        assert [pol.select() for _ in range(4)] == [[0, 0, 0], [1, 1, 1], [2, 2, 2], [3, 3, 3]]
+        assert len(pol.sweep) == 6
+        assert pol.select() == [4, 4, 4]
+        assert len(pol.sweep) == 5
 
     def test_random_init_order_is_a_permutation(self):
-        pol = Ucb1Policy(*rows(10), np.random.default_rng(1), init_order="random")
-        sweep = [pol.select() for _ in range(10)]
-        assert sorted(sweep) == list(range(10))
+        pol, _ = episode("ucb1", 10, n_players=3, seed=1, init_order="random")
+        sweep = picks(pol, 10)
+        for p in range(3):
+            assert sorted(sweep[:, p]) == list(range(10))
+            # drawn from the player's own stream at construction
+            assert sweep[:, p].tolist() == np.random.default_rng(1 + p).permutation(10).tolist()
+        assert not np.array_equal(sweep[:, 0], sweep[:, 1])
 
     def test_index_formula_prefers_observed_winner(self, rng):
         # n = [1, 1], means [1.0, 0.0]: indices 1 + sqrt(2 ln 2) vs sqrt(2 ln 2)
-        pol = skip_init(Ucb1Policy(*rows(2), rng))
-        prime(pol, counts=[1, 1], successes=[1, 0])
         bonus = math.sqrt(2 * math.log(2))
         assert 1.0 + bonus == pytest.approx(2.177410022515475)
         assert bonus == pytest.approx(1.1774100225154747)
-        assert pol.select() == 0
+        pol, tallies = episode("ucb1", 2)
+        prime(tallies, counts=[1, 1], successes=[1, 0])
+        assert skip_sweep(pol).select() == [0]
+        # each row's bonus uses its own total: row 1 prefers its least-pulled arm
+        pol, tallies = episode("ucb1", 3, n_players=2)
+        prime(tallies, counts=[[1, 1, 1], [4, 1, 2]], successes=[[1, 0, 0], [3, 0, 1]])
+        counts, successes = tallies[:, :3], tallies[:, 3:]
+        expected = [
+            int(np.argmax(s / c + np.sqrt(2.0 * np.log(c.sum()) / c)))
+            for c, s in zip(counts, successes)
+        ]
+        assert skip_sweep(pol).select() == expected == [0, 1]
 
     def test_symmetric_tie_selects_uniformly(self):
-        pol = skip_init(Ucb1Policy(*rows(3), np.random.default_rng(34)))
-        prime(pol, counts=[2, 2, 2], successes=[1, 1, 1])
+        pol, tallies = episode("ucb1", 3, n_players=2, seed=34)
+        prime(tallies, counts=[2, 2, 2], successes=[1, 1, 1])
         n = 10**4
-        picks = np.array([pol.select() for _ in range(n)])
+        chosen = picks(skip_sweep(pol), n)
         sigma = np.sqrt((1 / 3) * (2 / 3) / n)
-        for arm in range(3):
-            assert abs((picks == arm).mean() - 1 / 3) < 3 * sigma
+        for p in range(2):
+            for arm in range(3):
+                assert abs((chosen[:, p] == arm).mean() - 1 / 3) < 3 * sigma
 
 
 class TestEpsilonGreedy:
-    def test_pure_greedy(self, rng):
-        pol = skip_init(EpsilonGreedyPolicy(*rows(3), rng, epsilon=0.0))
-        prime(pol, counts=[10, 10, 10], successes=[1, 9, 3])
-        assert all(pol.select() == 1 for _ in range(100))
+    def test_pure_greedy(self):
+        pol, tallies = episode("egreedy", 3, n_players=2, epsilon0=0.0)
+        prime(tallies, counts=[10, 10, 10], successes=[[1, 9, 3], [5, 1, 3]])
+        assert all(skip_sweep(pol).select() == [1, 0] for _ in range(100))
 
-    def test_unseen_arms_read_mean_zero(self, rng):
-        pol = skip_init(EpsilonGreedyPolicy(*rows(3), rng, epsilon=0.0))
-        prime(pol, counts=[4, 0, 0], successes=[1, 0, 0])
-        assert all(pol.select() == 0 for _ in range(100))
+    def test_unseen_arms_read_mean_zero(self):
+        pol, tallies = episode("egreedy", 3, epsilon0=0.0)
+        prime(tallies, counts=[4, 0, 0], successes=[1, 0, 0])
+        assert all(skip_sweep(pol).select() == [0] for _ in range(100))
 
     def test_pure_exploration_is_uniform(self):
-        pol = EpsilonGreedyPolicy(*rows(5), np.random.default_rng(35), epsilon=1.0, decay=0.9999999)
-        skip_init(pol)
+        pol, _ = episode("egreedy", 5, n_players=2, seed=35, epsilon0=1.0, decay=0.9999999)
         n = 10**4
-        picks = np.array([pol.select() for _ in range(n)])
+        chosen = picks(skip_sweep(pol), n // 2).ravel()
         sigma = np.sqrt(0.2 * 0.8 / n)
         for arm in range(5):
-            assert abs((picks == arm).mean() - 0.2) < 3 * sigma
+            assert abs((chosen == arm).mean() - 0.2) < 3 * sigma
 
     def test_decay_is_geometric_in_selections(self):
-        pol = EpsilonGreedyPolicy(*rows(4), np.random.default_rng(2), epsilon=1.0, decay=0.9)
+        pol, _ = episode("egreedy", 4, n_players=2, seed=2, epsilon0=1.0, decay=0.9)
         for _ in range(3):
             pol.select()
         assert pol.epsilon == 1.0 * 0.9 * 0.9 * 0.9  # 0.729 up to float repr
@@ -149,29 +176,30 @@ class TestEpsilonGreedy:
         assert pol.epsilon == expected
 
     @pytest.mark.parametrize(
-        "kwargs", [{"epsilon": -0.1}, {"epsilon": 1.1}, {"decay": 0.0}, {"decay": 1.0}]
+        "kwargs", [{"epsilon0": -0.1}, {"epsilon0": 1.1}, {"decay": 0.0}, {"decay": 1.0}]
     )
-    def test_rejects_bad_hyperparameters(self, rng, kwargs):
-        with pytest.raises(ValueError):
-            EpsilonGreedyPolicy(*rows(3), rng, **kwargs)
+    def test_rejects_bad_hyperparameters(self, kwargs):
+        # the config is the only validator: no policy is built from these
+        with pytest.raises(ConfigError):
+            ExperimentConfig(algorithm="egreedy", **kwargs)
 
 
 class TestThompson:
     def test_fresh_priors_are_symmetric(self):
-        pol = skip_init(ThompsonPolicy(*rows(2), np.random.default_rng(36)))
-        prime(pol, counts=[0, 0], successes=[0, 0])
+        pol, _ = episode("thompson", 2, seed=36)
         n = 10**4
-        picks = np.array([pol.select() for _ in range(n)])
+        chosen = picks(skip_sweep(pol), n)
         sigma = np.sqrt(0.25 / n)
-        assert abs((picks == 0).mean() - 0.5) < 3 * sigma
+        assert abs((chosen == 0).mean() - 0.5) < 3 * sigma
 
     def test_separated_posteriors_pick_the_winner(self):
         # P(Beta(101,1) < Beta(1,101)) is negligible
-        pol = skip_init(ThompsonPolicy(*rows(2), np.random.default_rng(37)))
-        prime(pol, counts=[100, 100], successes=[100, 0])
+        pol, tallies = episode("thompson", 3, n_players=2, seed=37)
+        prime(tallies, counts=[100, 100, 100], successes=[[100, 0, 0], [0, 0, 100]])
         n = 10**4
-        picks = np.array([pol.select() for _ in range(n)])
-        assert (picks == 0).mean() > 0.99
+        chosen = picks(skip_sweep(pol), n)
+        assert (chosen[:, 0] == 0).mean() > 0.99
+        assert (chosen[:, 1] == 2).mean() > 0.99
 
     def test_beta_sampler_mean(self):
         # mean of Beta(3,1) is 0.75, var is 3/80
@@ -273,32 +301,32 @@ class TestSampleCategorical:
 
 class TestAsympOpt:
     def test_full_exploration_is_uniform(self):
-        pol = AsympOptPolicy(*rows(10), 5, np.random.default_rng(43), epsilon=1.0, decay=0.9999999)
+        pol, _ = episode("asympopt", 10, n_players=5, seed=43, epsilon0=1.0, decay=0.9999999)
         n = 10**4
-        picks = np.array([pol.select() for _ in range(n)])
+        chosen = picks(pol, n // 5).ravel()
         sigma = np.sqrt(0.1 * 0.9 / n)
         for arm in range(10):
-            assert abs((picks == arm).mean() - 0.1) < 3 * sigma
+            assert abs((chosen == arm).mean() - 0.1) < 3 * sigma
 
     def test_equal_observed_means_mix_uniformly(self):
-        pol = AsympOptPolicy(*rows(10), 5, np.random.default_rng(44), epsilon=0.0)
-        prime(pol, counts=[10] * 10, successes=[5] * 10)
+        pol, tallies = episode("asympopt", 10, n_players=5, seed=44, epsilon0=0.0)
+        prime(tallies, counts=[10] * 10, successes=[5] * 10)
         n = 10**4
-        picks = np.array([pol.select() for _ in range(n)])
+        chosen = picks(pol, n // 5).ravel()
         sigma = np.sqrt(0.1 * 0.9 / n)
         for arm in range(10):
-            assert abs((picks == arm).mean() - 0.1) < 3 * sigma
+            assert abs((chosen == arm).mean() - 0.1) < 3 * sigma
 
     def test_exact_observed_means_reproduce_mix_frequencies(self):
         # tallies primed so observed means equal the spread vector exactly
-        pol = AsympOptPolicy(*rows(10), 5, np.random.default_rng(45), epsilon=0.0)
-        prime(pol, counts=[100] * 10, successes=[90, 80, 70, 60, 50, 40, 30, 20, 10, 1])
-        assert np.array_equal(pol.successes / pol.counts, MU_SPREAD)
+        pol, tallies = episode("asympopt", 10, n_players=5, seed=45, epsilon0=0.0)
+        prime(tallies, counts=[100] * 10, successes=[90, 80, 70, 60, 50, 40, 30, 20, 10, 1])
+        assert np.array_equal(pol.successes[0] / pol.counts[0], MU_SPREAD)
         c = compute_mix_probabilities(MU_SPREAD, 5).probabilities
         n = 10**5
-        picks = np.array([pol.select() for _ in range(n)])
+        chosen = picks(pol, n // 5).ravel()
         for arm in range(10):
-            frac = (picks == arm).mean()
+            frac = (chosen == arm).mean()
             if c[arm] == 0.0:
                 assert frac == 0.0
             else:
@@ -306,35 +334,47 @@ class TestAsympOpt:
                 assert abs(frac - c[arm]) < 3 * sigma
 
     def test_unseen_arms_fall_back_to_floor(self):
-        pol = AsympOptPolicy(*rows(4), 3, np.random.default_rng(46), epsilon=0.0)
-        mix = pol.current_mix()  # nothing observed: all means clamp to the floor
-        assert np.allclose(mix, 0.25, atol=1e-12)
+        # nothing observed: every mean clamps to the floor, so the mix is uniform
+        pol, _ = episode("asympopt", 4, n_players=3, seed=46, epsilon0=0.0)
+        n = 3 * 10**3
+        chosen = picks(pol, n // 3).ravel()
+        sigma = np.sqrt(0.25 * 0.75 / n)
+        for arm in range(4):
+            assert abs((chosen == arm).mean() - 0.25) < 3 * sigma
 
     def test_decay_matches_sequential_product(self):
-        pol = AsympOptPolicy(*rows(5), 2, np.random.default_rng(47), epsilon=1.0, decay=0.995)
+        pol, _ = episode("asympopt", 5, n_players=2, seed=47, epsilon0=1.0, decay=0.995)
         expected = 1.0
         for _ in range(25):
             pol.select()
             expected *= 0.995
         assert pol.epsilon == expected
 
-    def test_rejects_single_player(self, rng):
-        with pytest.raises(ValueError, match="2 players"):
-            AsympOptPolicy(*rows(5), 1, rng)
-
 
 class TestUniformRandom:
     def test_uniform_over_arms(self):
-        pol = UniformRandomPolicy(*rows(4), np.random.default_rng(48))
+        pol, _ = episode("random", 4, n_players=2, seed=48)
         n = 10**4
-        picks = np.array([pol.select() for _ in range(n)])
+        chosen = picks(pol, n // 2).ravel()
         sigma = np.sqrt(0.25 * 0.75 / n)
         for arm in range(4):
-            assert abs((picks == arm).mean() - 0.25) < 3 * sigma
+            assert abs((chosen == arm).mean() - 0.25) < 3 * sigma
+
+
+def drive(policy, tallies, turns=200):
+    """Choices of ``turns`` selections under reports that do not depend on them."""
+    n_players, n_arms = tallies.shape[0], tallies.shape[1] // 2
+    obs_rng = np.random.default_rng(777)
+    chosen = []
+    for _ in range(turns):
+        chosen.append(policy.select())
+        disseminate(tallies, np.ones((n_players, n_players), dtype=bool),
+                    obs_rng.integers(n_arms, size=n_players), obs_rng.integers(2, size=n_players))
+    return np.array(chosen)
 
 
 class TestMakePolicyAndDeterminism:
-    def test_factory_builds_each_kind(self, rng):
+    def test_factory_builds_each_kind(self):
         kinds = {
             "ucb1": Ucb1Policy,
             "egreedy": EpsilonGreedyPolicy,
@@ -343,23 +383,19 @@ class TestMakePolicyAndDeterminism:
             "random": UniformRandomPolicy,
         }
         for name, cls in kinds.items():
-            assert isinstance(make_policy(name, *rows(10), 5, rng), cls)
-        with pytest.raises(ValueError, match="unknown policy"):
-            make_policy("oracle", *rows(10), 5, rng)
+            assert isinstance(episode(name, 10, n_players=5)[0], cls)
 
-    @pytest.mark.parametrize("name", ["ucb1", "egreedy", "thompson", "asympopt", "random"])
+    @pytest.mark.parametrize("name", POLICIES)
     def test_identical_seed_and_observations_give_identical_selections(self, name):
         def run():
-            tallies = np.zeros((3, 12), dtype=np.int64)
-            pol = make_policy(name, tallies[0, :6], tallies[0, 6:], 3, np.random.default_rng(4242))
-            obs_rng = np.random.default_rng(777)
-            picks = []
-            for _ in range(200):
-                arm = pol.select()
-                picks.append(arm)
-                choices = np.array([arm, obs_rng.integers(6), obs_rng.integers(6)])
-                disseminate(tallies, np.ones((3, 3), dtype=np.int64), choices,
-                            obs_rng.integers(2, size=3))
-            return picks
+            return drive(*episode(name, 6, n_players=3, seed=4242, init_order="random"))
 
-        assert run() == run()
+        assert np.array_equal(run(), run())
+
+    @pytest.mark.parametrize("name", POLICIES)
+    def test_player_draws_only_from_its_own_stream(self, name):
+        # other players' streams change; player 1's stream and reports do not
+        base = drive(*episode(name, 6, n_players=3, seeds=[1, 2, 3], init_order="random"))
+        other = drive(*episode(name, 6, n_players=3, seeds=[9, 2, 8], init_order="random"))
+        assert np.array_equal(base[:, 1], other[:, 1])
+        assert not np.array_equal(base[:, 0], other[:, 0])

@@ -1,4 +1,5 @@
 import concurrent.futures
+import json
 
 import numpy as np
 import pytest
@@ -12,11 +13,10 @@ from gossip_bandits import (
     episode_seed,
     regret_vs_turns,
     run_episode,
-    run_episode_with_history,
-    simulate_episode,
     sweep_alpha,
 )
 from gossip_bandits import runner
+from gossip_bandits.runner import simulate_episode
 from support import read_results_csv
 
 SMALL = dict(means=(0.9, 0.5, 0.3, 0.1), n_players=2, turns=40, repetitions=3)
@@ -32,13 +32,13 @@ class TestRunEpisode:
     @pytest.mark.parametrize("algorithm", ["ucb1", "egreedy", "thompson"])
     def test_init_phase_covers_every_arm_once(self, algorithm):
         cfg = small_config(algorithm=algorithm, turns=4)
-        _, history = run_episode_with_history(cfg, 0.5, 123)
+        history, _ = simulate_episode(cfg, 0.5, 123)
         for column in history.choices_matrix.T:
             assert sorted(column) == [0, 1, 2, 3]
 
     def test_random_init_order_still_covers_every_arm(self):
         cfg = small_config(algorithm="thompson", turns=4, init_order="random")
-        _, history = run_episode_with_history(cfg, 0.0, 5)
+        history, _ = simulate_episode(cfg, 0.0, 5)
         for column in history.choices_matrix.T:
             assert sorted(column) == [0, 1, 2, 3]
 
@@ -72,13 +72,15 @@ class TestRunEpisode:
         with pytest.raises(ValueError, match="connectivity"):
             run_episode(small_config(), 1.5, 0)
 
-    def test_metadata_reruns_bit_identically(self):
+    def test_metadata_reruns_bit_identically(self, tmp_path):
+        # the config echoed into JSON output is enough to rerun any of its episodes
         cfg = small_config(algorithm="asympopt", n_players=2)
-        record = run_episode(cfg, 1.0, episode_seed(cfg.base_seed, 1, 2))
-        meta = record.metadata
-        rebuilt = config_from_dict({k: v for k, v in meta.items() if k not in ("alpha", "seed")})
+        path = tmp_path / "out.json"
+        emit_results(sweep_alpha(cfg), "json", path, config=cfg)
+        rebuilt = config_from_dict(json.loads(path.read_text())["config"])
         assert rebuilt == cfg
-        again = run_episode(rebuilt, meta["alpha"], meta["seed"])
+        seed = episode_seed(rebuilt.base_seed, 1, 2)
+        record, again = run_episode(cfg, 1.0, seed), run_episode(rebuilt, rebuilt.alphas[1], seed)
         assert np.array_equal(record.regret_occupancy, again.regret_occupancy)
 
 
@@ -208,8 +210,6 @@ class TestEmission:
         assert a.read_bytes() == b.read_bytes()
 
     def test_json_mirrors_columns_and_echoes_config(self, tmp_path):
-        import json
-
         cfg = small_config()
         path = tmp_path / "out.json"
         emit_results([one_record()], "json", path, config=cfg)
