@@ -224,13 +224,11 @@ class AsympOptPolicy(Policy):
         arms = _annealed_draws(self.rngs, self.epsilon, self.n_arms)
         self.epsilon *= self.decay
         if min(arms) < 0:
-            floor = self.mean_floor
-            counts, successes = self.counts.tolist(), self.successes.tolist()
-            for p, arm in enumerate(arms):
-                if arm < 0:
-                    clamped = [max(s / c, floor) if c else floor
-                               for c, s in zip(counts[p], successes[p])]
-                    arms[p] = sample_categorical(_mix(clamped, self.n_players)[0], self.rngs[p])
+            # unseen arms read mean 0, so they clamp to the floor too
+            means = np.maximum(self.successes / np.maximum(self.counts, 1), self.mean_floor)
+            for p, row in enumerate(means.tolist()):
+                if arms[p] < 0:
+                    arms[p] = sample_categorical(_mix(row, self.n_players)[0], self.rngs[p])
         return arms
 
 
