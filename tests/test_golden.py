@@ -1,4 +1,4 @@
-"""Cross-version byte identity of the emitted CSV.
+"""Cross-version byte identity of the emitted CSV and JSON.
 
 The digests were computed once with the object-per-turn engine (one
 ``TurnOutcome``, ``CommGraph`` and inbox list per turn).  Any engine that
@@ -40,6 +40,8 @@ GOLDEN_N9 = {
     "thompson": "872f7abbdb7f5ceaa240652b6bfd9e3201d4452ed4fdcfa38109823a994c9867",
     "asympopt": "08c64a95086990a1cd9b3e46bf5372806f9a54173ab8da49f5654658890b975e",
 }
+# JSON output with the echoed config: number formatting and key order
+GOLDEN_JSON = "9dbb9b45c762ea837a06ab5949534cbbe40b54a79c155ac96de0e220ca538d04"
 
 
 def csv_digest(config, path) -> str:
@@ -71,3 +73,13 @@ def test_nine_player_regret_curve_csv_is_byte_identical(algorithm, tmp_path):
         alphas=(0.0, 0.5, 1.0), turns=600, repetitions=2, base_seed=2024,
     )
     assert csv_digest(cfg, tmp_path / "out.csv") == GOLDEN_N9[algorithm]
+
+
+def test_regret_curve_json_is_byte_identical(tmp_path):
+    cfg = ExperimentConfig(
+        algorithm="asympopt", means=MU_SPREAD, n_players=5,
+        alphas=(0.0, 0.5, 1.0), turns=200, repetitions=2, base_seed=2024, out_format="json",
+    )
+    path = tmp_path / "out.json"
+    emit_results(regret_vs_turns(cfg), "json", path, config=cfg)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_JSON
