@@ -17,29 +17,29 @@ from .policies import INIT_ORDERS, POLICY_NAMES
 from .runner import emit_results, regret_vs_turns, sweep_alpha
 
 
-def _comma_floats(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from exc
+def _comma_list(kind: type):
+    """argparse type: a comma-separated list of ``kind`` values."""
 
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(kind(part) for part in text.split(",") if part.strip())
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {kind.__name__} values, got {text!r}"
+            ) from exc
 
-def _comma_ints(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
+    return parse
 
 
 def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", help="JSON config file; flags override its fields")
     parser.add_argument("--algorithm", choices=POLICY_NAMES)
-    parser.add_argument("--alpha", type=_comma_floats, metavar="LIST",
+    parser.add_argument("--alpha", type=_comma_list(float), metavar="LIST",
                         help="comma-separated connectivity values in [0, 1]")
     parser.add_argument("--turns", type=int)
     parser.add_argument("--reps", type=int, help="repetitions per connectivity value")
     parser.add_argument("--seed", type=int, help="base seed for the whole experiment")
-    parser.add_argument("--means", type=_comma_floats, metavar="LIST",
+    parser.add_argument("--means", type=_comma_list(float), metavar="LIST",
                         help="comma-separated true arm means in [0, 1]")
     parser.add_argument("--players", type=int, help="number of players (must stay below the arm count)")
     parser.add_argument("--epsilon0", type=float, help="initial exploration probability")
@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     curve = sub.add_parser("regret-curve", help="metrics at turn checkpoints for fixed connectivity")
     _add_common_arguments(curve)
-    curve.add_argument("--checkpoints", type=_comma_ints, metavar="LIST",
+    curve.add_argument("--checkpoints", type=_comma_list(int), metavar="LIST",
                        help="comma-separated measurement turns (default: 10 even points)")
     return parser
 
@@ -86,9 +86,9 @@ def _assemble_config(args: argparse.Namespace) -> ExperimentConfig:
         n_players=args.players,
         epsilon0=args.epsilon0,
         decay=args.decay,
-        mean_floor=getattr(args, "mean_floor", None),
-        init_order=getattr(args, "init_order", None),
-        checkpoints=getattr(args, "checkpoints", None),
+        mean_floor=args.mean_floor,
+        init_order=args.init_order,
+        checkpoints=getattr(args, "checkpoints", None),  # regret-curve only
         out_path=args.out,
         out_format=args.format,
     )

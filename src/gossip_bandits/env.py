@@ -1,6 +1,7 @@
 """Bernoulli arms and the random-winner collision channel.
 
-An episode's arm realizations are one (turns, arms) 0/1 matrix, drawn up
+The arms are the config's mean vector; nothing here re-checks it.  An
+episode's arm realizations are one (turns, arms) 0/1 matrix, drawn up
 front by ``draw_arm_rewards``: every arm is realized every turn, pulled or
 not.  ``env_step`` then pays one turn's row to the players.  A player
 alone on an arm receives its realization; when several players chose the
@@ -11,43 +12,19 @@ is indistinguishable from a true zero draw.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class ArmSet:
-    """True Bernoulli success probabilities, hidden from the players."""
-
-    means: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "means", tuple(float(m) for m in self.means))
-        if len(self.means) < 2:
-            raise ValueError(f"need at least 2 arms, got {len(self.means)}")
-        for i, m in enumerate(self.means):
-            if not 0.0 <= m <= 1.0:
-                raise ValueError(f"arm {i} has mean {m} outside [0, 1]")
-
-    @property
-    def n_arms(self) -> int:
-        return len(self.means)
-
-    @cached_property
-    def means_array(self) -> np.ndarray:
-        return np.asarray(self.means, dtype=float)
-
-
-def draw_arm_rewards(arms: ArmSet, n_turns: int, rng: np.random.Generator) -> np.ndarray:
+def draw_arm_rewards(means: Sequence[float], n_turns: int, rng: np.random.Generator) -> np.ndarray:
     """(turns, arms) 0/1 realizations of every arm, pulled or not.
 
-    One draw of ``n_turns * n_arms`` uniforms in row-major order: the
-    same values as one draw of ``n_arms`` uniforms per turn.
+    ``means`` are the validated ``ExperimentConfig.means``.  One draw of
+    ``n_turns * n_arms`` uniforms in row-major order: the same values as
+    one draw of ``n_arms`` uniforms per turn.
     """
-    return (rng.random((n_turns, arms.n_arms)) < arms.means_array).astype(np.int64)
+    return (rng.random((n_turns, len(means))) < np.asarray(means)).astype(np.int64)
 
 
 def env_step(

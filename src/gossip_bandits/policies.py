@@ -19,7 +19,6 @@ equal at every turn.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -61,44 +60,21 @@ def sample_categorical(probabilities: Sequence[float], rng: np.random.Generator)
     return last_positive  # float shortfall when the masses sum to just under 1
 
 
-@dataclass(frozen=True)
-class MixProbabilities:
-    """Optimal symmetric sampling probabilities with their active arm set.
-
-    Arms dropped by the active-set iteration carry probability exactly 0;
-    the rest sum to 1 (up to float rounding).
-    """
-
-    probabilities: np.ndarray
-    active: tuple[int, ...]
-
-
-def compute_mix_probabilities(means: Sequence[float], n_players: int) -> MixProbabilities:
+def mix_probabilities(mu: Sequence[float], n_players: int) -> tuple[list[float], list[int]]:
     """Closed-form minimizer of the expected per-turn loss over the simplex.
 
-    Solves for the per-arm pull probabilities that minimize
+    Returns the per-arm pull probabilities that minimize
     ``sum_i (1 - c_i)^N * mu_i`` subject to the c_i forming a probability
-    vector, by equalizing ``(1 - c_i)^(N-1) * mu_i`` across the active set
-    and discarding arms whose probability would go nonpositive.  Dropping
-    only ever shrinks the active set: removing an arm raises the common
-    level for the rest, which can only push further arms out.
-    """
-    if n_players < 2:
-        raise ValueError(f"need at least 2 players for the mixing exponent, got {n_players}")
-    mu = [float(m) for m in means]
-    if not mu:
-        raise ValueError("means must be a nonempty vector")
-    if not min(mu) > 0.0:
-        raise ValueError("every candidate mean must be positive (clamp before calling)")
-    c, active = _mix(mu, n_players)
-    return MixProbabilities(probabilities=np.asarray(c), active=tuple(active))
+    vector, with their active arm set.  They equalize
+    ``(1 - c_i)^(N-1) * mu_i`` across the active set; arms whose
+    probability would go nonpositive are discarded and carry exactly 0.
+    Dropping only ever shrinks the active set: removing an arm raises the
+    common level for the rest, which can only push further arms out.
 
-
-def _mix(mu: list[float], n_players: int) -> tuple[list[float], list[int]]:
-    """``compute_mix_probabilities`` on checked inputs, as plain lists.
-
-    Runs on Python floats: it sits on the per-select hot path and the arm
-    count is small, so NumPy's per-call cost would dominate.
+    Needs N >= 2 and every mean positive, which the config and the
+    policy's ``mean_floor`` clamp guarantee.  Runs on Python floats: it
+    sits on the per-select hot path and the arm count is small, so NumPy's
+    per-call cost would dominate.
     """
     exponent = 1.0 / (n_players - 1)
     inv_root = [(1.0 / m) ** exponent for m in mu]
@@ -228,7 +204,7 @@ class AsympOptPolicy(Policy):
             means = np.maximum(self.successes / np.maximum(self.counts, 1), self.mean_floor)
             for p, row in enumerate(means.tolist()):
                 if arms[p] < 0:
-                    arms[p] = sample_categorical(_mix(row, self.n_players)[0], self.rngs[p])
+                    arms[p] = sample_categorical(mix_probabilities(row, self.n_players)[0], self.rngs[p])
         return arms
 
 

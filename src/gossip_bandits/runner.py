@@ -6,15 +6,17 @@ substream of the episode seed, and the players share one (N, 2S) tally
 matrix.  There are no per-player objects: one policy, built once per
 episode, reads the whole matrix and returns every player's choice each
 turn.  ``env_step`` pays the turn's realizations and ``disseminate`` adds
-every report to the tallies it reaches.  The history is three
-preallocated arrays: choices (turns, N), realizations (turns, S) and
-received rewards (turns, N).
+every report to the tallies it reaches.  ``simulate_episode`` returns
+the episode as plain arrays: choices (turns, N), realizations (turns, S),
+received rewards (turns, N) and the final tallies (N, 2S).
+``run_episode`` hands the choices and realizations, with the config's
+means, to ``metrics.build_run_record``.
 
 Determinism contract: an episode is a pure function of (config, alpha,
 seed), and a config with a given ``base_seed`` writes byte-identical CSV
 and JSON whatever ``n_jobs`` is, because serial and pooled sweeps run the
-same seeded episodes and aggregate them in task order.  The CSV digests
-are pinned by ``tests/test_golden.py``.
+same seeded episodes and aggregate them in task order.  CSV and JSON
+digests are pinned by ``tests/test_golden.py``.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig
-from .env import ArmSet, draw_arm_rewards, env_step
-from .metrics import GameHistory, RunRecord, build_run_record
+from .env import draw_arm_rewards, env_step
+from .metrics import RunRecord, build_run_record
 from .network import disseminate, sample_reach
 from .policies import make_policy
 from .rng import derive_seed, substream
@@ -59,6 +61,7 @@ class AggregateRecord:
 
 
 CSV_COLUMNS = tuple(f.name for f in fields(AggregateRecord))
+_FIELD_TYPES = {f.name: {"str": str, "int": int, "float": float}[f.type] for f in fields(AggregateRecord)}
 
 
 def episode_seed(base_seed: int, alpha_index: int, repetition: int) -> int:
@@ -68,17 +71,16 @@ def episode_seed(base_seed: int, alpha_index: int, repetition: int) -> int:
 
 def run_episode(config: ExperimentConfig, alpha: float, seed: int) -> RunRecord:
     """Play one full episode and return its metric series."""
-    history, _ = simulate_episode(config, alpha, seed)
-    return build_run_record(history)
+    choices, rewards, _, _ = simulate_episode(config, alpha, seed)
+    return build_run_record(choices, rewards, config.means, config.n_players)
 
 
 def simulate_episode(
     config: ExperimentConfig, alpha: float, seed: int
-) -> tuple[GameHistory, np.ndarray]:
-    """Play the turns; return the history and the final (N, 2S) tallies."""
-    arms = ArmSet(config.means)
-    n_players, n_arms, n_turns = config.n_players, arms.n_arms, config.turns
-    rewards = draw_arm_rewards(arms, n_turns, substream(seed, "env-arms"))
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Play the turns; return choices, realizations, received rewards and the final tallies."""
+    n_players, n_arms, n_turns = config.n_players, config.n_arms, config.turns
+    rewards = draw_arm_rewards(config.means, n_turns, substream(seed, "env-arms"))
     reach = sample_reach(n_players, alpha, n_turns, substream(seed, "graph"))
     winner_rng = substream(seed, "env-winners")
     tallies = np.zeros((n_players, 2 * n_arms), dtype=np.int64)
@@ -92,7 +94,7 @@ def simulate_episode(
         realized[t] = env_step(chosen, rewards[t].tolist(), winner_rng)
         disseminate(tallies, reach[t], choices[t], realized[t])
 
-    return GameHistory(choices, rewards, realized, arms), tallies
+    return choices, rewards, realized, tallies
 
 
 def _episode_checkpoints(args: tuple) -> np.ndarray:
@@ -108,8 +110,8 @@ def _episode_checkpoints(args: tuple) -> np.ndarray:
         [
             record.regret_occupancy[idx],
             record.regret_literal[idx],
-            record.cumulative_reward[idx].astype(float),
-            record.cumulative_loss[idx].astype(float),
+            record.reward[idx].astype(float),
+            record.loss[idx].astype(float),
         ]
     )
 
@@ -187,18 +189,11 @@ def _render_csv(records: Iterable[AggregateRecord]) -> str:
 
 
 def _render_json(records: Iterable[AggregateRecord], config: ExperimentConfig | None) -> str:
-    rows = []
-    for record in records:
-        row = {}
-        for col in CSV_COLUMNS:
-            value = getattr(record, col)
-            if isinstance(value, str):
-                row[col] = value
-            elif isinstance(value, (int, np.integer)):
-                row[col] = int(value)
-            else:
-                row[col] = float(f"{value:.6g}")
-        rows.append(row)
+    # each field's CSV text, read back as its declared type
+    rows = [
+        {col: _FIELD_TYPES[col](_format_field(getattr(record, col))) for col in CSV_COLUMNS}
+        for record in records
+    ]
     payload: dict = {"records": rows}
     if config is not None:
         payload["config"] = config.echo()

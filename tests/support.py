@@ -1,4 +1,4 @@
-"""Test-only helpers: hand-built histories and the per-turn reference reductions."""
+"""Test-only helpers: hand-built episode arrays and the per-turn reference reductions."""
 
 from __future__ import annotations
 
@@ -7,25 +7,26 @@ import dataclasses
 
 import numpy as np
 
-from gossip_bandits.env import ArmSet, draw_arm_rewards, env_step
-from gossip_bandits.metrics import GameHistory, cumulative_loss, cumulative_reward
+from gossip_bandits.env import draw_arm_rewards, env_step
 from gossip_bandits.runner import CSV_COLUMNS, AggregateRecord
+from oracles import best_subset_reward
+
+SERIES = ("reward", "loss", "regret_literal", "regret_occupancy")
 
 
-def build_random_history(means, n_players: int, n_turns: int, seed: int) -> GameHistory:
-    """Episode of uniformly random play, bypassing the policy layer."""
-    arms = ArmSet(means)
-    choices = np.random.default_rng(seed).integers(arms.n_arms, size=(n_turns, n_players))
-    rewards = draw_arm_rewards(arms, n_turns, np.random.default_rng(seed + 1))
+def build_random_history(means, n_players: int, n_turns: int, seed: int):
+    """(choices, rewards, realized) of uniformly random play, bypassing the policy layer."""
+    choices = np.random.default_rng(seed).integers(len(means), size=(n_turns, n_players))
+    rewards = draw_arm_rewards(means, n_turns, np.random.default_rng(seed + 1))
     winner_rng = np.random.default_rng(seed + 2)
     realized = np.array(
         [env_step(c.tolist(), r.tolist(), winner_rng) for c, r in zip(choices, rewards)]
     )
-    return GameHistory(choices, rewards, realized, arms)
+    return choices, rewards, realized
 
 
-def make_history(arms: ArmSet, turn_specs) -> GameHistory:
-    """History from (choices, arm_rewards) pairs; the lowest-index puller wins."""
+def make_history(turn_specs):
+    """(choices, rewards, realized) from (choices, arm_rewards) pairs; the lowest-index puller wins."""
     choices, rewards, realized = [], [], []
     for turn_choices, arm_rewards in turn_specs:
         paid = [0] * len(turn_choices)
@@ -34,7 +35,7 @@ def make_history(arms: ArmSet, turn_specs) -> GameHistory:
         choices.append(turn_choices)
         rewards.append(arm_rewards)
         realized.append(paid)
-    return GameHistory(np.array(choices), np.array(rewards), np.array(realized), arms)
+    return np.array(choices), np.array(rewards), np.array(realized)
 
 
 def occupancy_indicator(choices, n_arms: int) -> np.ndarray:
@@ -50,12 +51,21 @@ def occupancy_indicator(choices, n_arms: int) -> np.ndarray:
     return out
 
 
-def total_reward(history: GameHistory) -> int:
-    return int(cumulative_reward(history)[-1])
+def per_turn_terms(choices, rewards, means) -> dict[str, list]:
+    """Each metric series' per-turn term, one turn at a time, keyed like ``SERIES``.
 
-
-def total_loss(history: GameHistory) -> int:
-    return int(cumulative_loss(history)[-1])
+    The baseline is the subset-enumeration oracle, and reward and loss are
+    summed independently over the occupied and unoccupied arms.
+    """
+    best = best_subset_reward(means, len(choices[0]))
+    terms: dict[str, list] = {name: [] for name in SERIES}
+    for turn_choices, arm_rewards in zip(choices, rewards):
+        occupied = occupancy_indicator(turn_choices, len(means))
+        terms["reward"].append(int(occupied @ arm_rewards))
+        terms["loss"].append(int((1 - occupied) @ arm_rewards))
+        terms["regret_literal"].append(best - sum(means[arm] for arm in turn_choices))
+        terms["regret_occupancy"].append(best - float(occupied @ np.asarray(means)))
+    return terms
 
 
 def read_results_csv(path) -> list[AggregateRecord]:

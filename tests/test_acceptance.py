@@ -16,13 +16,7 @@ import scipy.stats
 
 from gossip_bandits import ExperimentConfig, episode_seed, run_episode, sweep_alpha
 from gossip_bandits.cli import main as cli_main
-from gossip_bandits.env import ArmSet
-from gossip_bandits.metrics import (
-    build_run_record,
-    cumulative_loss,
-    cumulative_reward,
-    optimal_per_turn_reward,
-)
+from gossip_bandits.metrics import build_run_record, optimal_per_turn_reward
 from gossip_bandits.network import sample_reach
 from gossip_bandits.runner import simulate_episode
 from oracles import (
@@ -30,7 +24,7 @@ from oracles import (
     minimize_expected_turn_loss,
     random_simplex_points,
 )
-from gossip_bandits.policies import compute_mix_probabilities
+from gossip_bandits.policies import mix_probabilities
 
 MU_SPREAD = (0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.01)
 MU_CLUSTERED = (0.7, 0.68, 0.66, 0.64, 0.62, 0.4, 0.38, 0.36, 0.34, 0.32)
@@ -55,8 +49,8 @@ def run_batch(algorithm: str, alpha: float, base_seed: int, means=MU_SPREAD) -> 
         rows["occ_2500"].append(record.regret_occupancy[2499])
         rows["occ_4000"].append(record.regret_occupancy[3999])
         rows["occ_5000"].append(record.regret_occupancy[4999])
-        rows["g_4000"].append(record.cumulative_reward[3999])
-        rows["g_5000"].append(record.cumulative_reward[4999])
+        rows["g_4000"].append(record.reward[3999])
+        rows["g_5000"].append(record.reward[4999])
     return {key: np.asarray(vals, dtype=float) for key, vals in rows.items()}
 
 
@@ -83,25 +77,24 @@ def test_criterion_1_loss_reward_identity():
             algorithm=algorithm, means=MU_SPREAD, alphas=(alpha,),
             turns=60, repetitions=1, base_seed=9000 + i,
         )
-        history, _ = simulate_episode(cfg, alpha, episode_seed(9000 + i, 0, 0))
-        record = build_run_record(history)
-        draws = np.cumsum(history.rewards_matrix.sum(axis=1))
-        assert np.array_equal(record.cumulative_loss + record.cumulative_reward, draws)
-        assert np.array_equal(cumulative_loss(history) + cumulative_reward(history), draws)
+        choices, rewards, _, _ = simulate_episode(cfg, alpha, episode_seed(9000 + i, 0, 0))
+        record = build_run_record(choices, rewards, cfg.means, cfg.n_players)
+        draws = np.cumsum(rewards.sum(axis=1))
+        assert np.array_equal(record.loss + record.reward, draws)
         checked += 1
     report(1, checked == 100, f"L + G identity exact on {checked} episodes")
 
 
 def test_criterion_2_top_n_baseline():
-    spread = optimal_per_turn_reward(ArmSet(MU_SPREAD), 5)
-    clustered = optimal_per_turn_reward(ArmSet(MU_CLUSTERED), 5)
+    spread = optimal_per_turn_reward(MU_SPREAD, 5)
+    clustered = optimal_per_turn_reward(MU_CLUSTERED, 5)
     ok = spread == 3.5 and clustered == 3.30
     rng = np.random.default_rng(201)
     for n_arms in range(2, 9):
         for n_players in range(1, min(n_arms, 4) + 1):
             for _ in range(3):
                 means = rng.random(n_arms)
-                ok = ok and optimal_per_turn_reward(ArmSet(means), n_players) == best_subset_reward(
+                ok = ok and optimal_per_turn_reward(means, n_players) == best_subset_reward(
                     means, n_players
                 )
     report(2, ok, f"top-N sums: spread={spread}, clustered={clustered}, enumeration matched")
@@ -114,7 +107,7 @@ def test_criterion_3_mixing_matches_numeric_minimizer():
         n_players = int(rng.integers(2, 6))
         n_arms = int(rng.integers(n_players + 1, 11))
         mu = rng.uniform(0.01, 1.0, size=n_arms)
-        c = compute_mix_probabilities(mu, n_players).probabilities
+        c = np.asarray(mix_probabilities(mu.tolist(), n_players)[0])
         oracle = minimize_expected_turn_loss(mu, n_players)
         worst_coord = max(worst_coord, float(np.max(np.abs(c - oracle))))
 
@@ -124,7 +117,7 @@ def test_criterion_3_mixing_matches_numeric_minimizer():
         cloud = random_simplex_points(1000, n_arms, rng)
         assert np.all(loss(c)[0] <= loss(cloud) + 1e-12)
 
-    symmetric = compute_mix_probabilities([0.37] * 10, 5).probabilities
+    symmetric = np.asarray(mix_probabilities([0.37] * 10, 5)[0])
     sym_err = float(np.max(np.abs(symmetric - 0.1)))
     ok = worst_coord < 1e-6 and sym_err < 1e-12
     report(3, ok, f"worst coordinate gap {worst_coord:.2e} (tol 1e-6), symmetric gap {sym_err:.1e}")

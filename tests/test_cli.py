@@ -126,6 +126,16 @@ class TestConfigHandling:
             run_cli("sweep-alpha", "--alpha", "zero")
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("args", [["sweep-alpha", "--alpha", "0.5,x"],
+                                      ["regret-curve", "--checkpoints", "10,x"]])
+    def test_malformed_comma_list_is_a_usage_error(self, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*args)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert "expected comma-separated" in err and repr(args[-1]) in err
+
     def test_unknown_algorithm_is_an_argparse_error(self):
         with pytest.raises(SystemExit):
             run_cli("sweep-alpha", "--algorithm", "oracle")

@@ -36,6 +36,7 @@ class TestValidation:
             ({"checkpoints": (10, 6000)}, "checkpoints"),
             ({"out_format": "xml"}, "format"),
             ({"mean_floor": 1.0}, "mean_floor"),
+            ({"means": (0.5, -0.1)}, "lie in"),
         ],
     )
     def test_rejects_invalid_fields(self, kwargs, match):

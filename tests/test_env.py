@@ -1,51 +1,31 @@
 import numpy as np
 import pytest
 
-from gossip_bandits.env import ArmSet, draw_arm_rewards, env_step
+from gossip_bandits.env import draw_arm_rewards, env_step
 from gossip_bandits.rng import substream
 
 MU_SPREAD = (0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.01)
 
 
-class TestArmSet:
-    def test_valid_construction(self):
-        arms = ArmSet(MU_SPREAD)
-        assert arms.n_arms == 10
-        assert arms.means[0] == 0.9
-
-    def test_rejects_single_arm(self):
-        with pytest.raises(ValueError, match="at least 2 arms"):
-            ArmSet((0.5,))
-
-    @pytest.mark.parametrize("bad", [-0.1, 1.1, 2.0])
-    def test_rejects_out_of_range_mean(self, bad):
-        with pytest.raises(ValueError, match="outside"):
-            ArmSet((0.5, bad))
-
-
 class TestDrawArmRewards:
     def test_degenerate_all_ones(self, rng):
-        arms = ArmSet((1.0, 1.0))
-        assert np.array_equal(draw_arm_rewards(arms, 3, rng), [[1, 1]] * 3)
+        assert np.array_equal(draw_arm_rewards((1.0, 1.0), 3, rng), [[1, 1]] * 3)
 
     def test_degenerate_all_zeros(self, rng):
-        arms = ArmSet((0.0, 0.0, 0.0))
-        assert np.array_equal(draw_arm_rewards(arms, 3, rng), [[0, 0, 0]] * 3)
+        assert np.array_equal(draw_arm_rewards((0.0, 0.0, 0.0), 3, rng), [[0, 0, 0]] * 3)
 
     def test_empirical_mean_matches_first_arm(self):
         # 1e5 draws: arm 0 frequency within 3 sigma of 0.9
-        arms = ArmSet(MU_SPREAD)
         n = 10**5
-        hits = int(draw_arm_rewards(arms, n, np.random.default_rng(11))[:, 0].sum())
+        hits = int(draw_arm_rewards(MU_SPREAD, n, np.random.default_rng(11))[:, 0].sum())
         sigma = np.sqrt(0.9 * 0.1 / n)
         assert abs(hits / n - 0.9) < 3 * sigma
 
     def test_equals_one_draw_per_turn(self):
         # the whole-episode draw keeps the stream of S uniforms per turn
-        arms = ArmSet(MU_SPREAD)
         rng = substream(5, "env-arms")
-        per_turn = [(rng.random(arms.n_arms) < arms.means_array).astype(np.int64) for _ in range(50)]
-        assert np.array_equal(draw_arm_rewards(arms, 50, substream(5, "env-arms")), per_turn)
+        per_turn = [(rng.random(10) < np.array(MU_SPREAD)).astype(np.int64) for _ in range(50)]
+        assert np.array_equal(draw_arm_rewards(MU_SPREAD, 50, substream(5, "env-arms")), per_turn)
 
 
 class TestEnvStep:
@@ -105,9 +85,8 @@ class TestEnvStep:
     def test_total_reward_under_full_collision_matches_mean(self):
         # all 5 players on arm 0: exactly one winner, so the expected
         # per-turn total is just mu_0 = 0.9
-        arms = ArmSet(MU_SPREAD)
         n = 10**5
-        rewards = draw_arm_rewards(arms, n, substream(99, "env-arms")).tolist()
+        rewards = draw_arm_rewards(MU_SPREAD, n, substream(99, "env-arms")).tolist()
         winner_rng = substream(99, "env-winners")
         total = sum(sum(env_step([0] * 5, row, winner_rng)) for row in rewards)
         sigma = np.sqrt(0.9 * 0.1 / n)
@@ -118,7 +97,7 @@ class TestEnvStep:
         choice_seq = [choice_rng.integers(10, size=5).tolist() for _ in range(50)]
 
         def run():
-            rewards = draw_arm_rewards(ArmSet(MU_SPREAD), 50, substream(77, "env-arms"))
+            rewards = draw_arm_rewards(MU_SPREAD, 50, substream(77, "env-arms"))
             winner_rng = substream(77, "env-winners")
             return [env_step(c, r, winner_rng) for c, r in zip(choice_seq, rewards.tolist())]
 

@@ -32,39 +32,39 @@ class TestRunEpisode:
     @pytest.mark.parametrize("algorithm", ["ucb1", "egreedy", "thompson"])
     def test_init_phase_covers_every_arm_once(self, algorithm):
         cfg = small_config(algorithm=algorithm, turns=4)
-        history, _ = simulate_episode(cfg, 0.5, 123)
-        for column in history.choices_matrix.T:
+        choices, _, _, _ = simulate_episode(cfg, 0.5, 123)
+        for column in choices.T:
             assert sorted(column) == [0, 1, 2, 3]
 
     def test_random_init_order_still_covers_every_arm(self):
         cfg = small_config(algorithm="thompson", turns=4, init_order="random")
-        history, _ = simulate_episode(cfg, 0.0, 5)
-        for column in history.choices_matrix.T:
+        choices, _, _, _ = simulate_episode(cfg, 0.0, 5)
+        for column in choices.T:
             assert sorted(column) == [0, 1, 2, 3]
 
     def test_no_communication_counts_only_own_pulls(self):
         cfg = small_config(algorithm="thompson")
-        history, tallies = simulate_episode(cfg, 0.0, 11)
+        choices, _, realized, tallies = simulate_episode(cfg, 0.0, 11)
         for p in range(cfg.n_players):
-            own = np.bincount(history.choices_matrix[:, p], minlength=4)
+            own = np.bincount(choices[:, p], minlength=4)
             assert np.array_equal(tallies[p, :4], own)
-            own_wins = np.bincount(history.choices_matrix[:, p], history.realized_matrix[:, p], 4)
+            own_wins = np.bincount(choices[:, p], realized[:, p], 4)
             assert np.array_equal(tallies[p, 4:], own_wins)
 
     def test_full_communication_counts_everyones_pulls(self):
         cfg = ExperimentConfig(algorithm="thompson", turns=100, repetitions=1, alphas=(1.0,))
-        history, tallies = simulate_episode(cfg, 1.0, 13)
-        everyone = np.bincount(history.choices_matrix.ravel(), minlength=10)
+        choices, _, realized, tallies = simulate_episode(cfg, 1.0, 13)
+        everyone = np.bincount(choices.ravel(), minlength=10)
         for row in tallies:
             assert np.array_equal(row[:10], everyone)
-            assert row[10:].sum() == history.realized_matrix.sum()
+            assert row[10:].sum() == realized.sum()
 
     def test_identical_inputs_reproduce_bitwise(self):
         cfg = small_config(algorithm="egreedy")
         a = run_episode(cfg, 0.7, 99)
         b = run_episode(cfg, 0.7, 99)
-        assert np.array_equal(a.cumulative_reward, b.cumulative_reward)
-        assert np.array_equal(a.cumulative_loss, b.cumulative_loss)
+        assert np.array_equal(a.reward, b.reward)
+        assert np.array_equal(a.loss, b.loss)
         assert np.array_equal(a.regret_literal, b.regret_literal)
         assert np.array_equal(a.regret_occupancy, b.regret_occupancy)
 
@@ -91,7 +91,7 @@ class TestSeeding:
         assert len(seeds) == 10
         a = run_episode(cfg, 0.5, episode_seed(cfg.base_seed, 0, 0))
         b = run_episode(cfg, 0.5, episode_seed(cfg.base_seed, 0, 1))
-        assert not np.array_equal(a.cumulative_reward, b.cumulative_reward)
+        assert not np.array_equal(a.reward, b.reward)
 
     def test_output_path_does_not_touch_outcomes(self):
         records_a = sweep_alpha(small_config(out_path="a.csv"))
