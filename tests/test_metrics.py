@@ -18,6 +18,7 @@ def record_of(means, turn_specs):
 
 
 def random_record(n_turns, seed):
+    """The run record of uniformly random play on ``MU_SPREAD``, with the episode's arrays."""
     choices, rewards, realized = build_random_history(MU_SPREAD, 5, n_turns, seed=seed)
     return build_run_record(choices, rewards, MU_SPREAD, 5), choices, rewards, realized
 
