@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import pytest
 
-from gossip_bandits.cli import main
+from gossip_bandits import ExperimentConfig
+from gossip_bandits.cli import _assemble_config, build_parser, main
 from support import read_results_csv
 
 
@@ -139,3 +141,35 @@ class TestConfigHandling:
     def test_unknown_algorithm_is_an_argparse_error(self):
         with pytest.raises(SystemExit):
             run_cli("sweep-alpha", "--algorithm", "oracle")
+
+
+# field -> (command line that sets only that field, the field's expected value)
+FLAG_CASES = {
+    "means": (["sweep-alpha", "--means", "0.9,0.5,0.2,0.1,0.05,0.01"], (0.9, 0.5, 0.2, 0.1, 0.05, 0.01)),
+    "n_players": (["sweep-alpha", "--players", "3"], 3),
+    "algorithm": (["sweep-alpha", "--algorithm", "ucb1"], "ucb1"),
+    "alphas": (["sweep-alpha", "--alpha", "0.25,0.75"], (0.25, 0.75)),
+    "turns": (["sweep-alpha", "--turns", "40"], 40),
+    "repetitions": (["sweep-alpha", "--reps", "7"], 7),
+    "base_seed": (["sweep-alpha", "--seed", "11"], 11),
+    "epsilon0": (["sweep-alpha", "--epsilon0", "0.5"], 0.5),
+    "decay": (["sweep-alpha", "--decay", "0.9"], 0.9),
+    "mean_floor": (["sweep-alpha", "--mean-floor", "0.01"], 0.01),
+    "init_order": (["sweep-alpha", "--init-order", "random"], "random"),
+    "checkpoints": (["regret-curve", "--checkpoints", "10,20"], (10, 20)),
+    "out_path": (["sweep-alpha", "--out", "results.csv"], "results.csv"),
+    "out_format": (["sweep-alpha", "--format", "json"], "json"),
+}
+
+
+class TestFlagsReachTheConfig:
+    def test_every_field_has_a_flag(self):
+        assert set(FLAG_CASES) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+    @pytest.mark.parametrize("field", sorted(FLAG_CASES))
+    def test_flag_sets_its_field(self, field):
+        argv, expected = FLAG_CASES[field]
+        default = ExperimentConfig()
+        assert getattr(default, field) != expected
+        config = _assemble_config(build_parser().parse_args(argv))
+        assert config == dataclasses.replace(default, **{field: expected})
