@@ -1,4 +1,7 @@
-"""Command-line interface: connectivity sweeps and regret-vs-turns curves."""
+"""Command-line interface: connectivity sweeps and regret-vs-turns curves.
+
+Each knob's flag stores its value under the ``ExperimentConfig`` field name.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +10,7 @@ import sys
 from typing import Sequence
 
 from .config import (
+    FIELD_NAMES,
     OUTPUT_FORMATS,
     ConfigError,
     ExperimentConfig,
@@ -34,22 +38,25 @@ def _comma_list(kind: type):
 def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", help="JSON config file; flags override its fields")
     parser.add_argument("--algorithm", choices=POLICY_NAMES)
-    parser.add_argument("--alpha", type=_comma_list(float), metavar="LIST",
+    parser.add_argument("--alpha", dest="alphas", type=_comma_list(float), metavar="LIST",
                         help="comma-separated connectivity values in [0, 1]")
     parser.add_argument("--turns", type=int)
-    parser.add_argument("--reps", type=int, help="repetitions per connectivity value")
-    parser.add_argument("--seed", type=int, help="base seed for the whole experiment")
+    parser.add_argument("--reps", dest="repetitions", type=int, metavar="REPS",
+                        help="repetitions per connectivity value")
+    parser.add_argument("--seed", dest="base_seed", type=int, metavar="SEED",
+                        help="base seed for the whole experiment")
     parser.add_argument("--means", type=_comma_list(float), metavar="LIST",
                         help="comma-separated true arm means in [0, 1]")
-    parser.add_argument("--players", type=int, help="number of players (must stay below the arm count)")
+    parser.add_argument("--players", dest="n_players", type=int, metavar="PLAYERS",
+                        help="number of players (must stay below the arm count)")
     parser.add_argument("--epsilon0", type=float, help="initial exploration probability")
     parser.add_argument("--decay", type=float, help="per-selection epsilon decay factor in (0, 1)")
     parser.add_argument("--mean-floor", type=float,
                         help="lower clamp in (0, 1) on observed means for the mixing policy")
     parser.add_argument("--init-order", choices=INIT_ORDERS,
                         help="arm order for the pull-each-arm-once phase")
-    parser.add_argument("--out", metavar="PATH", help="output file (default: stdout)")
-    parser.add_argument("--format", choices=OUTPUT_FORMATS)
+    parser.add_argument("--out", dest="out_path", metavar="PATH", help="output file (default: stdout)")
+    parser.add_argument("--format", dest="out_format", choices=OUTPUT_FORMATS)
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes, at least 1 and capped at the CPU count "
                         "(default 1; results identical)")
@@ -75,23 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _assemble_config(args: argparse.Namespace) -> ExperimentConfig:
     config = config_from_file(args.config) if args.config else ExperimentConfig()
-    return apply_overrides(
-        config,
-        algorithm=args.algorithm,
-        alphas=args.alpha,
-        turns=args.turns,
-        repetitions=args.reps,
-        base_seed=args.seed,
-        means=args.means,
-        n_players=args.players,
-        epsilon0=args.epsilon0,
-        decay=args.decay,
-        mean_floor=args.mean_floor,
-        init_order=args.init_order,
-        checkpoints=getattr(args, "checkpoints", None),  # regret-curve only
-        out_path=args.out,
-        out_format=args.format,
-    )
+    # getattr: --checkpoints exists on regret-curve only
+    return apply_overrides(config, **{name: getattr(args, name, None) for name in FIELD_NAMES})
 
 
 def main(argv: Sequence[str] | None = None) -> int:

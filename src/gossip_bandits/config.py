@@ -1,4 +1,8 @@
-"""Experiment configuration: defaults, file loading, CLI overrides."""
+"""Experiment configuration: defaults, file loading, CLI overrides.
+
+Each knob is one ``ExperimentConfig`` field, named in ``FIELD_NAMES``;
+one table, ``_FIELD_TYPES``, gives every field its type check and conversion.
+"""
 
 from __future__ import annotations
 
@@ -18,11 +22,6 @@ OUTPUT_FORMATS = ("csv", "json")
 SPREAD_MEANS = (0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.01)
 CLUSTERED_MEANS = (0.7, 0.68, 0.66, 0.64, 0.62, 0.4, 0.38, 0.36, 0.34, 0.32)
 
-DEFAULT_ALPHAS = tuple(round(0.1 * i, 1) for i in range(11))
-DEFAULT_EPSILON = 1.0
-DEFAULT_DECAY = 0.995
-DEFAULT_MEAN_FLOOR = 1e-3
-
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; reported before any turn runs."""
@@ -35,34 +34,28 @@ class ExperimentConfig:
     means: tuple[float, ...] = SPREAD_MEANS
     n_players: int = 5
     algorithm: str = "thompson"
-    alphas: tuple[float, ...] = DEFAULT_ALPHAS
+    alphas: tuple[float, ...] = tuple(round(0.1 * i, 1) for i in range(11))
     turns: int = 5000
     repetitions: int = 50
     base_seed: int = 0
-    epsilon0: float = DEFAULT_EPSILON
-    decay: float = DEFAULT_DECAY
-    mean_floor: float = DEFAULT_MEAN_FLOOR
+    epsilon0: float = 1.0
+    decay: float = 0.995
+    mean_floor: float = 1e-3
     init_order: str = "sequential"
     checkpoints: tuple[int, ...] = ()
     out_path: str | None = None
     out_format: str = "csv"
 
     def __post_init__(self) -> None:
-        self._check_types()
-        for name in ("n_players", "turns", "repetitions", "base_seed"):
-            object.__setattr__(self, name, int(getattr(self, name)))  # NumPy ints break echo()
-        object.__setattr__(self, "means", tuple(float(m) for m in self.means))
-        object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
-        object.__setattr__(self, "checkpoints", tuple(int(t) for t in self.checkpoints))
-        self._validate()
-
-    def _check_types(self) -> None:
-        """Reject wrong types and non-finite numbers before any conversion."""
-        for names, test, kind in _FIELD_TYPES:
+        # wrong types and non-finite numbers are rejected before their field is converted
+        for names, test, kind, convert in _FIELD_TYPES:
             for name in names:
                 value = getattr(self, name)
                 if not test(value):
                     raise ConfigError(f"{name} must be {kind}, got {value!r}")
+                if convert is not None:
+                    object.__setattr__(self, name, convert(value))
+        self._validate()
 
     def _validate(self) -> None:
         n_arms = len(self.means)
@@ -133,14 +126,21 @@ def _list_of(test):
     return check
 
 
+def _tuple_of(kind):
+    return lambda values: tuple(map(kind, values))
+
+
+# (fields, type test, what it asks for, conversion or None to keep the value as given)
 _FIELD_TYPES = (
-    (("n_players", "turns", "repetitions", "base_seed"), _is_int, "an integer"),
-    (("epsilon0", "decay", "mean_floor"), _is_finite, "a finite number"),
-    (("means", "alphas"), _list_of(_is_finite), "a list of finite numbers"),
-    (("checkpoints",), _list_of(_is_int), "a list of integers"),
-    (("algorithm", "init_order", "out_format"), lambda v: isinstance(v, str), "a string"),
-    (("out_path",), lambda v: v is None or isinstance(v, str), "a string or null"),
+    # int(): NumPy integers would make echo() unserializable
+    (("n_players", "turns", "repetitions", "base_seed"), _is_int, "an integer", int),
+    (("epsilon0", "decay", "mean_floor"), _is_finite, "a finite number", None),
+    (("means", "alphas"), _list_of(_is_finite), "a list of finite numbers", _tuple_of(float)),
+    (("checkpoints",), _list_of(_is_int), "a list of integers", _tuple_of(int)),
+    (("algorithm", "init_order", "out_format"), lambda v: isinstance(v, str), "a string", None),
+    (("out_path",), lambda v: v is None or isinstance(v, str), "a string or null", None),
 )
+FIELD_NAMES = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
 
 
 def config_from_file(path: str | Path) -> ExperimentConfig:
@@ -158,8 +158,7 @@ def config_from_file(path: str | Path) -> ExperimentConfig:
 
 
 def config_from_dict(raw: dict, source: str = "config") -> ExperimentConfig:
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    unknown = set(raw) - known
+    unknown = set(raw).difference(FIELD_NAMES)
     if unknown:
         raise ConfigError(f"{source} has unknown fields: {sorted(unknown)}")
     return ExperimentConfig(**raw)

@@ -1,7 +1,7 @@
 """Bernoulli arms and the random-winner collision channel.
 
 The arms are the config's mean vector; nothing here re-checks it.  An
-episode's arm realizations are one (turns, arms) 0/1 matrix, drawn up
+episode's arm realizations are one (turns, arms) boolean matrix, drawn up
 front by ``draw_arm_rewards``: every arm is realized every turn, pulled or
 not.  ``env_step`` then pays one turn's row to the players.  A player
 alone on an arm receives its realization; when several players chose the
@@ -18,13 +18,13 @@ import numpy as np
 
 
 def draw_arm_rewards(means: Sequence[float], n_turns: int, rng: np.random.Generator) -> np.ndarray:
-    """(turns, arms) 0/1 realizations of every arm, pulled or not.
+    """(turns, arms) boolean realizations of every arm, pulled or not.
 
     ``means`` are the validated ``ExperimentConfig.means``.  One draw of
-    ``n_turns * n_arms`` uniforms in row-major order: the same values as
-    one draw of ``n_arms`` uniforms per turn.
+    ``n_turns * n_arms`` uniforms in row-major order, the same values as one
+    draw of ``n_arms`` per turn.  Bool, not int64: one byte per entry.
     """
-    return (rng.random((n_turns, len(means))) < np.asarray(means)).astype(np.int64)
+    return rng.random((n_turns, len(means))) < np.asarray(means)
 
 
 def env_step(

@@ -29,8 +29,7 @@ def sample_reach(
     Always N(N-1)/2 uniforms per turn, pairs in ``itertools.combinations``
     order, so the stream holds the same values whatever ``alpha`` is.
     """
-    if n_players < 1:
-        raise ValueError(f"need at least 1 player, got {n_players}")
+    # n_players comes from the validated config; run_episode takes alpha on its own
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"connectivity {alpha} outside [0, 1]")
     first, second = np.triu_indices(n_players, k=1)  # pair k is (first[k], second[k])

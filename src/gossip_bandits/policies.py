@@ -1,13 +1,13 @@
 """The arm-selection algorithms, one object per episode.
 
 All N players run the same algorithm, so an episode builds one policy
-from its validated ``ExperimentConfig``, which is the only place the
-hyperparameters are checked.  The policy reads the shared (N, 2S) tally
-matrix that the network layer writes: row p holds how many reports of
-each arm player p has heard, then how many of them were successes, its
-own pulls and its neighbours' reports counted alike.  It never writes the
-tallies.  ``select()`` returns the turn's N choices, computing indices
-and means for all rows at once.
+from its validated ``ExperimentConfig``, the only place the knobs are
+checked, and reads them from it.  It reads the shared (N, 2S) tally matrix
+that the network layer writes: row p holds how many reports of each arm
+player p has heard, then how many of them were successes, its own pulls
+and its neighbours' reports counted alike.  It never writes the tallies.
+``select()`` returns the turn's N choices: the sweep's next turn, else the
+algorithm's own step ``choose()``, which works on all rows at once.
 
 Player p's randomness (sweep order, ties, exploration, posterior draws)
 comes only from ``rngs[p]``, in the same order of calls a lone player
@@ -110,6 +110,8 @@ class Policy:
 
     def __init__(self, config: ExperimentConfig, tallies: np.ndarray,
                  rngs: Sequence[np.random.Generator]):
+        self.config = config
+        self.epsilon = config.epsilon0
         self.n_arms = n_arms = config.n_arms
         self.counts, self.successes = tallies[:, :n_arms], tallies[:, n_arms:]
         self.rngs = rngs
@@ -122,6 +124,13 @@ class Policy:
             self.sweep = np.array(order).T[::-1].tolist()
 
     def select(self) -> list[int]:
+        """The turn's N choices; ε then decays once, sweep turns included."""
+        arms = self.sweep.pop() if self.sweep else self.choose()
+        self.epsilon *= self.config.decay
+        return arms
+
+    def choose(self) -> list[int]:
+        """The algorithm's own step for one turn after the sweep."""
         raise NotImplementedError
 
 
@@ -134,9 +143,7 @@ def _annealed_draws(rngs: Sequence[np.random.Generator], epsilon: float, n_arms:
 class Ucb1Policy(Policy):
     """Upper-confidence-bound selection on all observations seen so far."""
 
-    def select(self) -> list[int]:
-        if self.sweep:
-            return self.sweep.pop()
+    def choose(self) -> list[int]:
         # the sweep's own reports make every count positive from here on
         counts = self.counts
         total = counts.sum(axis=1, keepdims=True)
@@ -147,32 +154,22 @@ class Ucb1Policy(Policy):
 class EpsilonGreedyPolicy(Policy):
     """Exploit the best observed mean, explore uniformly with decaying odds."""
 
-    def __init__(self, config, tallies, rngs):
-        super().__init__(config, tallies, rngs)
-        self.epsilon, self.decay = config.epsilon0, config.decay
-
-    def select(self) -> list[int]:
-        if self.sweep:
-            arms = self.sweep.pop()
-        else:
-            arms = _annealed_draws(self.rngs, self.epsilon, self.n_arms)
-            greedy = [p for p, arm in enumerate(arms) if arm < 0]
-            if greedy:
-                # unseen arms read mean 0: their successes are 0 too
-                means = self.successes[greedy] / np.maximum(self.counts[greedy], 1)
-                best = argmax_rows(means, [self.rngs[p] for p in greedy])
-                for p, arm in zip(greedy, best.tolist()):
-                    arms[p] = arm
-        self.epsilon *= self.decay  # once per turn, so epsilon = eps0 * k^t exactly
+    def choose(self) -> list[int]:
+        arms = _annealed_draws(self.rngs, self.epsilon, self.n_arms)
+        greedy = [p for p, arm in enumerate(arms) if arm < 0]
+        if greedy:
+            # unseen arms read mean 0: their successes are 0 too
+            means = self.successes[greedy] / np.maximum(self.counts[greedy], 1)
+            best = argmax_rows(means, [self.rngs[p] for p in greedy])
+            for p, arm in zip(greedy, best.tolist()):
+                arms[p] = arm
         return arms
 
 
 class ThompsonPolicy(Policy):
     """Sample a Beta posterior per arm and pull the best draw."""
 
-    def select(self) -> list[int]:
-        if self.sweep:
-            return self.sweep.pop()
+    def choose(self) -> list[int]:
         successes = self.successes
         a, b = successes + 1.0, self.counts - successes + 1.0
         theta = np.array([rng.beta(a[p], b[p]) for p, rng in enumerate(self.rngs)])
@@ -191,20 +188,15 @@ class AsympOptPolicy(Policy):
 
     sweeps_first = False
 
-    def __init__(self, config, tallies, rngs):
-        super().__init__(config, tallies, rngs)
-        self.epsilon, self.decay = config.epsilon0, config.decay
-        self.n_players, self.mean_floor = config.n_players, config.mean_floor
-
-    def select(self) -> list[int]:
+    def choose(self) -> list[int]:
         arms = _annealed_draws(self.rngs, self.epsilon, self.n_arms)
-        self.epsilon *= self.decay
         if min(arms) < 0:
+            config = self.config
             # unseen arms read mean 0, so they clamp to the floor too
-            means = np.maximum(self.successes / np.maximum(self.counts, 1), self.mean_floor)
+            means = np.maximum(self.successes / np.maximum(self.counts, 1), config.mean_floor)
             for p, row in enumerate(means.tolist()):
                 if arms[p] < 0:
-                    arms[p] = sample_categorical(mix_probabilities(row, self.n_players)[0], self.rngs[p])
+                    arms[p] = sample_categorical(mix_probabilities(row, config.n_players)[0], self.rngs[p])
         return arms
 
 
@@ -213,9 +205,8 @@ class UniformRandomPolicy(Policy):
 
     sweeps_first = False
 
-    def select(self) -> list[int]:
-        n_arms = self.n_arms
-        return [int(rng.integers(n_arms)) for rng in self.rngs]
+    def choose(self) -> list[int]:
+        return [int(rng.integers(self.n_arms)) for rng in self.rngs]
 
 
 _KINDS = {

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from gossip_bandits import ConfigError, ExperimentConfig, apply_overrides, config_from_file
-from gossip_bandits.config import CLUSTERED_MEANS, SPREAD_MEANS, config_from_dict
+from gossip_bandits.config import (
+    _FIELD_TYPES,
+    CLUSTERED_MEANS,
+    FIELD_NAMES,
+    SPREAD_MEANS,
+    config_from_dict,
+)
 
 
 class TestValidation:
@@ -68,6 +74,10 @@ class TestValidation:
         for raw in ({"turns": "5000"}, {"alphas": 0.5}, {"means": "0.5"}):
             with pytest.raises(ConfigError):
                 config_from_dict(raw)
+
+    def test_type_table_covers_every_field_once(self):
+        names = [name for row_names, *_ in _FIELD_TYPES for name in row_names]
+        assert sorted(names) == sorted(FIELD_NAMES)
 
     def test_numpy_integers_are_stored_as_python_ints(self):
         cfg = ExperimentConfig(n_players=np.int64(2), turns=np.int32(100), base_seed=np.uint8(3))

@@ -42,8 +42,6 @@ class TestSampleReach:
         for bad in (-0.1, 1.5):
             with pytest.raises(ValueError, match="connectivity"):
                 sample_reach(5, bad, 1, rng)
-        with pytest.raises(ValueError, match="player"):
-            sample_reach(0, 0.5, 1, rng)
 
     def test_edge_count_mean_matches_binomial(self):
         # Binomial(10, 0.5) oracle: mean 5, var 2.5
