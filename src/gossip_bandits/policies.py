@@ -206,7 +206,8 @@ class UniformRandomPolicy(Policy):
     sweeps_first = False
 
     def choose(self) -> list[int]:
-        return [int(rng.integers(self.n_arms)) for rng in self.rngs]
+        n_arms = self.n_arms
+        return [int(rng.integers(n_arms)) for rng in self.rngs]
 
 
 _KINDS = {
