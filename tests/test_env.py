@@ -36,13 +36,16 @@ class TestEnvStep:
         realized = env_step([3, 3, 3, 3, 3], [0, 0, 0, 1], rng)
         assert sorted(realized) == [0, 0, 0, 0, 1]
 
-    def test_winner_is_uniform_over_pullers(self):
-        # oracle: exact binomial, p = 1/2 per resolution
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_winner_is_uniform_over_pullers(self, k):
+        # oracle: each of k contenders wins a resolution with probability 1/k
         rng = np.random.default_rng(12)
         n = 10**4
-        wins = sum(env_step([0, 0], [1, 1], rng)[0] for _ in range(n))
-        sigma = np.sqrt(0.25 / n)
-        assert abs(wins / n - 0.5) < 3 * sigma
+        wins = np.array([env_step(np.zeros(k, dtype=np.int64), np.array([True, True]), rng)
+                         for _ in range(n)])
+        assert (wins.sum(axis=1) == 1).all()
+        sigma = np.sqrt((1 / k) * (1 - 1 / k) / n)
+        assert (np.abs(wins.mean(axis=0) - 1 / k) < 3 * sigma).all()
 
     def test_collided_arms_draw_in_arm_then_player_order(self):
         # arm 1 (players 1, 3, 4) draws before arm 3 (players 0, 2)

@@ -16,6 +16,9 @@ from gossip_bandits import (
     sweep_alpha,
 )
 from gossip_bandits import runner
+from gossip_bandits.network import sample_reach
+from gossip_bandits.policies import POLICY_NAMES
+from gossip_bandits.rng import substream
 from gossip_bandits.runner import simulate_episode
 from support import read_results_csv
 
@@ -82,6 +85,34 @@ class TestRunEpisode:
         seed = episode_seed(rebuilt.base_seed, 1, 2)
         record, again = run_episode(cfg, 1.0, seed), run_episode(rebuilt, rebuilt.alphas[1], seed)
         assert np.array_equal(record.regret_occupancy, again.regret_occupancy)
+
+
+class TestStreamContract:
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_realizations_and_graphs_do_not_depend_on_the_algorithm(self, seed):
+        # every algorithm's tallies are exactly what the graphs drawn on their
+        # own substream deliver of its reports, so no policy moves them
+        cfg = small_config()
+        n_players, n_arms, turns = cfg.n_players, cfg.n_arms, cfg.turns
+        reach = sample_reach(n_players, 0.5, turns, substream(seed, "graph")).astype(np.int64)
+        first = None
+        for algorithm in POLICY_NAMES:
+            choices, rewards, realized, tallies = simulate_episode(
+                small_config(algorithm=algorithm), 0.5, seed)
+            first = rewards if first is None else first
+            assert np.array_equal(rewards, first), algorithm
+            reports = np.zeros((turns, n_players, 2 * n_arms), dtype=np.int64)
+            turn, player = np.indices(choices.shape)
+            reports[turn, player, choices] = 1
+            reports[turn, player, n_arms + choices] = realized
+            assert np.array_equal(tallies, np.einsum("tij,tjk->ik", reach, reports)), algorithm
+
+    def test_a_repetition_does_not_depend_on_how_many_run(self):
+        rows = [
+            runner._episode_checkpoints((small_config(repetitions=reps), 1, 1.0, 1, (10, 40)))
+            for reps in (2, 5)
+        ]
+        assert np.array_equal(*rows)
 
 
 class TestSeeding:
