@@ -5,7 +5,8 @@ episode's arm realizations are one (turns, arms) boolean matrix, drawn up
 front by ``draw_arm_rewards``: every arm is realized every turn, pulled or
 not.  ``env_step`` then pays one turn's row to the players.  A player
 alone on an arm receives its realization; when several players chose the
-same arm, one uniformly drawn winner receives it and the losers get 0.
+same arm, one uniformly drawn winner receives it and the losers get 0:
+random priorities decide, one uniform per player on a turn with a collision.
 The environment never tells a player whether it collided; a loser's zero
 is indistinguishable from a true zero draw.
 """
@@ -27,30 +28,18 @@ def draw_arm_rewards(means: Sequence[float], n_turns: int, rng: np.random.Genera
     return rng.random((n_turns, len(means))) < np.asarray(means)
 
 
-def env_step(
-    choices: Sequence[int],
-    arm_rewards: Sequence[int],
-    winner_rng: np.random.Generator,
-) -> list[int]:
-    """Each player's reward for one turn of ``arm_rewards``.
+def env_step(choices: np.ndarray, arm_rewards: np.ndarray, winner_rng: np.random.Generator) -> np.ndarray:
+    """Each player's reward for one turn's row ``arm_rewards`` of realizations.
 
-    Collided arms are resolved in ascending arm order, one
-    ``winner_rng.integers(k)`` each, over their k contenders in ascending
-    player order; the losers receive 0.  ``winner_rng`` must be a
-    substream of its own, so the rewards do not depend on the collision
-    pattern.
+    Only on a turn with a collision, every player draws a priority from one
+    ``winner_rng.random(N)`` call, and a player receives 0 when another
+    player on its arm has a higher one; the highest of k contenders wins
+    with probability 1/k each.  ``winner_rng`` must be a substream of its
+    own, so the realizations do not depend on the collision pattern.
     """
-    realized = [arm_rewards[arm] for arm in choices]
-    if len(set(choices)) == len(choices):
-        return realized
-    pullers: dict[int, list[int]] = {}
-    for player, arm in enumerate(choices):
-        pullers.setdefault(arm, []).append(player)
-    for arm in sorted(pullers):
-        contenders = pullers[arm]
-        if len(contenders) > 1:
-            winner = contenders[int(winner_rng.integers(len(contenders)))]
-            for player in contenders:
-                if player != winner:
-                    realized[player] = 0
+    realized = arm_rewards[choices]
+    same_arm = choices[:, None] == choices
+    if same_arm.sum() > len(choices):
+        priority = winner_rng.random(len(choices))
+        realized &= ~(same_arm & (priority > priority[:, None])).any(axis=1)
     return realized

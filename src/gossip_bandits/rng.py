@@ -1,11 +1,11 @@
 """Deterministic seed derivation and named random substreams.
 
-Every source of randomness in a run is a separate numpy Generator whose
-seed is mixed from the episode seed and a role label (arm draws, winner
-draws, the per-turn graph, each player).  Substreams never share state,
-so the reward sequence of the environment does not depend on how much
-randomness a policy consumes, and episodes can run concurrently without
-coordination.
+Every source of randomness in an episode is a separate numpy Generator
+whose seed is mixed from the episode seed and a role label: arm draws,
+winner draws, the per-turn graphs, and one stream that all players share.
+Substreams never share state, so the reward sequence of the environment
+does not depend on how much randomness a policy consumes, and episodes
+can run concurrently without coordination.
 """
 
 from __future__ import annotations

@@ -13,10 +13,18 @@ received rewards (turns, N) and the final tallies (N, 2S).
 means, to ``metrics.build_run_record``.
 
 Determinism contract: an episode is a pure function of (config, alpha,
-seed), and a config with a given ``base_seed`` writes byte-identical CSV
-and JSON whatever ``n_jobs`` is, because serial and pooled sweeps run the
-same seeded episodes and aggregate them in task order.  CSV and JSON
-digests are pinned by ``tests/test_golden.py``.
+seed).  It draws from four named substreams of its seed: ``env-arms``
+for the arm realizations, ``graph`` for the reach matrices,
+``env-winners`` for the collision priorities and ``players`` for every
+draw of every player.  The realizations and the graphs therefore do not
+depend on the policy.  All players share one stream, so a player's
+choices depend on the other players' draws.  Each repetition's seed
+comes from (``base_seed``, alpha index, repetition), so an episode does
+not depend on ``repetitions`` either, and a config with a given
+``base_seed`` writes byte-identical CSV and JSON whatever ``n_jobs`` is,
+because serial and pooled sweeps run the same seeded episodes and
+aggregate them in task order.  CSV and JSON digests are pinned by
+``tests/test_golden.py``.
 """
 
 from __future__ import annotations
@@ -84,15 +92,15 @@ def simulate_episode(
     reach = sample_reach(n_players, alpha, n_turns, substream(seed, "graph"))
     winner_rng = substream(seed, "env-winners")
     tallies = np.zeros((n_players, 2 * n_arms), dtype=np.int64)
-    policy = make_policy(config, tallies, [substream(seed, "player", p) for p in range(n_players)])
+    policy = make_policy(config, tallies, substream(seed, "players"))
 
     choices = np.empty((n_turns, n_players), dtype=np.int64)
     realized = np.empty((n_turns, n_players), dtype=np.int64)
     for t in range(n_turns):
         chosen = policy.select()
         choices[t] = chosen
-        realized[t] = env_step(chosen, rewards[t].tolist(), winner_rng)
-        disseminate(tallies, reach[t], choices[t], realized[t])
+        realized[t] = env_step(chosen, rewards[t], winner_rng)
+        disseminate(tallies, reach[t], chosen, realized[t])
 
     return choices, rewards, realized, tallies
 

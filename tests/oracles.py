@@ -88,3 +88,24 @@ def random_simplex_points(
 ) -> np.ndarray:
     """(n_points, dim) rows drawn uniformly from the probability simplex."""
     return rng.dirichlet(np.ones(dim), size=n_points)
+
+
+def mix_by_dropping(means: Sequence[float], n_players: int) -> list[float]:
+    """The closed-form mix, one row, by dropping nonpositive arms until none is left.
+
+    The scalar reference for ``policies.mix_probabilities``: start from
+    every arm, set ``c_i = 1 - level * r_i`` with ``r_i = mu_i^(-1/(N-1))``
+    and ``level = (K - 1) / sum(active r)``, and repeat on the arms that
+    stayed positive.
+    """
+    inv_root = [(1.0 / m) ** (1.0 / (n_players - 1)) for m in means]
+    active = list(range(len(inv_root)))
+    while True:
+        level = (len(active) - 1) / math.fsum(inv_root[i] for i in active)
+        c = [0.0] * len(inv_root)
+        for i in active:
+            c[i] = max(1.0 - level * inv_root[i], 0.0)
+        kept = [i for i in active if c[i] > 0.0]
+        if kept == active:
+            return c
+        active = kept

@@ -20,7 +20,7 @@ def build_random_history(means, n_players: int, n_turns: int, seed: int):
     rewards = draw_arm_rewards(means, n_turns, np.random.default_rng(seed + 1))
     winner_rng = np.random.default_rng(seed + 2)
     realized = np.array(
-        [env_step(c.tolist(), r.tolist(), winner_rng) for c, r in zip(choices, rewards)]
+        [env_step(c, r, winner_rng) for c, r in zip(choices, rewards)], dtype=np.int64
     )
     return choices, rewards, realized
 

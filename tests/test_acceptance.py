@@ -107,7 +107,7 @@ def test_criterion_3_mixing_matches_numeric_minimizer():
         n_players = int(rng.integers(2, 6))
         n_arms = int(rng.integers(n_players + 1, 11))
         mu = rng.uniform(0.01, 1.0, size=n_arms)
-        c = np.asarray(mix_probabilities(mu.tolist(), n_players)[0])
+        c = mix_probabilities(mu, n_players)
         oracle = minimize_expected_turn_loss(mu, n_players)
         worst_coord = max(worst_coord, float(np.max(np.abs(c - oracle))))
 
@@ -117,7 +117,7 @@ def test_criterion_3_mixing_matches_numeric_minimizer():
         cloud = random_simplex_points(1000, n_arms, rng)
         assert np.all(loss(c)[0] <= loss(cloud) + 1e-12)
 
-    symmetric = np.asarray(mix_probabilities([0.37] * 10, 5)[0])
+    symmetric = mix_probabilities(np.full(10, 0.37), 5)
     sym_err = float(np.max(np.abs(symmetric - 0.1)))
     ok = worst_coord < 1e-6 and sym_err < 1e-12
     report(3, ok, f"worst coordinate gap {worst_coord:.2e} (tol 1e-6), symmetric gap {sym_err:.1e}")

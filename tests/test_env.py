@@ -28,12 +28,20 @@ class TestDrawArmRewards:
         assert np.array_equal(draw_arm_rewards(MU_SPREAD, 50, substream(5, "env-arms")), per_turn)
 
 
+def step(choices, arm_rewards, rng):
+    """``env_step`` on plain lists, as a list."""
+    return env_step(np.asarray(choices), np.asarray(arm_rewards, dtype=bool), rng).tolist()
+
+
 class TestEnvStep:
-    def test_no_collision_passes_rewards_through(self, rng):
-        assert env_step([0, 1, 2], [1, 1, 0], rng) == [1, 1, 0]
+    def test_no_collision_passes_rewards_through(self):
+        rng = substream(8, "env-winners")
+        assert step([0, 1, 2], [1, 1, 0], rng) == [1, 1, 0]
+        # a turn without a collision draws nothing
+        assert rng.random() == substream(8, "env-winners").random()
 
     def test_full_collision_pays_exactly_one_player(self, rng):
-        realized = env_step([3, 3, 3, 3, 3], [0, 0, 0, 1], rng)
+        realized = step([3, 3, 3, 3, 3], [0, 0, 0, 1], rng)
         assert sorted(realized) == [0, 0, 0, 0, 1]
 
     @pytest.mark.parametrize("k", [2, 3, 5])
@@ -47,17 +55,16 @@ class TestEnvStep:
         sigma = np.sqrt((1 / k) * (1 - 1 / k) / n)
         assert (np.abs(wins.mean(axis=0) - 1 / k) < 3 * sigma).all()
 
-    def test_collided_arms_draw_in_arm_then_player_order(self):
-        # arm 1 (players 1, 3, 4) draws before arm 3 (players 0, 2)
-        replay = substream(8, "env-winners")
-        first = [1, 3, 4][int(replay.integers(3))]
-        second = [0, 2][int(replay.integers(2))]
-        realized = env_step([3, 1, 3, 1, 1], [0, 1, 0, 1], substream(8, "env-winners"))
-        assert [p for p, r in enumerate(realized) if r] == sorted([first, second])
+    def test_collided_players_lose_to_a_higher_priority(self):
+        # arm 1 (players 1, 3, 4) and arm 3 (players 0, 2) pay; one priority per player
+        priority = substream(8, "env-winners").random(5)
+        winners = [max(pullers, key=lambda p: priority[p]) for pullers in ([1, 3, 4], [0, 2])]
+        realized = step([3, 1, 3, 1, 1], [0, 1, 0, 1], substream(8, "env-winners"))
+        assert [p for p, r in enumerate(realized) if r] == sorted(winners)
 
     def test_rejects_out_of_range_choice(self, rng):
         with pytest.raises(IndexError):
-            env_step([0, 5], [1, 1], rng)
+            step([0, 5], [1, 1], rng)
 
     def test_conservation_per_turn(self):
         # total paid == sum of realizations on pulled arms, exactly
@@ -66,7 +73,7 @@ class TestEnvStep:
             n_arms = int(rng.integers(2, 8))
             choices = rng.integers(n_arms, size=int(rng.integers(1, 7))).tolist()
             rewards = rng.integers(2, size=n_arms).tolist()
-            realized = env_step(choices, rewards, rng)
+            realized = step(choices, rewards, rng)
             pulled = np.zeros(n_arms, dtype=int)
             pulled[choices] = 1
             assert sum(realized) == (pulled * rewards).sum()
@@ -76,32 +83,33 @@ class TestEnvStep:
         for _ in range(200):
             choices = rng.integers(4, size=5).tolist()
             rewards = rng.integers(2, size=4).tolist()
-            realized = env_step(choices, rewards, rng)
+            realized = step(choices, rewards, rng)
             for arm in set(choices):
                 paid = [realized[p] for p, c in enumerate(choices) if c == arm]
                 assert sorted(paid) == [0] * (len(paid) - 1) + [rewards[arm]]
 
     def test_losers_get_zero_even_when_arm_paid(self):
-        realized = env_step([2, 2, 2], [0, 0, 1], np.random.default_rng(15))
+        realized = step([2, 2, 2], [0, 0, 1], np.random.default_rng(15))
         assert sorted(realized) == [0, 0, 1]
 
     def test_total_reward_under_full_collision_matches_mean(self):
         # all 5 players on arm 0: exactly one winner, so the expected
         # per-turn total is just mu_0 = 0.9
         n = 10**5
-        rewards = draw_arm_rewards(MU_SPREAD, n, substream(99, "env-arms")).tolist()
+        rewards = draw_arm_rewards(MU_SPREAD, n, substream(99, "env-arms"))
         winner_rng = substream(99, "env-winners")
-        total = sum(sum(env_step([0] * 5, row, winner_rng)) for row in rewards)
+        pulls = np.zeros(5, dtype=np.int64)
+        total = sum(int(env_step(pulls, row, winner_rng).sum()) for row in rewards)
         sigma = np.sqrt(0.9 * 0.1 / n)
         assert abs(total / n - 0.9) < 3 * sigma
 
     def test_deterministic_given_seed_and_choices(self):
         choice_rng = np.random.default_rng(3)
-        choice_seq = [choice_rng.integers(10, size=5).tolist() for _ in range(50)]
+        choice_seq = [choice_rng.integers(10, size=5) for _ in range(50)]
 
         def run():
             rewards = draw_arm_rewards(MU_SPREAD, 50, substream(77, "env-arms"))
             winner_rng = substream(77, "env-winners")
-            return [env_step(c, r, winner_rng) for c, r in zip(choice_seq, rewards.tolist())]
+            return [env_step(c, r, winner_rng).tolist() for c, r in zip(choice_seq, rewards)]
 
         assert run() == run()
