@@ -1,10 +1,12 @@
 """Cross-version byte identity of the emitted CSV and JSON.
 
-The digests were computed once with the object-per-turn engine (one
-``TurnOutcome``, ``CommGraph`` and inbox list per turn).  Any engine that
-consumes the same random substreams in the same order reproduces them
-byte for byte; a digest change means a seeded experiment's published
-numbers changed.
+The digests were computed with the shared-stream engine: an episode draws
+from four substreams of its seed (``env-arms``, ``graph``,
+``env-winners`` and one ``players`` stream for every player's draws), and
+each policy consumes the players' stream in one array call per draw
+kind.  Any engine that makes the same calls in the same order reproduces
+them byte for byte; a digest change means a seeded experiment's
+published numbers changed.
 """
 
 import hashlib
@@ -21,27 +23,27 @@ MU_DENSE = (
 )
 
 GOLDEN = {
-    ("ucb1", "sequential"): "30138111ef33727eda1f9a955ef69b2a7d544766827732a9187e46eee67d954e",
-    ("ucb1", "random"): "1c3e6961503b1d79d41743e028007864614bc5afb364f8f8dfda0663e392de09",
-    ("egreedy", "sequential"): "2173afe7aa2c4012d8fdfb2d426d640afa7c456cb26c1a643fcd53037c8dd62d",
-    ("egreedy", "random"): "8ab225679ff81326a456274421ccc24b5dc5e5f3de72d6f81204aa8cad092cfb",
-    ("thompson", "sequential"): "32de21bc431d38a6f8196426ab2df6b6a0fec54f5f402acd17f716475811960d",
-    ("thompson", "random"): "3cf3520e28b38a118327faf9ad7151c4663ffa96ec1d2d2a5255f48f719fef19",
-    ("asympopt", "sequential"): "d3050c19e386212463178da02ceff38a79f56d5d3bff46300cda956c8d1b70c3",
-    ("asympopt", "random"): "d3050c19e386212463178da02ceff38a79f56d5d3bff46300cda956c8d1b70c3",
-    ("random", "sequential"): "646bff62a1a402628ceef79c3c8584ad15787de809e05be779cf559a66de036d",
-    ("random", "random"): "646bff62a1a402628ceef79c3c8584ad15787de809e05be779cf559a66de036d",
+    ("ucb1", "sequential"): "fa545ac9b2b0d310eb9035472f6d1298646695308b2180c1c13d332a3a28568d",
+    ("ucb1", "random"): "ed9e051b1a0551da3e1c42c1146b5d4766583278011f132850aa600439067db8",
+    ("egreedy", "sequential"): "e9a04be0a81de5c860c419179c44275af194c95cd96e8d850c36b94996fc7f25",
+    ("egreedy", "random"): "65eaed75705b214c2074a690f0d45f2c744033c5cdd5d5d3fe4ec608e911b6c2",
+    ("thompson", "sequential"): "8709f6ba6a3a33757ddc17469c9bfa3762940949bfdd0aca10bc873122d48cbf",
+    ("thompson", "random"): "68bf4da56748d104a184dfb7cfad4c174bc89c496c188da1fa120bf7dff79bd6",
+    ("asympopt", "sequential"): "e254931657a9a97a55fb43c97ec2e99aa91c2a8bb6d89e6dda83019cd5c3620f",
+    ("asympopt", "random"): "e254931657a9a97a55fb43c97ec2e99aa91c2a8bb6d89e6dda83019cd5c3620f",
+    ("random", "sequential"): "41b57579e203a1e8dc3e096be2660f8dc4834a1df1c10c7c22b0620b35072c21",
+    ("random", "random"): "41b57579e203a1e8dc3e096be2660f8dc4834a1df1c10c7c22b0620b35072c21",
 }
-GOLDEN_DENSE = "66fc858b547ce7adede0b1ba16408cba14c75e42aed9ffe083384d1e679ff483"
+GOLDEN_DENSE = "1b93f7cc7af8ca551f74980d1a9f07d9e4bfff4f6b3ef6979e19769d950866b0"
 # N=9 players: row-wise selection and tie-breaks over more than five rows
 GOLDEN_N9 = {
-    "ucb1": "036e3f23b4cf517818bd2a5ef2f653b40e7133ef0bd1b0a64bcf732c3e4741a7",
-    "egreedy": "d3f28e048a6d2b52123846fec806d890320375abbd6503214c8a45604f6f0751",
-    "thompson": "872f7abbdb7f5ceaa240652b6bfd9e3201d4452ed4fdcfa38109823a994c9867",
-    "asympopt": "08c64a95086990a1cd9b3e46bf5372806f9a54173ab8da49f5654658890b975e",
+    "ucb1": "4f2299bd06f6eca104cb2e51a230c5fb27047dc8c92fbacffb99a4f5f3f16e06",
+    "egreedy": "3a88dc31788ca4dc1ff6a917f2defcf03df52dce4463dbcfd4e56abb7b226113",
+    "thompson": "a635fbc5b5388b625d130ee06aa184df8ef314625e253a486b609032b74717cb",
+    "asympopt": "6132d07b9ac5b0f6064e4e1ae3b7fc7bab470ee3c71e591a422252132b8a8eb5",
 }
 # JSON output with the echoed config: number formatting and key order
-GOLDEN_JSON = "9dbb9b45c762ea837a06ab5949534cbbe40b54a79c155ac96de0e220ca538d04"
+GOLDEN_JSON = "a3a2befa20e57d711f6a349ded5522c7bcdbd9ac8600f10209b0205e5a294e56"
 
 
 def csv_digest(config, path) -> str:
