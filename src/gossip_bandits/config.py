@@ -51,6 +51,8 @@ class ExperimentConfig:
         for names, test, kind, convert in _FIELD_TYPES:
             for name in names:
                 value = getattr(self, name)
+                if hasattr(value, "__iter__") and not isinstance(value, (str, bytes, dict)):
+                    value = tuple(value)  # read once: checking an iterator would use it up
                 if not test(value):
                     raise ConfigError(f"{name} must be {kind}, got {value!r}")
                 if convert is not None:
@@ -119,11 +121,8 @@ def _is_finite(value) -> bool:
 
 
 def _list_of(test):
-    def check(value) -> bool:
-        iterable = hasattr(value, "__iter__") and not isinstance(value, (str, bytes, dict))
-        return iterable and all(map(test, value))
-
-    return check
+    # __post_init__ has already read every list, array or iterator into a tuple
+    return lambda value: isinstance(value, tuple) and all(map(test, value))
 
 
 def _tuple_of(kind):

@@ -70,6 +70,17 @@ class TestValidation:
         with pytest.raises(ConfigError, match=match):
             ExperimentConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, field, expected",
+        [
+            ({"means": (m for m in (0.9, 0.5, 0.2)), "n_players": 1}, "means", (0.9, 0.5, 0.2)),
+            ({"alphas": iter([0.0, 1.0])}, "alphas", (0.0, 1.0)),
+            ({"checkpoints": iter([1, 2])}, "checkpoints", (1, 2)),
+        ],
+    )
+    def test_iterators_are_read_once(self, kwargs, field, expected):
+        assert getattr(ExperimentConfig(**kwargs), field) == expected
+
     def test_json_fields_of_the_wrong_type_are_config_errors(self):
         for raw in ({"turns": "5000"}, {"alphas": 0.5}, {"means": "0.5"}):
             with pytest.raises(ConfigError):
