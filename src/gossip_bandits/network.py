@@ -16,7 +16,6 @@ on one arm) are kept, and a collision loser reports its 0.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -55,8 +54,13 @@ def _report_rows(n_arms: int) -> np.ndarray:
 def disseminate(
     tallies: np.ndarray,
     reach: np.ndarray,
-    choices: Sequence[int],
-    realized: Sequence[int],
+    choices: np.ndarray,
+    realized: np.ndarray,
 ) -> None:
-    """Add every player's (arm, reward) report to the tallies of all it reaches."""
-    tallies += reach @ _report_rows(tallies.shape[1] // 2)[choices, realized]
+    """Add every player's (arm, reward) report to the tallies of all it reaches.
+
+    ``realized`` may be 0/1 integers or ``env_step``'s booleans.
+    """
+    rows = _report_rows(tallies.shape[1] // 2)
+    # an index, never a mask: booleans become 0/1, and int64 rows pass through uncopied
+    tallies += reach @ rows[choices, realized.astype(np.intp, copy=False)]

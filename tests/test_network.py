@@ -96,7 +96,7 @@ class TestDisseminate:
             n = int(rng.integers(2, 7))
             n_arms = int(rng.integers(2, 5))
             choices = rng.integers(n_arms, size=n)
-            realized = env_step(choices, rng.integers(2, size=n_arms).astype(bool), rng).astype(np.int64)
+            realized = env_step(choices, rng.integers(2, size=n_arms).astype(bool), rng)
             reach = sample_reach(n, float(rng.random()), 1, rng)[0]
             tallies = deliver(reach, choices, realized, n_arms)
             assert np.array_equal(tallies, reference_tallies(reach, choices, realized, n_arms))
@@ -108,6 +108,10 @@ class TestDisseminate:
     def test_collision_losers_report_zero(self):
         # the arm paid 1 but only the winner's report carries it
         realized = env_step(np.zeros(3, dtype=np.int64), np.ones(2, dtype=bool), np.random.default_rng(23))
-        realized = realized.astype(np.int64)
         tallies = deliver(np.ones((3, 3), dtype=np.int64), [0, 0, 0], realized, n_arms=2)
         assert tallies.tolist() == [[3, 0, 1, 0]] * 3
+
+    def test_boolean_rewards_count_as_rewards(self):
+        # env_step's booleans; with two players a mask would fit the reward axis
+        tallies = deliver(np.ones((2, 2), dtype=bool), [0, 1], [True, False], n_arms=3)
+        assert tallies.tolist() == [[1, 1, 0, 1, 0, 0]] * 2
