@@ -133,7 +133,9 @@ def _tuple_of(kind):
 _FIELD_TYPES = (
     # int(): NumPy integers would make echo() unserializable
     (("n_players", "turns", "repetitions", "base_seed"), _is_int, "an integer", int),
-    (("epsilon0", "decay", "mean_floor"), _is_finite, "a finite number", None),
+    # integers stay int, so epsilon0=1 still echoes as 1; NumPy scalars become Python numbers
+    (("epsilon0", "decay", "mean_floor"), _is_finite, "a finite number",
+     lambda v: int(v) if _is_int(v) else float(v)),
     (("means", "alphas"), _list_of(_is_finite), "a list of finite numbers", _tuple_of(float)),
     (("checkpoints",), _list_of(_is_int), "a list of integers", _tuple_of(int)),
     (("algorithm", "init_order", "out_format"), lambda v: isinstance(v, str), "a string", None),

@@ -95,6 +95,15 @@ class TestValidation:
         assert json.loads(json.dumps(cfg.echo()))["n_players"] == 2
         assert type(cfg.turns) is int and type(cfg.base_seed) is int
 
+    @pytest.mark.parametrize("kwargs, field, expected", [
+        (dict(decay=np.float32(0.99)), "decay", float(np.float32(0.99))),
+        (dict(epsilon0=np.int64(1)), "epsilon0", 1),
+        (dict(epsilon0=1), "epsilon0", 1),
+    ])
+    def test_numpy_scalar_hyperparameters_echo_as_json(self, kwargs, field, expected):
+        echoed = json.loads(json.dumps(ExperimentConfig(**kwargs).echo()))[field]
+        assert echoed == expected and type(echoed) is type(expected)
+
     def test_single_player_fine_for_nonmixing_policies(self):
         cfg = ExperimentConfig(algorithm="ucb1", n_players=1)
         assert cfg.n_players == 1
