@@ -5,6 +5,8 @@ The metrics read two of an episode's turn-major arrays: ``choices``
 realization of every arm, pulled or not.  ``build_run_record`` marks the
 occupied arms of every turn in one boolean mask and takes all four series
 as cumulative sums over turns of per-turn reductions of that mask.
+``RunRecord`` holds them in ``runner.AggregateRecord``'s column order, so
+``np.asarray(record, dtype=float)`` is the episode's (4, turns) matrix.
 
 Two regret flavors are computed for every run.  The literal one charges
 each player its chosen arm's true mean even when several players chose
@@ -17,20 +19,18 @@ and is the headline series for plots.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class RunRecord:
+class RunRecord(NamedTuple):
     """Per-turn cumulative metric series for one seeded episode."""
 
+    regret_occupancy: np.ndarray
+    regret_literal: np.ndarray
     reward: np.ndarray
     loss: np.ndarray
-    regret_literal: np.ndarray
-    regret_occupancy: np.ndarray
 
 
 def optimal_per_turn_reward(means: Sequence[float], n_players: int) -> float:
@@ -57,8 +57,9 @@ def build_run_record(
     mu = np.asarray(means, dtype=float)
     best = optimal_per_turn_reward(means, n_players)
     return RunRecord(
+        # einsum reads the mask as it is; ``occupied @ mu`` would copy it to float64
+        regret_occupancy=np.cumsum(best - np.einsum("ts,s->t", occupied, mu)),
+        regret_literal=np.cumsum(best - mu[choices].sum(axis=1)),
         reward=np.cumsum((occupied * rewards).sum(axis=1)),
         loss=np.cumsum((~occupied * rewards).sum(axis=1)),
-        regret_literal=np.cumsum(best - mu[choices].sum(axis=1)),
-        regret_occupancy=np.cumsum(best - occupied @ mu),
     )

@@ -7,10 +7,12 @@ matrix.  There are no per-player objects: one policy, built once per
 episode, reads the whole matrix and returns every player's choice each
 turn.  ``env_step`` pays the turn's realizations and ``disseminate`` adds
 every report to the tallies it reaches.  ``simulate_episode`` returns
-the episode as plain arrays: choices (turns, N), realizations (turns, S),
-received rewards (turns, N) and the final tallies (N, 2S).
-``run_episode`` hands the choices and realizations, with the config's
-means, to ``metrics.build_run_record``.
+the episode as three plain arrays: choices (turns, N), realizations
+(turns, S) and the final tallies (N, 2S).  The rewards the players
+received go from ``env_step`` straight to ``disseminate`` and are not
+kept; replaying ``env_step`` on the ``env-winners`` substream rebuilds
+them.  ``run_episode`` hands the choices and realizations, with the
+config's means, to ``metrics.build_run_record``.
 
 Determinism contract: an episode is a pure function of (config, alpha,
 seed).  It draws from four named substreams of its seed: ``env-arms``
@@ -40,7 +42,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, _is_int
 from .env import draw_arm_rewards, env_step
 from .metrics import RunRecord, build_run_record
 from .network import disseminate, sample_reach
@@ -79,14 +81,14 @@ def episode_seed(base_seed: int, alpha_index: int, repetition: int) -> int:
 
 def run_episode(config: ExperimentConfig, alpha: float, seed: int) -> RunRecord:
     """Play one full episode and return its metric series."""
-    choices, rewards, _, _ = simulate_episode(config, alpha, seed)
+    choices, rewards, _ = simulate_episode(config, alpha, seed)
     return build_run_record(choices, rewards, config.means, config.n_players)
 
 
 def simulate_episode(
     config: ExperimentConfig, alpha: float, seed: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Play the turns; return choices, realizations, received rewards and the final tallies."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Play the turns; return choices, realizations and the final tallies."""
     n_players, n_arms, n_turns = config.n_players, config.n_arms, config.turns
     rewards = draw_arm_rewards(config.means, n_turns, substream(seed, "env-arms"))
     reach = sample_reach(n_players, alpha, n_turns, substream(seed, "graph"))
@@ -95,48 +97,34 @@ def simulate_episode(
     policy = make_policy(config, tallies, substream(seed, "players"))
 
     choices = np.empty((n_turns, n_players), dtype=np.int64)
-    realized = np.empty((n_turns, n_players), dtype=np.int64)
     for t in range(n_turns):
         chosen = policy.select()
         choices[t] = chosen
-        realized[t] = env_step(chosen, rewards[t], winner_rng)
-        disseminate(tallies, reach[t], chosen, realized[t])
+        disseminate(tallies, reach[t], chosen, env_step(chosen, rewards[t], winner_rng))
 
-    return choices, rewards, realized, tallies
+    return choices, rewards, tallies
 
 
 def _episode_checkpoints(args: tuple) -> np.ndarray:
-    """Worker: run one episode, return its metric values at the checkpoints.
+    """Worker: run one episode, return its (4, n_checkpoints) ``RunRecord`` values.
 
-    Module-level so process pools can pickle it; returns a
-    (4, n_checkpoints) array of occupancy and literal regret, reward, loss.
+    Module-level so process pools can pickle it.
     """
     config, alpha_index, alpha, repetition, checkpoints = args
     record = run_episode(config, alpha, episode_seed(config.base_seed, alpha_index, repetition))
-    idx = np.asarray(checkpoints, dtype=np.int64) - 1
-    return np.stack(
-        [
-            record.regret_occupancy[idx],
-            record.regret_literal[idx],
-            record.reward[idx].astype(float),
-            record.loss[idx].astype(float),
-        ]
-    )
+    return np.asarray(record, dtype=float)[:, np.asarray(checkpoints, dtype=np.int64) - 1]
 
 
-def _aggregate(
-    config: ExperimentConfig,
-    checkpoints: Sequence[int],
-    n_jobs: int,
-) -> list[AggregateRecord]:
-    if isinstance(n_jobs, bool) or not isinstance(n_jobs, int) or n_jobs < 1:
+def _episode_rows(config: ExperimentConfig, checkpoints: Sequence[int], n_jobs: int) -> np.ndarray:
+    """Every episode's checkpoint values, (alphas, repetitions, 4, checkpoints)."""
+    if not _is_int(n_jobs) or n_jobs < 1:
         raise ConfigError(f"jobs must be a positive integer, got {n_jobs!r}")
     tasks = [
         (config, alpha_index, alpha, repetition, tuple(checkpoints))
         for alpha_index, alpha in enumerate(config.alphas)
         for repetition in range(config.repetitions)
     ]
-    workers = min(n_jobs, os.cpu_count() or 1, len(tasks))
+    workers = min(int(n_jobs), os.cpu_count() or 1, len(tasks))
     if workers > 1:
         # imported here: the pool machinery costs ~20 ms, an eighth of the package import
         from concurrent.futures import ProcessPoolExecutor
@@ -145,11 +133,14 @@ def _aggregate(
             results = list(pool.map(_episode_checkpoints, tasks, chunksize=1))
     else:
         results = [_episode_checkpoints(task) for task in tasks]
+    # map keeps task order
+    return np.reshape(results, (len(config.alphas), config.repetitions, 4, len(checkpoints)))
 
-    # map keeps task order: (alphas, repetitions, metrics, checkpoints)
-    stacked = np.reshape(results, (len(config.alphas), config.repetitions, 4, len(checkpoints)))
-    means = stacked.mean(axis=1)
-    stds = stacked.std(axis=1)
+
+def _aggregate(config: ExperimentConfig, checkpoints: Sequence[int], n_jobs: int) -> list[AggregateRecord]:
+    """Reduce ``_episode_rows`` over repetitions into one record per (alpha, checkpoint)."""
+    rows = _episode_rows(config, checkpoints, n_jobs)
+    means, stds = rows.mean(axis=1), rows.std(axis=1)
     # per (alpha, checkpoint), in field order: occ mean/std, lit mean/std, reward, loss
     stats = np.stack([means[:, 0], stds[:, 0], means[:, 1], stds[:, 1], means[:, 2], means[:, 3]], -1)
     return [

@@ -3,26 +3,33 @@
 from __future__ import annotations
 
 import csv
-import dataclasses
 
 import numpy as np
 
 from gossip_bandits.env import draw_arm_rewards, env_step
-from gossip_bandits.runner import CSV_COLUMNS, AggregateRecord
+from gossip_bandits.metrics import RunRecord
+from gossip_bandits.rng import substream
+from gossip_bandits.runner import _FIELD_TYPES, CSV_COLUMNS, AggregateRecord
 from oracles import best_subset_reward
 
-SERIES = ("reward", "loss", "regret_literal", "regret_occupancy")
+SERIES = RunRecord._fields
+
+
+def pay(choices, rewards, winner_rng) -> np.ndarray:
+    """(turns, N) 0/1 rewards that ``env_step`` pays, turn by turn, breaking collisions on ``winner_rng``."""
+    return np.array([env_step(c, r, winner_rng) for c, r in zip(choices, rewards)], dtype=np.int64)
+
+
+def received_rewards(choices, rewards, seed: int) -> np.ndarray:
+    """The rewards the players of episode ``seed`` received, replayed on its ``env-winners`` substream."""
+    return pay(choices, rewards, substream(seed, "env-winners"))
 
 
 def build_random_history(means, n_players: int, n_turns: int, seed: int):
     """(choices, rewards, realized) of uniformly random play, bypassing the policy layer."""
     choices = np.random.default_rng(seed).integers(len(means), size=(n_turns, n_players))
     rewards = draw_arm_rewards(means, n_turns, np.random.default_rng(seed + 1))
-    winner_rng = np.random.default_rng(seed + 2)
-    realized = np.array(
-        [env_step(c, r, winner_rng) for c, r in zip(choices, rewards)], dtype=np.int64
-    )
-    return choices, rewards, realized
+    return choices, rewards, pay(choices, rewards, np.random.default_rng(seed + 2))
 
 
 def make_history(turn_specs):
@@ -70,18 +77,8 @@ def per_turn_terms(choices, rewards, means) -> dict[str, list]:
 
 def read_results_csv(path) -> list[AggregateRecord]:
     """Parse a CSV written by ``emit_results`` back into records."""
-    types = {f.name: f.type for f in dataclasses.fields(AggregateRecord)}
-    records = []
     with open(path, newline="", encoding="utf-8") as handle:
-        for row in csv.DictReader(handle):
-            kwargs = {}
-            for col in CSV_COLUMNS:
-                kind = types[col]
-                if kind == "int":
-                    kwargs[col] = int(row[col])
-                elif kind == "float":
-                    kwargs[col] = float(row[col])
-                else:
-                    kwargs[col] = row[col]
-            records.append(AggregateRecord(**kwargs))
-    return records
+        return [
+            AggregateRecord(**{col: _FIELD_TYPES[col](row[col]) for col in CSV_COLUMNS})
+            for row in csv.DictReader(handle)
+        ]

@@ -1,20 +1,23 @@
 """Acceptance suite: one test per shipped guarantee, one PASS line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
-Heavy Monte Carlo batches (50 repetitions x 5000 turns) are shared
-between criteria through session-scoped fixtures; everything is seeded,
-so reruns are bit-identical.
+Heavy Monte Carlo batches (50 repetitions x 5000 turns) run through the
+runner's process pool and are shared between criteria through
+session-scoped fixtures; everything is seeded, so reruns are
+bit-identical whatever the pool size.
 """
 
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 import pytest
 import scipy.stats
 
-from gossip_bandits import ExperimentConfig, episode_seed, run_episode, sweep_alpha
+from gossip_bandits import ExperimentConfig, episode_seed, sweep_alpha
+from gossip_bandits import runner
 from gossip_bandits.cli import main as cli_main
 from gossip_bandits.metrics import build_run_record, optimal_per_turn_reward
 from gossip_bandits.network import sample_reach
@@ -38,20 +41,21 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 
 
 def run_batch(algorithm: str, alpha: float, base_seed: int, means=MU_SPREAD) -> dict:
-    """50 seeded episodes; per-episode metric values at the turns we use."""
+    """50 seeded episodes; per-episode metric values at the turns we use.
+
+    Repetition r is the episode of seed ``episode_seed(base_seed, 0, r)``.
+    """
     cfg = ExperimentConfig(
         algorithm=algorithm, means=means, alphas=(alpha,),
         turns=TURNS, repetitions=REPS, base_seed=base_seed,
     )
-    rows = {"occ_2500": [], "occ_4000": [], "occ_5000": [], "g_4000": [], "g_5000": []}
-    for r in range(REPS):
-        record = run_episode(cfg, alpha, episode_seed(base_seed, 0, r))
-        rows["occ_2500"].append(record.regret_occupancy[2499])
-        rows["occ_4000"].append(record.regret_occupancy[3999])
-        rows["occ_5000"].append(record.regret_occupancy[4999])
-        rows["g_4000"].append(record.reward[3999])
-        rows["g_5000"].append(record.reward[4999])
-    return {key: np.asarray(vals, dtype=float) for key, vals in rows.items()}
+    # (repetitions, series, checkpoints), series in RunRecord order
+    rows = runner._episode_rows(cfg, (2500, 4000, 5000), n_jobs=os.cpu_count() or 1)[0]
+    occ, reward = rows[:, 0], rows[:, 2]
+    return {
+        "occ_2500": occ[:, 0], "occ_4000": occ[:, 1], "occ_5000": occ[:, 2],
+        "g_4000": reward[:, 1], "g_5000": reward[:, 2],
+    }
 
 
 @pytest.fixture(scope="session")
@@ -77,7 +81,7 @@ def test_criterion_1_loss_reward_identity():
             algorithm=algorithm, means=MU_SPREAD, alphas=(alpha,),
             turns=60, repetitions=1, base_seed=9000 + i,
         )
-        choices, rewards, _, _ = simulate_episode(cfg, alpha, episode_seed(9000 + i, 0, 0))
+        choices, rewards, _ = simulate_episode(cfg, alpha, episode_seed(9000 + i, 0, 0))
         record = build_run_record(choices, rewards, cfg.means, cfg.n_players)
         draws = np.cumsum(rewards.sum(axis=1))
         assert np.array_equal(record.loss + record.reward, draws)

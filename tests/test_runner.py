@@ -16,11 +16,12 @@ from gossip_bandits import (
     sweep_alpha,
 )
 from gossip_bandits import runner
+from gossip_bandits.metrics import RunRecord
 from gossip_bandits.network import sample_reach
 from gossip_bandits.policies import POLICY_NAMES
 from gossip_bandits.rng import substream
-from gossip_bandits.runner import simulate_episode
-from support import read_results_csv
+from gossip_bandits.runner import CSV_COLUMNS, simulate_episode
+from support import read_results_csv, received_rewards
 
 SMALL = dict(means=(0.9, 0.5, 0.3, 0.1), n_players=2, turns=40, repetitions=3)
 
@@ -35,19 +36,20 @@ class TestRunEpisode:
     @pytest.mark.parametrize("algorithm", ["ucb1", "egreedy", "thompson"])
     def test_init_phase_covers_every_arm_once(self, algorithm):
         cfg = small_config(algorithm=algorithm, turns=4)
-        choices, _, _, _ = simulate_episode(cfg, 0.5, 123)
+        choices, _, _ = simulate_episode(cfg, 0.5, 123)
         for column in choices.T:
             assert sorted(column) == [0, 1, 2, 3]
 
     def test_random_init_order_still_covers_every_arm(self):
         cfg = small_config(algorithm="thompson", turns=4, init_order="random")
-        choices, _, _, _ = simulate_episode(cfg, 0.0, 5)
+        choices, _, _ = simulate_episode(cfg, 0.0, 5)
         for column in choices.T:
             assert sorted(column) == [0, 1, 2, 3]
 
     def test_no_communication_counts_only_own_pulls(self):
         cfg = small_config(algorithm="thompson")
-        choices, _, realized, tallies = simulate_episode(cfg, 0.0, 11)
+        choices, rewards, tallies = simulate_episode(cfg, 0.0, 11)
+        realized = received_rewards(choices, rewards, 11)
         for p in range(cfg.n_players):
             own = np.bincount(choices[:, p], minlength=4)
             assert np.array_equal(tallies[p, :4], own)
@@ -56,7 +58,8 @@ class TestRunEpisode:
 
     def test_full_communication_counts_everyones_pulls(self):
         cfg = ExperimentConfig(algorithm="thompson", turns=100, repetitions=1, alphas=(1.0,))
-        choices, _, realized, tallies = simulate_episode(cfg, 1.0, 13)
+        choices, rewards, tallies = simulate_episode(cfg, 1.0, 13)
+        realized = received_rewards(choices, rewards, 13)
         everyone = np.bincount(choices.ravel(), minlength=10)
         for row in tallies:
             assert np.array_equal(row[:10], everyone)
@@ -91,14 +94,15 @@ class TestStreamContract:
     @pytest.mark.parametrize("seed", [3, 8])
     def test_realizations_and_graphs_do_not_depend_on_the_algorithm(self, seed):
         # every algorithm's tallies are exactly what the graphs drawn on their
-        # own substream deliver of its reports, so no policy moves them
+        # own substream deliver of its reports, so no policy moves them; the
+        # reports' rewards replay env_step from the choices and its own substream
         cfg = small_config()
         n_players, n_arms, turns = cfg.n_players, cfg.n_arms, cfg.turns
         reach = sample_reach(n_players, 0.5, turns, substream(seed, "graph")).astype(np.int64)
         first = None
         for algorithm in POLICY_NAMES:
-            choices, rewards, realized, tallies = simulate_episode(
-                small_config(algorithm=algorithm), 0.5, seed)
+            choices, rewards, tallies = simulate_episode(small_config(algorithm=algorithm), 0.5, seed)
+            realized = received_rewards(choices, rewards, seed)
             first = rewards if first is None else first
             assert np.array_equal(rewards, first), algorithm
             reports = np.zeros((turns, n_players, 2 * n_arms), dtype=np.int64)
@@ -108,8 +112,9 @@ class TestStreamContract:
             assert np.array_equal(tallies, np.einsum("tij,tjk->ik", reach, reports)), algorithm
 
     def test_a_repetition_does_not_depend_on_how_many_run(self):
+        # alpha index 1, repetition 1
         rows = [
-            runner._episode_checkpoints((small_config(repetitions=reps), 1, 1.0, 1, (10, 40)))
+            runner._episode_rows(small_config(repetitions=reps), (10, 40), n_jobs=1)[1, 1]
             for reps in (2, 5)
         ]
         assert np.array_equal(*rows)
@@ -158,7 +163,9 @@ class TestAggregation:
         with pytest.raises(ConfigError, match="jobs"):
             sweep_alpha(small_config(), n_jobs=n_jobs)
 
-    @pytest.mark.parametrize("n_jobs, cpus, expected", [(8, 2, 2), (8, 64, 6), (3, 64, 3)])
+    @pytest.mark.parametrize(
+        "n_jobs, cpus, expected", [(8, 2, 2), (8, 64, 6), (3, 64, 3), (np.int64(2), 64, 2)]
+    )
     def test_pool_is_capped_by_cpus_and_tasks(self, monkeypatch, n_jobs, cpus, expected):
         # 2 alphas x 3 repetitions = 6 episodes; the fake pool starts no process
         started = []
@@ -181,6 +188,11 @@ class TestAggregation:
         cfg = small_config()
         assert sweep_alpha(cfg, n_jobs=n_jobs) == sweep_alpha(cfg)
         assert started == [expected]
+
+    def test_series_follow_the_csv_column_order(self):
+        assert [f"{name}_mean" for name in RunRecord._fields] == [
+            col for col in CSV_COLUMNS if col.endswith("_mean")
+        ]
 
     def test_regret_curve_serial_and_concurrent_agree(self):
         cfg = small_config(algorithm="thompson", alphas=(1.0,), checkpoints=(10, 40))
