@@ -137,7 +137,9 @@ def _episode_rows(config: ExperimentConfig, checkpoints: Sequence[int], n_jobs: 
     return np.reshape(results, (len(config.alphas), config.repetitions, 4, len(checkpoints)))
 
 
-def _aggregate(config: ExperimentConfig, checkpoints: Sequence[int], n_jobs: int) -> list[AggregateRecord]:
+def _aggregate(
+    config: ExperimentConfig, checkpoints: Sequence[int], n_jobs: int
+) -> list[AggregateRecord]:
     """Reduce ``_episode_rows`` over repetitions into one record per (alpha, checkpoint)."""
     rows = _episode_rows(config, checkpoints, n_jobs)
     means, stds = rows.mean(axis=1), rows.std(axis=1)

@@ -16,12 +16,12 @@ SERIES = RunRecord._fields
 
 
 def pay(choices, rewards, winner_rng) -> np.ndarray:
-    """(turns, N) 0/1 rewards that ``env_step`` pays, turn by turn, breaking collisions on ``winner_rng``."""
+    """(turns, N) 0/1 rewards ``env_step`` pays turn by turn, collisions drawn on ``winner_rng``."""
     return np.array([env_step(c, r, winner_rng) for c, r in zip(choices, rewards)], dtype=np.int64)
 
 
 def received_rewards(choices, rewards, seed: int) -> np.ndarray:
-    """The rewards the players of episode ``seed`` received, replayed on its ``env-winners`` substream."""
+    """What episode ``seed``'s players received: ``env_step`` replayed on its own substream."""
     return pay(choices, rewards, substream(seed, "env-winners"))
 
 

@@ -101,7 +101,8 @@ class TestStreamContract:
         reach = sample_reach(n_players, 0.5, turns, substream(seed, "graph")).astype(np.int64)
         first = None
         for algorithm in POLICY_NAMES:
-            choices, rewards, tallies = simulate_episode(small_config(algorithm=algorithm), 0.5, seed)
+            choices, rewards, tallies = simulate_episode(
+                small_config(algorithm=algorithm), 0.5, seed)
             realized = received_rewards(choices, rewards, seed)
             first = rewards if first is None else first
             assert np.array_equal(rewards, first), algorithm
