@@ -9,7 +9,6 @@ seed-reproducible experiment runner with a CLI.
 """
 
 from .config import (
-    CLUSTERED_MEANS,
     SPREAD_MEANS,
     ConfigError,
     ExperimentConfig,
@@ -30,7 +29,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AggregateRecord",
-    "CLUSTERED_MEANS",
     "ConfigError",
     "ExperimentConfig",
     "SPREAD_MEANS",

@@ -6,6 +6,7 @@ Each knob's flag stores its value under the ``ExperimentConfig`` field name.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Sequence
 
@@ -72,11 +73,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep-alpha", help="final-turn metrics across connectivity values")
     _add_common_arguments(sweep)
+    sweep.set_defaults(entry=sweep_alpha)
 
     curve = sub.add_parser("regret-curve", help="metrics at turn checkpoints for fixed connectivity")
     _add_common_arguments(curve)
     curve.add_argument("--checkpoints", type=_comma_list(int), metavar="LIST",
                        help="comma-separated measurement turns (default: 10 even points)")
+    curve.set_defaults(entry=regret_vs_turns)
     return parser
 
 
@@ -86,14 +89,21 @@ def _assemble_config(args: argparse.Namespace) -> ExperimentConfig:
     return apply_overrides(config, **{name: getattr(args, name, None) for name in FIELD_NAMES})
 
 
+def _check_writable(path: str | None) -> None:
+    """Fail before any episode runs if results cannot be written to ``path``; create nothing."""
+    if path is None:
+        return
+    target = path if os.path.exists(path) else os.path.dirname(path) or "."
+    if os.path.isdir(path) or not os.access(target, os.W_OK):
+        raise OSError(f"cannot write results to {path}: not a writable file in an existing directory")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _assemble_config(args)
-        if args.command == "sweep-alpha":
-            records = sweep_alpha(config, n_jobs=args.jobs)
-        else:
-            records = regret_vs_turns(config, n_jobs=args.jobs)
+        _check_writable(config.out_path)
+        records = args.entry(config, n_jobs=args.jobs)
         emit_results(records, config.out_format, config.out_path, config=config)
     except ConfigError as exc:
         print(f"gossip-bandits: config error: {exc}", file=sys.stderr)

@@ -17,10 +17,8 @@ from .policies import INIT_ORDERS, POLICY_NAMES
 
 OUTPUT_FORMATS = ("csv", "json")
 
-# Desk-scale mean vectors: one with widely spread arms, one with two
-# tight clusters of nearly interchangeable arms.
+# The default arm means: desk-scale and widely spread.
 SPREAD_MEANS = (0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.01)
-CLUSTERED_MEANS = (0.7, 0.68, 0.66, 0.64, 0.62, 0.4, 0.38, 0.36, 0.34, 0.32)
 
 
 class ConfigError(ValueError):

@@ -14,8 +14,6 @@ import hashlib
 
 import numpy as np
 
-_MASK_64 = (1 << 64) - 1
-
 
 def derive_seed(*parts: int | str) -> int:
     """Mix labels into a stable 64-bit seed.
@@ -24,9 +22,8 @@ def derive_seed(*parts: int | str) -> int:
     is identical across processes, platforms and Python versions (unlike
     the built-in ``hash``).
     """
-    text = "\x1f".join(str(part) for part in parts)
-    digest = hashlib.sha256(text.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") & _MASK_64
+    digest = hashlib.sha256("\x1f".join(map(str, parts)).encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big")
 
 
 def substream(seed: int, *tags: int | str) -> np.random.Generator:

@@ -12,7 +12,8 @@ the episode as three plain arrays: choices (turns, N), realizations
 received go from ``env_step`` straight to ``disseminate`` and are not
 kept; replaying ``env_step`` on the ``env-winners`` substream rebuilds
 them.  ``run_episode`` hands the choices and realizations, with the
-config's means, to ``metrics.build_run_record``.
+config's means, to ``metrics.build_run_record``.  Results leave the
+runner as ``AggregateRecord`` rows, a ``NamedTuple`` in column order.
 
 Determinism contract: an episode is a pure function of (config, alpha,
 seed).  It draws from four named substreams of its seed: ``env-arms``
@@ -36,9 +37,8 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence, get_type_hints
 
 import numpy as np
 
@@ -49,8 +49,8 @@ from .network import disseminate, sample_reach
 from .policies import make_policy
 from .rng import derive_seed, substream
 
-@dataclass(frozen=True)
-class AggregateRecord:
+
+class AggregateRecord(NamedTuple):
     """Metric means/stds over repetitions at one (algorithm, alpha, turn).
 
     The ``*_std`` fields are population standard deviations (ddof=0); the
@@ -70,8 +70,8 @@ class AggregateRecord:
     seed_base: int
 
 
-CSV_COLUMNS = tuple(f.name for f in fields(AggregateRecord))
-_FIELD_TYPES = {f.name: {"str": str, "int": int, "float": float}[f.type] for f in fields(AggregateRecord)}
+CSV_COLUMNS = AggregateRecord._fields
+_FIELD_TYPES = get_type_hints(AggregateRecord)
 
 
 def episode_seed(base_seed: int, alpha_index: int, repetition: int) -> int:
@@ -110,18 +110,19 @@ def _episode_checkpoints(args: tuple) -> np.ndarray:
 
     Module-level so process pools can pickle it.
     """
-    config, alpha_index, alpha, repetition, checkpoints = args
-    record = run_episode(config, alpha, episode_seed(config.base_seed, alpha_index, repetition))
+    config, alpha_index, repetition, checkpoints = args
+    seed = episode_seed(config.base_seed, alpha_index, repetition)
+    record = run_episode(config, config.alphas[alpha_index], seed)
     return np.asarray(record, dtype=float)[:, np.asarray(checkpoints, dtype=np.int64) - 1]
 
 
 def _episode_rows(config: ExperimentConfig, checkpoints: Sequence[int], n_jobs: int) -> np.ndarray:
-    """Every episode's checkpoint values, (alphas, repetitions, 4, checkpoints)."""
+    """Every episode's checkpoint values, (alphas, repetitions, series, checkpoints)."""
     if not _is_int(n_jobs) or n_jobs < 1:
         raise ConfigError(f"jobs must be a positive integer, got {n_jobs!r}")
     tasks = [
-        (config, alpha_index, alpha, repetition, tuple(checkpoints))
-        for alpha_index, alpha in enumerate(config.alphas)
+        (config, alpha_index, repetition, tuple(checkpoints))
+        for alpha_index in range(len(config.alphas))
         for repetition in range(config.repetitions)
     ]
     workers = min(int(n_jobs), os.cpu_count() or 1, len(tasks))
@@ -134,7 +135,7 @@ def _episode_rows(config: ExperimentConfig, checkpoints: Sequence[int], n_jobs: 
     else:
         results = [_episode_checkpoints(task) for task in tasks]
     # map keeps task order
-    return np.reshape(results, (len(config.alphas), config.repetitions, 4, len(checkpoints)))
+    return np.reshape(results, (len(config.alphas), config.repetitions, len(RunRecord._fields), -1))
 
 
 def _aggregate(
@@ -160,10 +161,9 @@ def sweep_alpha(config: ExperimentConfig, n_jobs: int = 1) -> list[AggregateReco
     return _aggregate(config, [config.turns], n_jobs)
 
 
-def default_checkpoints(turns: int, n_points: int = 10) -> tuple[int, ...]:
-    """Evenly spaced measurement turns ending at the horizon."""
-    n_points = min(n_points, turns)
-    return tuple(sorted({round(turns * (i + 1) / n_points) for i in range(n_points)}))
+def default_checkpoints(turns: int) -> tuple[int, ...]:
+    """Ten evenly spaced measurement turns ending at the horizon; every turn if ``turns`` < 10."""
+    return tuple(sorted({max(1, round(turns * i / 10)) for i in range(1, 11)}))
 
 
 def regret_vs_turns(config: ExperimentConfig, n_jobs: int = 1) -> list[AggregateRecord]:
@@ -184,17 +184,14 @@ def _render_csv(records: Iterable[AggregateRecord]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for record in records:
-        writer.writerow([_format_field(getattr(record, col)) for col in CSV_COLUMNS])
+    writer.writerows([_format_field(value) for value in record] for record in records)
     return buffer.getvalue()
 
 
 def _render_json(records: Iterable[AggregateRecord], config: ExperimentConfig | None) -> str:
     # each field's CSV text, read back as its declared type
-    rows = [
-        {col: _FIELD_TYPES[col](_format_field(getattr(record, col))) for col in CSV_COLUMNS}
-        for record in records
-    ]
+    rows = [{col: _FIELD_TYPES[col](_format_field(value)) for col, value in zip(CSV_COLUMNS, record)}
+            for record in records]
     payload: dict = {"records": rows}
     if config is not None:
         payload["config"] = config.echo()
@@ -223,8 +220,7 @@ def emit_results(
     if path is None:
         sys.stdout.write(text)
         return
-    path = Path(path)
     try:
-        path.write_text(text, encoding="utf-8", newline="\n")
+        Path(path).write_text(text, encoding="utf-8", newline="\n")
     except OSError as exc:
         raise OSError(f"cannot write results to {path}: {exc}") from exc

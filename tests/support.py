@@ -33,16 +33,9 @@ def build_random_history(means, n_players: int, n_turns: int, seed: int):
 
 
 def make_history(turn_specs):
-    """(choices, rewards, realized) from (choices, arm_rewards) pairs; the lowest-index puller wins."""
-    choices, rewards, realized = [], [], []
-    for turn_choices, arm_rewards in turn_specs:
-        paid = [0] * len(turn_choices)
-        for arm in set(turn_choices):
-            paid[list(turn_choices).index(arm)] = arm_rewards[arm]
-        choices.append(turn_choices)
-        rewards.append(arm_rewards)
-        realized.append(paid)
-    return np.array(choices), np.array(rewards), np.array(realized)
+    """(choices, rewards) arrays from (choices, arm_rewards) pairs."""
+    choices, rewards = zip(*turn_specs)
+    return np.array(choices), np.array(rewards)
 
 
 def occupancy_indicator(choices, n_arms: int) -> np.ndarray:

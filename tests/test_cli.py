@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from gossip_bandits import ExperimentConfig
+from gossip_bandits import ExperimentConfig, cli
 from gossip_bandits.cli import _assemble_config, build_parser, main
 from support import read_results_csv
 
@@ -122,6 +122,16 @@ class TestConfigHandling:
         )
         assert code == 1
         assert "no/such/dir/x.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out", ["no/such/dir/x.csv", "."])
+    def test_unwritable_output_fails_before_any_episode(self, capsys, monkeypatch, tmp_path, out):
+        calls = []
+        monkeypatch.setattr(cli, "sweep_alpha", lambda *a, **kw: calls.append((a, kw)))
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("sweep-alpha", "--out", out) == 1
+        assert out in capsys.readouterr().err
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_flag_value_is_an_argparse_error(self):
         with pytest.raises(SystemExit) as exc:

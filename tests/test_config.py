@@ -6,7 +6,6 @@ import pytest
 from gossip_bandits import ConfigError, ExperimentConfig, apply_overrides, config_from_file
 from gossip_bandits.config import (
     _FIELD_TYPES,
-    CLUSTERED_MEANS,
     FIELD_NAMES,
     SPREAD_MEANS,
     config_from_dict,
@@ -109,7 +108,7 @@ class TestValidation:
         assert cfg.n_players == 1
 
     def test_clustered_means_are_valid(self):
-        ExperimentConfig(means=CLUSTERED_MEANS)
+        ExperimentConfig(means=(0.7, 0.68, 0.66, 0.64, 0.62, 0.4, 0.38, 0.36, 0.34, 0.32))
 
 
 class TestFileLoading:

@@ -13,7 +13,7 @@ MU_CLUSTERED = (0.7, 0.68, 0.66, 0.64, 0.62, 0.4, 0.38, 0.36, 0.34, 0.32)
 
 def record_of(means, turn_specs):
     """The run record of a hand-built episode."""
-    choices, rewards, _ = make_history(turn_specs)
+    choices, rewards = make_history(turn_specs)
     return build_run_record(choices, rewards, means, choices.shape[1])
 
 

@@ -13,7 +13,6 @@ import gossip_bandits
 
 PUBLIC = {
     "AggregateRecord",
-    "CLUSTERED_MEANS",
     "ConfigError",
     "ExperimentConfig",
     "SPREAD_MEANS",
