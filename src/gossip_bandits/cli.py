@@ -90,10 +90,11 @@ def _assemble_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _check_writable(path: str | None) -> None:
-    """Fail before any episode runs if results cannot be written to ``path``; create nothing."""
+    # runs before any episode, so a bad --out costs no work; it creates no file
     if path is None:
         return
-    target = path if os.path.exists(path) else os.path.dirname(path) or "."
+    # the trailing separator makes access() fail unless the folder is a directory
+    target = path if os.path.exists(path) else os.path.join(os.path.dirname(path) or ".", "")
     if os.path.isdir(path) or not os.access(target, os.W_OK):
         raise OSError(f"cannot write results to {path}: not a writable file in an existing directory")
 

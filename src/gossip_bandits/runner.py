@@ -106,7 +106,7 @@ def simulate_episode(
 
 
 def _episode_checkpoints(args: tuple) -> np.ndarray:
-    """Worker: run one episode, return its (4, n_checkpoints) ``RunRecord`` values.
+    """Worker: run one episode, return its (series, n_checkpoints) ``RunRecord`` values.
 
     Module-level so process pools can pickle it.
     """
@@ -190,8 +190,10 @@ def _render_csv(records: Iterable[AggregateRecord]) -> str:
 
 def _render_json(records: Iterable[AggregateRecord], config: ExperimentConfig | None) -> str:
     # each field's CSV text, read back as its declared type
-    rows = [{col: _FIELD_TYPES[col](_format_field(value)) for col, value in zip(CSV_COLUMNS, record)}
-            for record in records]
+    rows = [
+        {col: _FIELD_TYPES[col](_format_field(value)) for col, value in zip(CSV_COLUMNS, record)}
+        for record in records
+    ]
     payload: dict = {"records": rows}
     if config is not None:
         payload["config"] = config.echo()

@@ -123,15 +123,16 @@ class TestConfigHandling:
         assert code == 1
         assert "no/such/dir/x.csv" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("out", ["no/such/dir/x.csv", "."])
+    @pytest.mark.parametrize("out", ["no/such/dir/x.csv", "a-file/x.csv", "."])
     def test_unwritable_output_fails_before_any_episode(self, capsys, monkeypatch, tmp_path, out):
         calls = []
         monkeypatch.setattr(cli, "sweep_alpha", lambda *a, **kw: calls.append((a, kw)))
         monkeypatch.chdir(tmp_path)
+        (tmp_path / "a-file").write_text("")
         assert run_cli("sweep-alpha", "--out", out) == 1
         assert out in capsys.readouterr().err
         assert calls == []
-        assert list(tmp_path.iterdir()) == []
+        assert [p.name for p in tmp_path.iterdir()] == ["a-file"]
 
     def test_bad_flag_value_is_an_argparse_error(self):
         with pytest.raises(SystemExit) as exc:
