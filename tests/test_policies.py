@@ -62,6 +62,31 @@ class TestSharedTallies:
         policy.select()
         assert np.array_equal(tallies, snapshot)
 
+    @pytest.mark.parametrize("name", POLICIES)
+    @pytest.mark.parametrize("init_order", ["sequential", "random"])
+    def test_choices_do_not_depend_on_the_tally_dtype(self, name, init_order):
+        # whole-number counts read the same as int64 or float64: the sweep,
+        # then 200 turns from one seed, row 0 tied across every arm at first
+        counts = [[3, 3, 3, 3], [5, 1, 2, 4], [0, 2, 7, 1]]
+        successes = [[1, 1, 1, 1], [4, 0, 1, 2], [0, 2, 3, 0]]
+        runs = []
+        for dtype in (np.int64, np.float64):
+            cfg = ExperimentConfig(algorithm=name, means=(0.5,) * 4, n_players=3,
+                                   init_order=init_order, epsilon0=0.5, decay=0.99)
+            tallies = np.zeros((3, 8), dtype=dtype)
+            prime(tallies, counts, successes)
+            policy = make_policy(cfg, tallies, np.random.default_rng(41))
+            rows = np.arange(3)
+            chosen = []
+            for _ in range(200):
+                arms = policy.select()
+                chosen.append(arms)
+                # each player's own report, the same whole numbers in either dtype
+                tallies[rows, arms] += 1
+                tallies[rows, 4 + arms] += arms % 2
+            runs.append(np.array(chosen))
+        assert np.array_equal(*runs)
+
 
 class TestArgmaxRandomTie:
     def test_unique_maximum(self):
