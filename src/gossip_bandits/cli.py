@@ -95,8 +95,8 @@ def _check_writable(path: str | None) -> None:
         return
     # the trailing separator makes access() fail unless the folder is a directory
     target = path if os.path.exists(path) else os.path.join(os.path.dirname(path) or ".", "")
-    if os.path.isdir(path) or not os.access(target, os.W_OK):
-        raise OSError(f"cannot write results to {path}: not a writable file in an existing directory")
+    if not path or os.path.isdir(path) or not os.access(target, os.W_OK):
+        raise OSError(f"cannot write results to {path!r}: not a writable file in an existing directory")
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -6,6 +6,9 @@ checked, and reads them from it.  It reads the shared (N, 2S) tally matrix
 that the network layer writes: row p holds how many reports of each arm
 player p has heard, then how many of them were successes, its own pulls
 and its neighbours' reports counted alike.  It never writes the tallies.
+They are float64 whole-number counts, float so that the network layer
+delivers a turn with a BLAS product over its boolean reach matrix, and
+exact below 2**53, so every rule reads the same numbers as from integers.
 ``select()`` returns the turn's N choices: the sweep's next turn, else the
 algorithm's own step ``choose()``, which works on all rows at once.
 

@@ -3,17 +3,20 @@
 An episode's state is arrays.  Its arm realizations (turns, S) and graph
 reach matrices (turns, N, N) are drawn up front, each from its own
 substream of the episode seed, and the players share one (N, 2S) tally
-matrix.  There are no per-player objects: one policy, built once per
-episode, reads the whole matrix and returns every player's choice each
-turn.  ``env_step`` pays the turn's realizations and ``disseminate`` adds
-every report to the tallies it reaches.  ``simulate_episode`` returns
-the episode as three plain arrays: choices (turns, N), realizations
-(turns, S) and the final tallies (N, 2S).  The rewards the players
-received go from ``env_step`` straight to ``disseminate`` and are not
-kept; replaying ``env_step`` on the ``env-winners`` substream rebuilds
-them.  ``run_episode`` hands the choices and realizations, with the
-config's means, to ``metrics.build_run_record``.  Results leave the
-runner as ``AggregateRecord`` rows, a ``NamedTuple`` in column order.
+matrix.  The tallies are float64 whole-number counts, so that delivering
+a turn is a BLAS product; they are exact below 2**53, far above any
+count an episode reaches, and the reach matrices stay boolean.  There are
+no per-player objects: one policy, built once per episode, reads the
+whole matrix and returns every player's choice each turn.  ``env_step``
+pays the turn's realizations and ``disseminate`` adds every report to
+the tallies it reaches.  ``simulate_episode`` returns the episode as
+three plain arrays: choices (turns, N), realizations (turns, S) and the
+final tallies (N, 2S).  The rewards the players received go from
+``env_step`` straight to ``disseminate`` and are not kept; replaying
+``env_step`` on the ``env-winners`` substream rebuilds them.
+``run_episode`` hands the choices and realizations, with the config's
+means, to ``metrics.build_run_record``.  Results leave the runner as
+``AggregateRecord`` rows, a ``NamedTuple`` in column order.
 
 Determinism contract: an episode is a pure function of (config, alpha,
 seed).  It draws from four named substreams of its seed: ``env-arms``
@@ -93,7 +96,7 @@ def simulate_episode(
     rewards = draw_arm_rewards(config.means, n_turns, substream(seed, "env-arms"))
     reach = sample_reach(n_players, alpha, n_turns, substream(seed, "graph"))
     winner_rng = substream(seed, "env-winners")
-    tallies = np.zeros((n_players, 2 * n_arms), dtype=np.int64)
+    tallies = np.zeros((n_players, 2 * n_arms), dtype=np.float64)
     policy = make_policy(config, tallies, substream(seed, "players"))
 
     choices = np.empty((n_turns, n_players), dtype=np.int64)

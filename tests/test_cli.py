@@ -114,6 +114,13 @@ class TestConfigHandling:
         assert code == 2
         assert "cannot read" in capsys.readouterr().err
 
+    def test_config_file_that_is_not_utf8_is_a_config_error(self, capsys, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + '{"turns": 20}'.encode("utf-16-le"))
+        assert run_cli("sweep-alpha", "--config", str(path)) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "not UTF-8" in err
+
     def test_unwritable_output_exits_nonzero(self, capsys):
         code = run_cli(
             "sweep-alpha", "--algorithm", "random", "--means", "0.9,0.5", "--players", "1",
@@ -123,7 +130,7 @@ class TestConfigHandling:
         assert code == 1
         assert "no/such/dir/x.csv" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("out", ["no/such/dir/x.csv", "a-file/x.csv", "."])
+    @pytest.mark.parametrize("out", ["no/such/dir/x.csv", "a-file/x.csv", ".", ""])
     def test_unwritable_output_fails_before_any_episode(self, capsys, monkeypatch, tmp_path, out):
         calls = []
         monkeypatch.setattr(cli, "sweep_alpha", lambda *a, **kw: calls.append((a, kw)))

@@ -20,7 +20,7 @@ def reference_tallies(reach, choices, realized, n_arms):
 
 
 def deliver(reach, choices, realized, n_arms):
-    tallies = np.zeros((len(choices), 2 * n_arms), dtype=np.int64)
+    tallies = np.zeros((len(choices), 2 * n_arms), dtype=np.float64)
     disseminate(tallies, reach, np.asarray(choices), np.asarray(realized))
     return tallies
 
@@ -84,7 +84,7 @@ class TestDisseminate:
         assert tallies[2].tolist() == [0, 0, 0, 0, 1] + [0, 0, 0, 0, 0]
 
     def test_accumulates_across_turns(self):
-        tallies = np.zeros((2, 4), dtype=np.int64)
+        tallies = np.zeros((2, 4), dtype=np.float64)
         reach = np.ones((2, 2), dtype=np.int64)
         disseminate(tallies, reach, np.array([0, 1]), np.array([1, 0]))
         disseminate(tallies, reach, np.array([0, 0]), np.array([0, 1]))

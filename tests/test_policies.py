@@ -24,7 +24,7 @@ POLICIES = ["ucb1", "egreedy", "thompson", "asympopt", "random"]
 def episode(name, n_arms, n_players=1, seed=0, **fields):
     """An episode policy over a fresh tally matrix; the players draw from one generator."""
     cfg = ExperimentConfig(algorithm=name, means=(0.5,) * n_arms, n_players=n_players, **fields)
-    tallies = np.zeros((n_players, 2 * n_arms), dtype=np.int64)
+    tallies = np.zeros((n_players, 2 * n_arms), dtype=np.float64)
     return make_policy(cfg, tallies, np.random.default_rng(seed)), tallies
 
 

@@ -106,6 +106,7 @@ class TestStreamContract:
             realized = received_rewards(choices, rewards, seed)
             first = rewards if first is None else first
             assert np.array_equal(rewards, first), algorithm
+            assert tallies.dtype == np.float64, algorithm
             reports = np.zeros((turns, n_players, 2 * n_arms), dtype=np.int64)
             turn, player = np.indices(choices.shape)
             reports[turn, player, choices] = 1
