@@ -1,14 +1,15 @@
 """Bernoulli arms and the random-winner collision channel.
 
-The arms are the config's mean vector; nothing here re-checks it.  An
-episode's arm realizations are one (turns, arms) boolean matrix, drawn up
-front by ``draw_arm_rewards``: every arm is realized every turn, pulled or
-not.  ``env_step`` then pays one turn's row to the players.  A player
-alone on an arm receives its realization; when several players chose the
-same arm, one uniformly drawn winner receives it and the losers get 0:
-random priorities decide, one uniform per player on a turn with a collision.
-The environment never tells a player whether it collided; a loser's zero
-is indistinguishable from a true zero draw.
+The arms are the config's mean vector; nothing here re-checks it.
+``draw_arm_rewards`` draws the realizations of a block of turns as one
+(turns, arms) boolean matrix: every arm is realized every turn, pulled or
+not.  Consecutive blocks drawn from one generator hold the same values as
+one draw of the whole episode.  ``env_step`` then pays one turn's row to
+the players.  A player alone on an arm receives its realization; when
+several players chose the same arm, one uniformly drawn winner receives
+it and the losers get 0: random priorities decide, one uniform per player
+on a turn with a collision.  The environment never tells a player whether
+it collided; a loser's zero is indistinguishable from a true zero draw.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ def draw_arm_rewards(means: Sequence[float], n_turns: int, rng: np.random.Genera
 
     ``means`` are the validated ``ExperimentConfig.means``.  One draw of
     ``n_turns * n_arms`` uniforms in row-major order, the same values as one
-    draw of ``n_arms`` per turn.  Bool, not int64: one byte per entry.
+    draw of ``n_arms`` per turn, so the episode may be drawn in blocks of
+    any length.  Bool, not int64: one byte per entry.
     """
     return rng.random((n_turns, len(means))) < np.asarray(means)
 

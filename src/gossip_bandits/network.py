@@ -15,8 +15,9 @@ on one arm) are kept, and a collision loser reports its 0.
 The tallies and the report rows are float64 whole-number counts, because
 NumPy computes a float64 product through BLAS but an integer one in its
 generic loop, several times slower at N=20.  Every count is exact, since
-no tally of an episode comes near 2**53.  The reach matrices stay boolean:
-a float64 copy of an episode's would take T*N*N*8 bytes.
+no tally of an episode comes near 2**53.  The reach matrices stay boolean,
+one byte per entry, drawn a block of turns at a time; a float64 copy of a
+block's would take eight times as much.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ def sample_reach(
     """(turns, N, N) reach matrices of ``n_turns`` independent graphs.
 
     Always N(N-1)/2 uniforms per turn, pairs in ``itertools.combinations``
-    order, so the stream holds the same values whatever ``alpha`` is.
+    order, so the stream holds the same values whatever ``alpha`` is, and
+    consecutive blocks of turns draw the same graphs as one draw of all.
     """
     # n_players comes from the validated config; run_episode takes alpha on its own
     if not 0.0 <= alpha <= 1.0:

@@ -1,22 +1,27 @@
 """Seeded episode execution, Monte Carlo sweeps and result emission.
 
-An episode's state is arrays.  Its arm realizations (turns, S) and graph
-reach matrices (turns, N, N) are drawn up front, each from its own
-substream of the episode seed, and the players share one (N, 2S) tally
-matrix.  The tallies are float64 whole-number counts, so that delivering
-a turn is a BLAS product; they are exact below 2**53, far above any
-count an episode reaches, and the reach matrices stay boolean.  There are
-no per-player objects: one policy, built once per episode, reads the
-whole matrix and returns every player's choice each turn.  ``env_step``
-pays the turn's realizations and ``disseminate`` adds every report to
-the tallies it reaches.  ``simulate_episode`` returns the episode as
-three plain arrays: choices (turns, N), realizations (turns, S) and the
-final tallies (N, 2S).  The rewards the players received go from
-``env_step`` straight to ``disseminate`` and are not kept; replaying
-``env_step`` on the ``env-winners`` substream rebuilds them.
-``run_episode`` hands the choices and realizations, with the config's
-means, to ``metrics.build_run_record``.  Results leave the runner as
-``AggregateRecord`` rows, a ``NamedTuple`` in column order.
+An episode's state is arrays, and it is played in blocks of turns so
+that its memory does not grow with the horizon.  Each block draws its arm
+realizations (turns, S) and graph reach matrices (turns, N, N), each from
+its own substream of the episode seed, which carries on from the previous
+block.  A block is ``BLOCK_BYTES`` of float64 uniforms, arm and graph
+draws together, rounded down to whole turns.  The players share one
+(N, 2S) tally matrix for the whole episode.  The tallies are float64
+whole-number counts, so that delivering a turn is a BLAS product; they
+are exact below 2**53, far above any count an episode reaches, and the
+reach matrices stay boolean.  There are no per-player objects: one
+policy, built once per episode, reads the whole matrix and returns every
+player's choice each turn.  ``env_step`` pays the turn's realizations and
+``disseminate`` adds every report to the tallies it reaches.
+``episode_blocks`` yields each block's choices (turns, N) and
+realizations (turns, S) with the live tallies (N, 2S).  The rewards the
+players received go from ``env_step`` straight to ``disseminate`` and
+are not kept; replaying ``env_step`` on the ``env-winners`` substream
+rebuilds them.  ``run_episode`` hands each block, with the config's
+means and the totals the previous block ended on, to
+``metrics.build_run_record`` and keeps the values at the checkpoints
+that fall inside it.  Results leave the runner as ``AggregateRecord``
+rows, a ``NamedTuple`` in column order.
 
 Determinism contract: an episode is a pure function of (config, alpha,
 seed).  It draws from four named substreams of its seed: ``env-arms``
@@ -29,7 +34,10 @@ comes from (``base_seed``, alpha index, repetition), so an episode does
 not depend on ``repetitions`` either, and a config with a given
 ``base_seed`` writes byte-identical CSV and JSON whatever ``n_jobs`` is,
 because serial and pooled sweeps run the same seeded episodes and
-aggregate them in task order.  CSV and JSON digests are pinned by
+aggregate them in task order.  Nor does output depend on the block
+length: blocks draw the same uniforms as one whole-episode draw, every
+per-turn reduction is row-wise, and each running sum takes the carry as
+its first addend.  CSV and JSON digests are pinned by
 ``tests/test_golden.py``.
 """
 
@@ -41,7 +49,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence, get_type_hints
+from typing import Iterable, Iterator, NamedTuple, Sequence, get_type_hints
 
 import numpy as np
 
@@ -76,36 +84,62 @@ class AggregateRecord(NamedTuple):
 CSV_COLUMNS = AggregateRecord._fields
 _FIELD_TYPES = get_type_hints(AggregateRecord)
 
+# Float64 uniforms one block of turns draws, arm and graph draws together:
+# 6553 turns at N=5, S=10 and 609 at N=20, S=25.
+BLOCK_BYTES = 1 << 20
+
 
 def episode_seed(base_seed: int, alpha_index: int, repetition: int) -> int:
     """Stable per-episode seed from the sweep coordinates."""
     return derive_seed(base_seed, "episode", alpha_index, repetition)
 
 
-def run_episode(config: ExperimentConfig, alpha: float, seed: int) -> RunRecord:
-    """Play one full episode and return its metric series."""
-    choices, rewards, _ = simulate_episode(config, alpha, seed)
-    return build_run_record(choices, rewards, config.means, config.n_players)
+def block_turns(config: ExperimentConfig) -> int:
+    """Turns per block: ``BLOCK_BYTES`` of arm and graph uniforms, at least one turn."""
+    n = config.n_players
+    return max(1, BLOCK_BYTES // (8 * (config.n_arms + n * (n - 1) // 2)))
 
 
-def simulate_episode(
+def episode_blocks(
     config: ExperimentConfig, alpha: float, seed: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Play the turns; return choices, realizations and the final tallies."""
-    n_players, n_arms, n_turns = config.n_players, config.n_arms, config.turns
-    rewards = draw_arm_rewards(config.means, n_turns, substream(seed, "env-arms"))
-    reach = sample_reach(n_players, alpha, n_turns, substream(seed, "graph"))
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Play the turns a block at a time; yield choices, realizations and the live tallies."""
+    n_players, n_turns, block = config.n_players, config.turns, block_turns(config)
+    arm_rng, graph_rng = substream(seed, "env-arms"), substream(seed, "graph")
     winner_rng = substream(seed, "env-winners")
-    tallies = np.zeros((n_players, 2 * n_arms), dtype=np.float64)
+    tallies = np.zeros((n_players, 2 * config.n_arms), dtype=np.float64)
     policy = make_policy(config, tallies, substream(seed, "players"))
+    for first in range(0, n_turns, block):
+        length = min(block, n_turns - first)
+        rewards = draw_arm_rewards(config.means, length, arm_rng)
+        reach = sample_reach(n_players, alpha, length, graph_rng)
+        choices = np.empty((length, n_players), dtype=np.int64)
+        for t in range(length):
+            chosen = policy.select()
+            choices[t] = chosen
+            disseminate(tallies, reach[t], chosen, env_step(chosen, rewards[t], winner_rng))
+        yield choices, rewards, tallies
+        del choices, rewards, reach  # gone before the next block is drawn
 
-    choices = np.empty((n_turns, n_players), dtype=np.int64)
-    for t in range(n_turns):
-        chosen = policy.select()
-        choices[t] = chosen
-        disseminate(tallies, reach[t], chosen, env_step(chosen, rewards[t], winner_rng))
 
-    return choices, rewards, tallies
+def run_episode(
+    config: ExperimentConfig, alpha: float, seed: int, checkpoints: Sequence[int]
+) -> RunRecord:
+    """Play one episode; return its metric series at ``checkpoints`` (turns from 1)."""
+    wanted = np.asarray(checkpoints, dtype=np.int64) - 1
+    if not ((wanted >= 0) & (wanted < config.turns)).all():
+        raise ValueError(f"checkpoints must lie in [1, {config.turns}], got {list(checkpoints)}")
+    values = np.empty((len(RunRecord._fields), len(wanted)))
+    totals, first = (0, 0, 0, 0), 0
+    for choices, rewards, _ in episode_blocks(config, alpha, seed):
+        record = build_run_record(choices, rewards, config.means, config.n_players, totals)
+        inside = (wanted >= first) & (wanted < first + len(choices))
+        for row, series in zip(values, record):
+            row[inside] = series[wanted[inside] - first]
+        totals = [series[-1] for series in record]
+        first += len(choices)
+        del choices, rewards, record  # gone before the next block is drawn
+    return RunRecord(*values)
 
 
 def _episode_checkpoints(args: tuple) -> np.ndarray:
@@ -115,8 +149,7 @@ def _episode_checkpoints(args: tuple) -> np.ndarray:
     """
     config, alpha_index, repetition, checkpoints = args
     seed = episode_seed(config.base_seed, alpha_index, repetition)
-    record = run_episode(config, config.alphas[alpha_index], seed)
-    return np.asarray(record, dtype=float)[:, np.asarray(checkpoints, dtype=np.int64) - 1]
+    return np.asarray(run_episode(config, config.alphas[alpha_index], seed, checkpoints))
 
 
 def _episode_rows(config: ExperimentConfig, checkpoints: Sequence[int], n_jobs: int) -> np.ndarray:

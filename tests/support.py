@@ -1,4 +1,4 @@
-"""Test-only helpers: hand-built episode arrays and the per-turn reference reductions."""
+"""Test-only helpers: whole-episode arrays, hand-built histories and the per-turn reference reductions."""
 
 from __future__ import annotations
 
@@ -9,10 +9,16 @@ import numpy as np
 from gossip_bandits.env import draw_arm_rewards, env_step
 from gossip_bandits.metrics import RunRecord
 from gossip_bandits.rng import substream
-from gossip_bandits.runner import _FIELD_TYPES, CSV_COLUMNS, AggregateRecord
+from gossip_bandits.runner import _FIELD_TYPES, CSV_COLUMNS, AggregateRecord, episode_blocks
 from oracles import best_subset_reward
 
 SERIES = RunRecord._fields
+
+
+def simulate_episode(config, alpha: float, seed: int):
+    """The engine's blocks joined: choices (turns, N), realizations (turns, S), final tallies (N, 2S)."""
+    choices, rewards, tallies = zip(*episode_blocks(config, alpha, seed))
+    return np.concatenate(choices), np.concatenate(rewards), tallies[-1]
 
 
 def pay(choices, rewards, winner_rng) -> np.ndarray:

@@ -21,13 +21,13 @@ from gossip_bandits import runner
 from gossip_bandits.cli import main as cli_main
 from gossip_bandits.metrics import build_run_record, optimal_per_turn_reward
 from gossip_bandits.network import sample_reach
-from gossip_bandits.runner import simulate_episode
 from oracles import (
     best_subset_reward,
     minimize_expected_turn_loss,
     random_simplex_points,
 )
 from gossip_bandits.policies import mix_probabilities
+from support import simulate_episode
 
 MU_SPREAD = (0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.01)
 MU_CLUSTERED = (0.7, 0.68, 0.66, 0.64, 0.62, 0.4, 0.38, 0.36, 0.34, 0.32)

@@ -145,3 +145,16 @@ class TestHistoryAndRunRecord:
         record, choices, rewards, _ = random_record(150, seed=64)
         expected = np.cumsum(per_turn_terms(choices, rewards, MU_SPREAD)[series])
         assert np.allclose(getattr(record, series), expected, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("cuts", [(1,), (7, 8, 100), (1000, 4096, 4097), tuple(range(1, 5000))])
+    def test_blocks_with_carried_totals_equal_one_pass(self, cuts):
+        # the carry is each block's first addend, so every bit matches one cumsum
+        record, choices, rewards, _ = random_record(5000, seed=71)
+        totals, parts = (0, 0, 0, 0), []
+        for block in zip(np.split(choices, cuts), np.split(rewards, cuts)):
+            part = build_run_record(*block, MU_SPREAD, 5, totals)
+            totals = [series[-1] for series in part]
+            parts.append(part)
+        for name, whole, *pieces in zip(SERIES, record, *parts):
+            joined = np.concatenate(pieces)
+            assert joined.dtype == whole.dtype and np.array_equal(joined, whole), name

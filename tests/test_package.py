@@ -8,6 +8,7 @@ would silently turn a traced layer absent, so the names are pinned here.
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import gossip_bandits
 
@@ -42,3 +43,28 @@ def test_runner_exposes_the_layers_looked_up_by_name():
     probe = f"import gossip_bandits as g; assert all(callable(getattr(g.runner, n)) for n in {RUNNER_LAYERS})"
     src = os.path.dirname(gossip_bandits.__path__[0])
     subprocess.run([sys.executable, "-c", probe], check=True, env=dict(os.environ, PYTHONPATH=src))
+
+
+def test_runner_calls_the_patched_names_at_run_time(monkeypatch):
+    # the traced bench run wraps the policy, counts env_step and disseminate
+    # per turn, and its memory probe reads the heap at build_run_record: a
+    # call that bypassed the module globals would drop its layer from the trace
+    runner = gossip_bandits.runner
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(runner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("make_policy", "env_step", "disseminate", "build_run_record"):
+        monkeypatch.setattr(runner, name, counted(name))
+    config = gossip_bandits.ExperimentConfig(turns=50, repetitions=1)
+    runner.run_episode(config, 0.5, 1, (50,))
+    assert calls["make_policy"] == 1
+    assert calls["env_step"] == calls["disseminate"] == config.turns
+    assert calls["build_run_record"] >= 1

@@ -1,10 +1,12 @@
 import concurrent.futures
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gossip_bandits import (
+    SPREAD_MEANS,
     AggregateRecord,
     ConfigError,
     ExperimentConfig,
@@ -20,8 +22,8 @@ from gossip_bandits.metrics import RunRecord
 from gossip_bandits.network import sample_reach
 from gossip_bandits.policies import POLICY_NAMES
 from gossip_bandits.rng import substream
-from gossip_bandits.runner import CSV_COLUMNS, simulate_episode
-from support import read_results_csv, received_rewards
+from gossip_bandits.runner import CSV_COLUMNS
+from support import SERIES, read_results_csv, received_rewards, simulate_episode
 
 SMALL = dict(means=(0.9, 0.5, 0.3, 0.1), n_players=2, turns=40, repetitions=3)
 
@@ -30,6 +32,10 @@ def small_config(**overrides):
     kwargs = dict(SMALL, alphas=(0.0, 1.0), base_seed=7)
     kwargs.update(overrides)
     return ExperimentConfig(**kwargs)
+
+
+def every_turn(cfg):
+    return range(1, cfg.turns + 1)
 
 
 class TestRunEpisode:
@@ -67,8 +73,8 @@ class TestRunEpisode:
 
     def test_identical_inputs_reproduce_bitwise(self):
         cfg = small_config(algorithm="egreedy")
-        a = run_episode(cfg, 0.7, 99)
-        b = run_episode(cfg, 0.7, 99)
+        a = run_episode(cfg, 0.7, 99, every_turn(cfg))
+        b = run_episode(cfg, 0.7, 99, every_turn(cfg))
         assert np.array_equal(a.reward, b.reward)
         assert np.array_equal(a.loss, b.loss)
         assert np.array_equal(a.regret_literal, b.regret_literal)
@@ -76,7 +82,7 @@ class TestRunEpisode:
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError, match="connectivity"):
-            run_episode(small_config(), 1.5, 0)
+            run_episode(small_config(), 1.5, 0, (1,))
 
     def test_metadata_reruns_bit_identically(self, tmp_path):
         # the config echoed into JSON output is enough to rerun any of its episodes
@@ -86,7 +92,8 @@ class TestRunEpisode:
         rebuilt = config_from_dict(json.loads(path.read_text())["config"])
         assert rebuilt == cfg
         seed = episode_seed(rebuilt.base_seed, 1, 2)
-        record, again = run_episode(cfg, 1.0, seed), run_episode(rebuilt, rebuilt.alphas[1], seed)
+        record = run_episode(cfg, 1.0, seed, every_turn(cfg))
+        again = run_episode(rebuilt, rebuilt.alphas[1], seed, every_turn(rebuilt))
         assert np.array_equal(record.regret_occupancy, again.regret_occupancy)
 
 
@@ -122,13 +129,56 @@ class TestStreamContract:
         assert np.array_equal(*rows)
 
 
+class TestBlocks:
+    CHECKPOINTS = (1, 6, 7, 8, 10, 14, 21, 23, 35, 36, 39, 40)  # edges and insides of 7-turn blocks
+
+    @staticmethod
+    def set_block_turns(monkeypatch, cfg, turns):
+        pairs = cfg.n_players * (cfg.n_players - 1) // 2
+        monkeypatch.setattr(runner, "BLOCK_BYTES", turns * 8 * (cfg.n_arms + pairs))
+        assert runner.block_turns(cfg) == turns
+
+    @pytest.mark.parametrize("algorithm", POLICY_NAMES)
+    def test_block_length_does_not_change_results(self, monkeypatch, algorithm):
+        cfg = small_config(algorithm=algorithm, n_players=3, means=(0.9, 0.6, 0.5, 0.3, 0.1))
+        assert runner.block_turns(cfg) >= cfg.turns
+        record = run_episode(cfg, 0.5, 21, self.CHECKPOINTS)
+        _, _, tallies = simulate_episode(cfg, 0.5, 21)
+        for turns in (1, 7, cfg.turns, 1000):
+            self.set_block_turns(monkeypatch, cfg, turns)
+            again = run_episode(cfg, 0.5, 21, self.CHECKPOINTS)
+            for name, series, other in zip(SERIES, record, again):
+                assert np.array_equal(series, other), (turns, name)
+            assert np.array_equal(simulate_episode(cfg, 0.5, 21)[2], tallies), turns
+
+    @pytest.mark.parametrize("checkpoints", [(0,), (41,), (5, 41)])
+    def test_rejects_checkpoints_outside_the_episode(self, checkpoints):
+        with pytest.raises(ValueError, match="checkpoints"):
+            run_episode(small_config(), 0.5, 0, checkpoints)
+
+    def test_memory_does_not_grow_with_the_horizon(self):
+        def peak(turns):
+            cfg = ExperimentConfig(algorithm="random", means=SPREAD_MEANS, n_players=5,
+                                   alphas=(0.5,), turns=turns, repetitions=1)
+            task = (cfg, 0, 0, runner.default_checkpoints(turns))
+            tracemalloc.start()
+            try:
+                runner._episode_checkpoints(task)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(100)  # caches and lazy imports fill outside the measurement
+        assert peak(40_000) - peak(4_000) <= 0.5 * 2**20
+
+
 class TestSeeding:
     def test_each_repetition_gets_its_own_outcome(self):
         cfg = small_config(algorithm="thompson")
         seeds = {episode_seed(cfg.base_seed, 0, r) for r in range(10)}
         assert len(seeds) == 10
-        a = run_episode(cfg, 0.5, episode_seed(cfg.base_seed, 0, 0))
-        b = run_episode(cfg, 0.5, episode_seed(cfg.base_seed, 0, 1))
+        a = run_episode(cfg, 0.5, episode_seed(cfg.base_seed, 0, 0), every_turn(cfg))
+        b = run_episode(cfg, 0.5, episode_seed(cfg.base_seed, 0, 1), every_turn(cfg))
         assert not np.array_equal(a.reward, b.reward)
 
     def test_output_path_does_not_touch_outcomes(self):
