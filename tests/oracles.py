@@ -109,3 +109,31 @@ def mix_by_dropping(means: Sequence[float], n_players: int) -> list[float]:
         if kept == active:
             return c
         active = kept
+
+
+def pairwise_env_step(choices: np.ndarray, arm_rewards: np.ndarray, winner_rng) -> np.ndarray:
+    """One turn's rewards by the pairwise collision rule, the reference for ``env.env_step``.
+
+    Builds the (N, N) same-arm matrix, draws ``winner_rng.random(N)`` only
+    when some off-diagonal entry is set, and pays a player unless another
+    player on its arm has a strictly higher priority.
+    """
+    realized = arm_rewards[choices]
+    same_arm = choices[:, None] == choices
+    if same_arm.sum() > len(choices):
+        priority = winner_rng.random(len(choices))
+        realized &= ~(same_arm & (priority > priority[:, None])).any(axis=1)
+    return realized
+
+
+def argmax_rows_by_mask(values: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Row-wise argmax with uniform tie-breaks, the reference for ``policies.argmax_rows``.
+
+    Marks every entry equal to its row's maximum; only when some row has
+    several marks does it draw one uniform per entry and take each row's
+    best-ranked mark.
+    """
+    tied = values == values.max(axis=1, keepdims=True)
+    if tied.sum() == len(tied):
+        return tied.argmax(axis=1)
+    return np.where(tied, rng.random(tied.shape), -1.0).argmax(axis=1)

@@ -3,6 +3,7 @@ import pytest
 
 from gossip_bandits.env import draw_arm_rewards, env_step
 from gossip_bandits.rng import substream
+from oracles import pairwise_env_step
 
 MU_SPREAD = (0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.01)
 
@@ -113,3 +114,55 @@ class TestEnvStep:
             return [env_step(c, r, winner_rng).tolist() for c, r in zip(choice_seq, rewards)]
 
         assert run() == run()
+
+
+class ThreeLevelDraws:
+    """A winner-generator stand-in whose priorities take three values, so exact ties are common."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def random(self, size):
+        return np.floor(self.rng.random(size) * 3) / 3
+
+
+class TestMatchesPairwiseReference:
+    """``env_step`` against the pairwise rule it replaced, draw for draw."""
+
+    @staticmethod
+    def turns(seed, n_players, count):
+        """``count`` random (choices, realizations) turns; a narrow arm range makes collisions common."""
+        data = np.random.default_rng(seed)
+        for _ in range(count):
+            n_arms = int(data.integers(2, 26))
+            used = int(data.integers(1, n_arms + 1))
+            yield data.integers(used, size=n_players), data.random(n_arms) < 0.5
+
+    @pytest.mark.parametrize("n_players", [1, 2, 5, 9, 20])
+    def test_random_turns_pay_and_draw_alike(self, n_players):
+        fast, reference = np.random.default_rng(81), np.random.default_rng(81)
+        drew = 0
+        for choices, arm_rewards in self.turns(80 + n_players, n_players, 500):
+            before = fast.bit_generator.state
+            paid = env_step(choices, arm_rewards, fast)
+            expected = pairwise_env_step(choices, arm_rewards, reference)
+            assert paid.dtype == expected.dtype and np.array_equal(paid, expected)
+            assert fast.bit_generator.state == reference.bit_generator.state
+            drew += fast.bit_generator.state != before
+        # N=1 never collides; at N=2 and N=5 some turns do not either, and draw nothing
+        assert (drew > 0) == (n_players > 1)
+        assert drew < 500 or n_players > 5
+
+    @pytest.mark.parametrize("n_players", [2, 5, 9, 20])
+    def test_exactly_tied_priorities_pay_alike(self, n_players):
+        fast, reference = ThreeLevelDraws(82), ThreeLevelDraws(82)
+        for choices, arm_rewards in self.turns(90 + n_players, n_players, 300):
+            paid = env_step(choices, arm_rewards, fast)
+            assert np.array_equal(paid, pairwise_env_step(choices, arm_rewards, reference))
+            assert fast.rng.bit_generator.state == reference.rng.bit_generator.state
+
+    def test_players_tied_at_the_top_are_all_paid(self):
+        # no player on arm 1 has a strictly higher priority than another
+        tied = ThreeLevelDraws(0)
+        tied.random = lambda size: np.full(size, 0.5)
+        assert step([1, 1, 0, 1], [1, 1], tied) == [1, 1, 1, 1]

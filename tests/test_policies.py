@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -15,7 +16,12 @@ from gossip_bandits.policies import (
     make_policy,
     mix_probabilities,
 )
-from oracles import minimize_expected_turn_loss, mix_by_dropping, random_simplex_points
+from oracles import (
+    argmax_rows_by_mask,
+    minimize_expected_turn_loss,
+    mix_by_dropping,
+    random_simplex_points,
+)
 
 MU_SPREAD = (0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.01)
 POLICIES = ["ucb1", "egreedy", "thompson", "asympopt", "random"]
@@ -33,6 +39,18 @@ def prime(tallies, counts, successes):
     n_arms = tallies.shape[1] // 2
     tallies[:, :n_arms] = counts
     tallies[:, n_arms:] = successes
+
+
+def prob_beta_exceeds(a, b, c, d):
+    """Exact P(Beta(a, b) > Beta(c, d)) for a whole number ``a``: a finite sum of ``a`` terms."""
+
+    def log_beta(x, y):
+        return math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y)
+
+    return math.fsum(
+        math.exp(log_beta(c + i, d + b) - math.log(b + i) - log_beta(1 + i, b) - log_beta(c, d))
+        for i in range(a)
+    )
 
 
 def skip_sweep(policy):
@@ -121,6 +139,34 @@ class TestArgmaxRandomTie:
                 w = v * scale
                 assert set(np.flatnonzero(w == w.max())) == base
                 assert argmax_rows(w[None], np.random.default_rng(0))[0] == pick
+
+    def test_random_rows_match_the_mask_reference(self):
+        # odd calls hold values on a few levels, so rows tie exactly and often
+        data = np.random.default_rng(34)
+        fast, reference = np.random.default_rng(35), np.random.default_rng(35)
+        tie_calls = 0
+        for call in range(2000):
+            shape = (int(data.integers(1, 21)), int(data.integers(1, 26)))
+            levels = int(data.integers(1, 5))
+            values = data.integers(levels, size=shape) / levels if call % 2 else data.random(shape)
+            before = fast.bit_generator.state
+            chosen = argmax_rows(values, fast)
+            assert np.array_equal(chosen, argmax_rows_by_mask(values, reference))
+            assert fast.bit_generator.state == reference.bit_generator.state
+            tie_calls += fast.bit_generator.state != before
+        assert 0 < tie_calls < 2000
+
+    @pytest.mark.parametrize("values", [
+        np.zeros((3, 4)),
+        np.full((2, 5), np.inf),
+        np.array([[0.5, 0.5, 0.1], [0.2, 0.9, 0.9], [0.3, 0.1, 0.2]]),
+        np.array([[0.7, 0.7, 0.7, 0.7]]),
+    ])
+    def test_exactly_tied_rows_match_the_mask_reference(self, values):
+        fast, reference = np.random.default_rng(36), np.random.default_rng(36)
+        for _ in range(50):
+            assert np.array_equal(argmax_rows(values, fast), argmax_rows_by_mask(values, reference))
+            assert fast.bit_generator.state == reference.bit_generator.state
 
 
 class TestUcb1:
@@ -226,6 +272,26 @@ class TestThompson:
         chosen = picks(skip_sweep(pol), n)
         assert (chosen[:, 0] == 0).mean() > 0.99
         assert (chosen[:, 1] == 2).mean() > 0.99
+
+    def test_pick_frequency_is_the_posterior_probability(self):
+        # arm 0: 7 of 10 reports paid, arm 1: 2 of 4; the posteriors are
+        # Beta(8, 4) and Beta(3, 3), and arm 0 draws higher with probability 0.758
+        # (a Beta(s + 1, counts + 1) posterior would give 0.601)
+        pol, tallies = episode("thompson", 2, seed=39)
+        prime(tallies, counts=[10, 4], successes=[7, 2])
+        p = prob_beta_exceeds(8, 4, 3, 3)
+        n = 10**4
+        freq = (picks(skip_sweep(pol), n) == 0).mean()
+        assert abs(freq - p) < 4 * np.sqrt(p * (1 - p) / n)
+
+    def test_exact_beta_comparison(self):
+        # symmetry and complement checks of the finite sum
+        assert prob_beta_exceeds(1, 1, 1, 1) == pytest.approx(0.5, abs=1e-12)
+        assert prob_beta_exceeds(7, 3, 7, 3) == pytest.approx(0.5, abs=1e-12)
+        for a, b, c, d in [(8, 4, 3, 3), (3, 1, 13, 9), (2, 5, 4, 2)]:
+            assert prob_beta_exceeds(a, b, c, d) + prob_beta_exceeds(c, d, a, b) == pytest.approx(1, abs=1e-12)
+        # P(Beta(2, 1) > U) = E[X] = 2/3
+        assert prob_beta_exceeds(2, 1, 1, 1) == pytest.approx(2 / 3, abs=1e-12)
 
     def test_beta_sampler_mean(self):
         # mean of Beta(3,1) is 0.75, var is 3/80
@@ -356,6 +422,27 @@ class TestAsympOpt:
         sigma = np.sqrt(0.25 * 0.75 / n)
         for arm in range(4):
             assert abs((chosen == arm).mean() - 0.25) < 3 * sigma
+
+    def test_draw_lands_where_the_old_count_put_it(self):
+        # the old rule counted the cumulative masses at or below the draw;
+        # primed rows give zero-probability arms, whose flat cdf steps the count must skip
+        data = np.random.default_rng(49)
+        flat_rows = 0
+        for call in range(200):
+            n_arms = int(data.integers(3, 12))
+            n_players = int(data.integers(2, n_arms))
+            pol, tallies = episode("asympopt", n_arms, n_players=n_players, seed=call, epsilon0=0.0)
+            counts = data.integers(30, size=(n_players, n_arms))
+            prime(tallies, counts, data.binomial(counts, data.random(n_arms)))
+            replay = copy.deepcopy(pol.rng)
+            chosen = pol.select()
+            means = np.maximum(pol.successes / np.maximum(pol.counts, 1), pol.config.mean_floor)
+            mix = mix_probabilities(means, n_players)
+            cdf = mix.cumsum(axis=1)
+            draw = replay.random(n_players) * cdf[:, -1]
+            assert np.array_equal(chosen, (cdf <= draw[:, None]).sum(axis=1))
+            flat_rows += int((mix == 0).any(axis=1).sum())
+        assert flat_rows > 0
 
     def test_decay_matches_sequential_product(self):
         pol, _ = episode("asympopt", 5, n_players=2, seed=47, epsilon0=1.0, decay=0.995)
