@@ -7,8 +7,10 @@ not.  Consecutive blocks drawn from one generator hold the same values as
 one draw of the whole episode.  ``env_step`` then pays one turn's row to
 the players.  A player alone on an arm receives its realization; when
 several players chose the same arm, one uniformly drawn winner receives
-it and the losers get 0: random priorities decide, one uniform per player
-on a turn with a collision.  The environment never tells a player whether
+it and the losers get 0.  Random priorities decide, one uniform per
+player on a turn with a collision: each arm's highest priority is found
+once, in one vector over the arms, and a player is paid when its own
+priority reaches its arm's.  The environment never tells a player whether
 it collided; a loser's zero is indistinguishable from a true zero draw.
 """
 
@@ -34,14 +36,23 @@ def env_step(choices: np.ndarray, arm_rewards: np.ndarray, winner_rng: np.random
     """Each player's reward for one turn's row ``arm_rewards`` of realizations.
 
     Only on a turn with a collision, every player draws a priority from one
-    ``winner_rng.random(N)`` call, and a player receives 0 when another
-    player on its arm has a higher one; the highest of k contenders wins
-    with probability 1/k each.  ``winner_rng`` must be a substream of its
-    own, so the realizations do not depend on the collision pattern.
+    ``winner_rng.random(N)`` call, and a player is paid when its priority
+    is at least the highest on its arm; the highest of k contenders wins
+    with probability 1/k each.  This is the pairwise rule "a player loses
+    when another player on its arm has a strictly higher priority", exact
+    ties included: a priority below the arm's maximum is below some
+    contender's, and one equal to it is below none.  ``winner_rng`` must be
+    a substream of its own, so the realizations do not depend on the
+    collision pattern.
+
+    The per-arm maximum replaces two (N, N) matrices.  At N=20, S=25 that
+    took a traced turn of ``env_step`` from about 18 to 10 µs (NumPy 2.4.6,
+    Python 3.11, a 2-vCPU Xeon).
     """
     realized = arm_rewards[choices]
-    same_arm = choices[:, None] == choices
-    if same_arm.sum() > len(choices):
+    if len(set(choices.tolist())) < len(choices):
         priority = winner_rng.random(len(choices))
-        realized &= ~(same_arm & (priority > priority[:, None])).any(axis=1)
+        top = np.zeros(len(arm_rewards))  # priorities are >= 0
+        np.maximum.at(top, choices, priority)
+        realized &= priority >= top[choices]
     return realized

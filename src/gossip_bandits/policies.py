@@ -36,12 +36,17 @@ INIT_ORDERS = ("sequential", "random")
 def argmax_rows(values: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Each row's index of its maximum; exact ties are broken uniformly at random.
 
-    Draws nothing unless some row has several maxima.  Then one uniform per
-    entry ranks the maxima, and each row takes its best-ranked one.
+    ``values`` holds no NaN.  The first maximum of each row comes from one
+    ``argmax``, and one gather of those maxima marks every entry that
+    equals its row's; with one mark per row that index is the answer and
+    nothing is drawn.  Only when some row has several maxima, one uniform
+    per entry ranks them, and each row takes its best-ranked one.
     """
-    tied = values == values.max(axis=1, keepdims=True)
-    if tied.sum() == len(tied):
-        return tied.argmax(axis=1)
+    best = values.argmax(axis=1)
+    top = values[np.arange(len(values)), best]
+    tied = values == top[:, None]
+    if np.count_nonzero(tied) == len(tied):
+        return best
     return np.where(tied, rng.random(tied.shape), -1.0).argmax(axis=1)
 
 
@@ -172,9 +177,11 @@ class AsympOptPolicy(Policy):
         means = np.maximum(self.successes / np.maximum(self.counts, 1), config.mean_floor)
         cdf = mix_probabilities(means, config.n_players).cumsum(axis=1)
         # scaled to the row's total, a uniform stays below its last cumulative
-        # mass, and the first arm whose mass exceeds it has positive probability
+        # mass, and the first arm whose mass exceeds it has positive probability;
+        # cdf never decreases along a row, so the masses at or below the draw
+        # are a prefix, and that first index equals their count
         draw = self.rng.random(len(cdf)) * cdf[:, -1]
-        return self.explore((cdf <= draw[:, None]).sum(axis=1))
+        return self.explore((cdf > draw[:, None]).argmax(axis=1))
 
 
 class UniformRandomPolicy(Policy):
