@@ -116,14 +116,14 @@ class TestEnvStep:
         assert run() == run()
 
 
-class ThreeLevelDraws:
-    """A winner-generator stand-in whose priorities take three values, so exact ties are common."""
+class LevelDraws:
+    """A winner-generator stand-in whose priorities take ``levels`` values, so exact ties are common."""
 
-    def __init__(self, seed):
-        self.rng = np.random.default_rng(seed)
+    def __init__(self, seed, levels):
+        self.rng, self.levels = np.random.default_rng(seed), levels
 
     def random(self, size):
-        return np.floor(self.rng.random(size) * 3) / 3
+        return np.floor(self.rng.random(size) * self.levels) / self.levels
 
 
 class TestMatchesPairwiseReference:
@@ -155,14 +155,12 @@ class TestMatchesPairwiseReference:
 
     @pytest.mark.parametrize("n_players", [2, 5, 9, 20])
     def test_exactly_tied_priorities_pay_alike(self, n_players):
-        fast, reference = ThreeLevelDraws(82), ThreeLevelDraws(82)
+        fast, reference = LevelDraws(82, levels=3), LevelDraws(82, levels=3)
         for choices, arm_rewards in self.turns(90 + n_players, n_players, 300):
             paid = env_step(choices, arm_rewards, fast)
             assert np.array_equal(paid, pairwise_env_step(choices, arm_rewards, reference))
             assert fast.rng.bit_generator.state == reference.rng.bit_generator.state
 
     def test_players_tied_at_the_top_are_all_paid(self):
-        # no player on arm 1 has a strictly higher priority than another
-        tied = ThreeLevelDraws(0)
-        tied.random = lambda size: np.full(size, 0.5)
-        assert step([1, 1, 0, 1], [1, 1], tied) == [1, 1, 1, 1]
+        # every priority is 0.0: no player on arm 1 has a strictly higher one than another
+        assert step([1, 1, 0, 1], [1, 1], LevelDraws(0, levels=1)) == [1, 1, 1, 1]
