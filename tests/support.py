@@ -8,6 +8,8 @@ import numpy as np
 
 from gossip_bandits.env import draw_arm_rewards, env_step
 from gossip_bandits.metrics import RunRecord
+from gossip_bandits.network import disseminate
+from gossip_bandits.policies import make_policy
 from gossip_bandits.rng import substream
 from gossip_bandits.runner import _FIELD_TYPES, CSV_COLUMNS, AggregateRecord, episode_blocks
 from oracles import best_subset_reward
@@ -19,6 +21,35 @@ def simulate_episode(config, alpha: float, seed: int):
     """The engine's blocks joined: choices (turns, N), realizations (turns, S), final tallies (N, 2S)."""
     choices, rewards, tallies = zip(*episode_blocks(config, alpha, seed))
     return np.concatenate(choices), np.concatenate(rewards), tallies[-1]
+
+
+def reference_episode(config, alpha: float, seed: int):
+    """``simulate_episode``'s arrays from a per-turn loop on the episode's plain substreams.
+
+    Every turn draws its realizations, its graph (a ``random(N(N-1)/2)`` in
+    pair order), the random policy's ``integers(S, size=N)`` and
+    ``env_step``'s priorities straight from the generators, one call each,
+    and plays the rules of ``episode_blocks``; nothing is read ahead and
+    nothing is drawn per block.
+    """
+    n_players, n_arms, turns = config.n_players, config.n_arms, config.turns
+    arm_rng, graph_rng, winner_rng, players = (
+        substream(seed, tag) for tag in ("env-arms", "graph", "env-winners", "players"))
+    first, second = np.triu_indices(n_players, k=1)
+    tallies = np.zeros((n_players, 2 * n_arms), dtype=np.float64)
+    policy = make_policy(config, tallies, players)
+    choices = np.empty((turns, n_players), dtype=np.int64)
+    rewards = np.empty((turns, n_arms), dtype=bool)
+    for t in range(turns):
+        rewards[t] = arm_rng.random(n_arms) < np.asarray(config.means)
+        reach = np.eye(n_players, dtype=bool)
+        reach[first, second] = reach[second, first] = graph_rng.random(len(first)) < alpha
+        if config.algorithm == "random":
+            choices[t] = players.integers(n_arms, size=n_players)
+        else:
+            choices[t] = policy.select()
+        disseminate(tallies, reach, choices[t], env_step(choices[t], rewards[t], winner_rng))
+    return choices, rewards, tallies
 
 
 def pay(choices, rewards, winner_rng) -> np.ndarray:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from gossip_bandits import policies
 from gossip_bandits.config import ConfigError, ExperimentConfig
 from gossip_bandits.network import disseminate
 from gossip_bandits.policies import (
@@ -461,6 +462,20 @@ class TestUniformRandom:
         sigma = np.sqrt(0.25 * 0.75 / n)
         for arm in range(4):
             assert abs((chosen == arm).mean() - 0.25) < 3 * sigma
+
+    @pytest.mark.parametrize("n_players, n_arms", [(1, 2), (5, 10), (20, 25)])
+    @pytest.mark.parametrize("chunk", [7, None])
+    def test_select_draws_what_one_call_per_turn_draws(self, monkeypatch, n_players, n_arms, chunk):
+        # however the arms are read ahead, every turn's row is the twin
+        # generator's per-turn draw; 3 * 1024 + 5 turns span three chunks and
+        # a remainder of any chunk up to 1024 turns, and 26 turns those of 7
+        if chunk is not None:
+            monkeypatch.setattr(policies, "_RANDOM_CHUNK", chunk, raising=False)
+        turns = 3 * (chunk or 1024) + 5
+        pol, _ = episode("random", n_arms, n_players=n_players, seed=53)
+        twin = np.random.default_rng(53)
+        for turn in range(turns):
+            assert np.array_equal(pol.select(), twin.integers(n_arms, size=n_players)), turn
 
 
 def drive(policy, tallies, turns=200):

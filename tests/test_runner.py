@@ -23,7 +23,7 @@ from gossip_bandits.network import sample_reach
 from gossip_bandits.policies import POLICY_NAMES
 from gossip_bandits.rng import substream
 from gossip_bandits.runner import CSV_COLUMNS
-from support import SERIES, read_results_csv, received_rewards, simulate_episode
+from support import SERIES, read_results_csv, received_rewards, reference_episode, simulate_episode
 
 SMALL = dict(means=(0.9, 0.5, 0.3, 0.1), n_players=2, turns=40, repetitions=3)
 
@@ -119,6 +119,19 @@ class TestStreamContract:
             reports[turn, player, choices] = 1
             reports[turn, player, n_arms + choices] = realized
             assert np.array_equal(tallies, np.einsum("tij,tjk->ik", reach, reports)), algorithm
+
+    @pytest.mark.parametrize("algorithm", POLICY_NAMES)
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("n_players, n_arms, turns", [(3, 5, 301), (20, 25, 700)])
+    def test_blocks_match_the_per_turn_reference(self, algorithm, alpha, n_players, n_arms, turns):
+        # 700 turns at N=20, S=25 cross a 609-turn block; neither horizon is a
+        # multiple of a power-of-two read-ahead, in turns or in uniforms
+        cfg = ExperimentConfig(algorithm=algorithm, n_players=n_players, turns=turns,
+                               means=tuple(np.linspace(0.95, 0.05, n_arms)))
+        engine = simulate_episode(cfg, alpha, 61)
+        for name, got, expected in zip(("choices", "realizations", "tallies"),
+                                       engine, reference_episode(cfg, alpha, 61)):
+            assert np.array_equal(got, expected), name
 
     def test_a_repetition_does_not_depend_on_how_many_run(self):
         # alpha index 1, repetition 1
