@@ -41,9 +41,10 @@ def sample_reach(
         raise ValueError(f"connectivity {alpha} outside [0, 1]")
     first, second = np.triu_indices(n_players, k=1)  # pair k is (first[k], second[k])
     edges = rng.random((n_turns, len(first))) < alpha
-    reach = np.zeros((n_turns, n_players, n_players), dtype=bool)
-    reach[:, first, second] = edges
-    reach[:, second, first] = edges
+    reach = np.zeros((n_turns, n_players * n_players), dtype=bool)
+    reach[:, first * n_players + second] = edges  # the upper triangle, one flat scatter
+    reach = reach.reshape(n_turns, n_players, n_players)
+    reach |= reach.transpose(0, 2, 1)
     reach[:, np.arange(n_players), np.arange(n_players)] = True
     return reach
 

@@ -28,7 +28,12 @@ seed).  It draws from four named substreams of its seed: ``env-arms``
 for the arm realizations, ``graph`` for the reach matrices,
 ``env-winners`` for the collision priorities and ``players`` for every
 draw of every player.  The realizations and the graphs therefore do not
-depend on the policy.  All players share one stream, so a player's
+depend on the policy.  Two streams are read ahead of the turns: the
+collision priorities through ``rng.Prefetched``, and the random policy's
+arms in chunks of turns.  Each value is still used in the same place and
+order as one call per turn would use it, so output does not change; only
+those streams' end states differ, with unread values drawn, and nothing
+reads them.  All players share one stream, so a player's
 choices depend on the other players' draws.  Each repetition's seed
 comes from (``base_seed``, alpha index, repetition), so an episode does
 not depend on ``repetitions`` either, and a config with a given
@@ -58,7 +63,7 @@ from .env import draw_arm_rewards, env_step
 from .metrics import RunRecord, build_run_record
 from .network import disseminate, sample_reach
 from .policies import make_policy
-from .rng import derive_seed, substream
+from .rng import Prefetched, derive_seed, substream
 
 
 class AggregateRecord(NamedTuple):
@@ -106,7 +111,7 @@ def episode_blocks(
     """Play the turns a block at a time; yield choices, realizations and the live tallies."""
     n_players, n_turns, block = config.n_players, config.turns, block_turns(config)
     arm_rng, graph_rng = substream(seed, "env-arms"), substream(seed, "graph")
-    winner_rng = substream(seed, "env-winners")
+    winner_rng = Prefetched(substream(seed, "env-winners"))
     tallies = np.zeros((n_players, 2 * config.n_arms), dtype=np.float64)
     policy = make_policy(config, tallies, substream(seed, "players"))
     for first in range(0, n_turns, block):

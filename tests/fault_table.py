@@ -90,7 +90,7 @@ FAULTS = (
     ),
     Fault(
         "one_way_edges", "src/gossip_bandits/network.py",
-        "    reach[:, second, first] = edges\n", "",
+        "    reach |= reach.transpose(0, 2, 1)\n", "",
         "a graph edge carries reports one way only",
     ),
     Fault(
@@ -114,6 +114,17 @@ FAULTS = (
         "np.maximum(self.successes / np.maximum(self.counts, 1), config.mean_floor)",
         "self.successes / np.maximum(self.counts, 1)",
         "asympopt does not clamp its observed means at mean_floor",
+    ),
+    Fault(
+        "prefetch_drops_tail", "src/gossip_bandits/rng.py",
+        "            tail = self._buffer[self._next:]\n", "            tail = self._buffer[:0]\n",
+        "a priority refill discards the uniforms not yet read",
+    ),
+    Fault(
+        "random_chunk_transposed", "src/gossip_bandits/policies.py",
+        "self.rng.integers(self.n_arms, size=(_RANDOM_CHUNK, len(self.counts)))",
+        "self.rng.integers(self.n_arms, size=(len(self.counts), _RANDOM_CHUNK)).T",
+        "the random policy draws its chunk (N, chunk) and transposes it",
     ),
 )
 

@@ -470,7 +470,7 @@ class TestUniformRandom:
         # generator's per-turn draw; 3 * 1024 + 5 turns span three chunks and
         # a remainder of any chunk up to 1024 turns, and 26 turns those of 7
         if chunk is not None:
-            monkeypatch.setattr(policies, "_RANDOM_CHUNK", chunk, raising=False)
+            monkeypatch.setattr(policies, "_RANDOM_CHUNK", chunk)
         turns = 3 * (chunk or 1024) + 5
         pol, _ = episode("random", n_arms, n_players=n_players, seed=53)
         twin = np.random.default_rng(53)
