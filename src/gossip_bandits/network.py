@@ -7,17 +7,21 @@ so a player always hears its own report.
 
 Reports land in one shared (N, 2S) tally matrix: its left half counts
 every (arm) report a player has heard, its right half the successes among
-them.  Delivering a turn is one product, ``tallies += reach @ reports``,
-where row j of ``reports`` is player j's one-hot arm followed by the same
-one-hot times the reward it received.  Duplicate reports (two neighbours
-on one arm) are kept, and a collision loser reports its 0.
+them.  A turn's delivery is the product ``reach @ reports``, where row j
+of ``reports`` is player j's one-hot arm followed by the same one-hot
+times the reward it received.  Duplicate reports (two neighbours on one
+arm) are kept, and a collision loser reports its 0.  ``disseminate``
+delivers a stretch of k turns at once, as one product of the (N, k·N)
+reach rows of all its turns with their (k·N, 2S) reports: the sum of the
+turns' products.  A stretch is at most ``STRETCH_BYTES`` of report rows.
 
 The tallies and the report rows are float64 whole-number counts, because
 NumPy computes a float64 product through BLAS but an integer one in its
 generic loop, several times slower at N=20.  Every count is exact, since
-no tally of an episode comes near 2**53.  The reach matrices stay boolean,
-one byte per entry, drawn a block of turns at a time; a float64 copy of a
-block's would take eight times as much.
+no tally of an episode comes near 2**53, so adding a stretch in one sum
+gives the same tallies as adding its turns one by one.  The reach
+matrices stay boolean, one byte per entry, drawn a block of turns at a
+time; a float64 copy of a block's would take eight times as much.
 """
 
 from __future__ import annotations
@@ -25,6 +29,30 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+
+# Bytes of float64 report rows one ``disseminate`` call adds up, about 256 KiB:
+# 32 turns at N=20, S=25.
+STRETCH_BYTES = 1 << 18
+
+
+def stretch_turns(n_players: int, n_arms: int) -> int:
+    """Turns in one stretch: ``STRETCH_BYTES`` of (N, 2S) float64 report rows, at least one."""
+    return max(1, STRETCH_BYTES // (16 * n_players * n_arms))
+
+
+@lru_cache(maxsize=None)
+def _reach_columns(n_players: int) -> np.ndarray:
+    """(N, N) column of each reach entry in a turn's row of edges plus one all-True column.
+
+    Pair k, ``(first[k], second[k])`` in ``itertools.combinations`` order,
+    is column k for both of its entries; the diagonal reads the last
+    column, N(N-1)/2.
+    """
+    first, second = np.triu_indices(n_players, k=1)
+    columns = np.full((n_players, n_players), len(first))
+    columns[first, second] = columns[second, first] = np.arange(len(first))
+    columns.flags.writeable = False
+    return columns
 
 
 def sample_reach(
@@ -35,18 +63,16 @@ def sample_reach(
     Always N(N-1)/2 uniforms per turn, pairs in ``itertools.combinations``
     order, so the stream holds the same values whatever ``alpha`` is, and
     consecutive blocks of turns draw the same graphs as one draw of all.
+    The reach block is one gather of ``_reach_columns`` from the block's
+    edges, so no (turns, N, N) temporary is made.
     """
     # n_players comes from the validated config; run_episode takes alpha on its own
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"connectivity {alpha} outside [0, 1]")
-    first, second = np.triu_indices(n_players, k=1)  # pair k is (first[k], second[k])
-    edges = rng.random((n_turns, len(first))) < alpha
-    reach = np.zeros((n_turns, n_players * n_players), dtype=bool)
-    reach[:, first * n_players + second] = edges  # the upper triangle, one flat scatter
-    reach = reach.reshape(n_turns, n_players, n_players)
-    reach |= reach.transpose(0, 2, 1)
-    reach[:, np.arange(n_players), np.arange(n_players)] = True
-    return reach
+    pairs = n_players * (n_players - 1) // 2
+    edges = np.ones((n_turns, pairs + 1), dtype=bool)  # the last column is every player's own
+    np.less(rng.random((n_turns, pairs)), alpha, out=edges[:, :pairs])
+    return edges[:, _reach_columns(n_players)]
 
 
 @lru_cache(maxsize=None)
@@ -66,10 +92,15 @@ def disseminate(
     choices: np.ndarray,
     realized: np.ndarray,
 ) -> None:
-    """Add every player's (arm, reward) report to the float64 tallies of all it reaches.
+    """Add every (arm, reward) report of a stretch to the float64 tallies of all it reaches.
 
-    ``realized`` may be 0/1 integers or ``env_step``'s booleans.
+    ``reach`` holds the stretch's (k, N, N) matrices, ``choices`` and
+    ``realized`` its (k, N) arms and rewards; ``realized`` may be 0/1
+    integers or ``env_step``'s booleans.  Row i of the (N, k·N) product
+    operand is receiver i's reach rows of every turn, side by side, in
+    the order of the (k·N, 2S) report rows.
     """
-    rows = _report_rows(tallies.shape[1] // 2)
+    n_players, width = tallies.shape
     # the rewards index the row table, never mask it: booleans become 0/1
-    tallies += reach @ rows[choices, realized.astype(np.intp, copy=False)]
+    reports = _report_rows(width // 2)[choices, realized.astype(np.intp, copy=False)]
+    tallies += np.dot(reach.transpose(1, 0, 2).reshape(n_players, -1), reports.reshape(-1, width))

@@ -9,9 +9,10 @@ and its neighbours' reports counted alike.  It never writes the tallies.
 They are float64 whole-number counts, float so that the network layer
 delivers a turn with a BLAS product over its boolean reach matrix, and
 exact below 2**53, so every rule reads the same numbers as from integers.
-``select()`` returns the turn's N choices: the next turn already decided
-(the sweep's, or the random policy's read-ahead), else the algorithm's own
-step ``choose()``, which works on all rows at once.
+``select(limit)`` returns a stretch of up to ``limit`` turns, a (k, N)
+array: the turns already decided (the sweep's rows, or the random
+policy's read-ahead), else what ``choose()`` decides next, which for the
+learning rules is one turn, worked out on all rows at once.
 
 All players draw from one generator, the episode's ``players``
 substream, and every draw of a turn is one array call over the rows:
@@ -19,39 +20,50 @@ the sweep's permutations, the tie-breaks, the exploration coins and arms,
 Thompson's Beta draws and asympopt's categorical draws.  A run is
 reproducible from its seed alone, but a player's choices depend on the
 draws of the others.  The annealed ε is one shared value: every player
-selects once per turn, so all of theirs are equal at every turn.
+selects once per turn, so all of theirs are equal at every turn.  It
+decays once per turn of a stretch, by one multiplication each, so it
+holds the same float as when the turns are selected one at a time.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
+
+from .network import stretch_turns
 
 if TYPE_CHECKING:
     from .config import ExperimentConfig
 
 INIT_ORDERS = ("sequential", "random")
 
-# Turns of arms the random policy draws per call: 40 KiB of int64 at N=20.
-_RANDOM_CHUNK = 256
-
 
 def argmax_rows(values: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Each row's index of its maximum; exact ties are broken uniformly at random.
 
     ``values`` holds no NaN.  The first maximum of each row comes from one
-    ``argmax``, and one gather of those maxima marks every entry that
-    equals its row's; with one mark per row that index is the answer and
-    nothing is drawn.  Only when some row has several maxima, one uniform
-    per entry ranks them, and each row takes its best-ranked one.
+    ``argmax``, and the last from one ``argmax`` of the reversed rows; where
+    they coincide in every row, each row's maximum is unique, that index
+    is the answer and nothing is drawn.  Only when some row has several
+    maxima, one uniform per entry ranks the entries equal to their row's
+    maximum, and each row takes its best-ranked one.
     """
     best = values.argmax(axis=1)
-    top = values[np.arange(len(values)), best]
-    tied = values == top[:, None]
-    if np.count_nonzero(tied) == len(tied):
+    # the reversed rows' argmax is S - 1 minus the last maximum's index
+    if True not in (best + values[:, ::-1].argmax(axis=1) != values.shape[1] - 1).tolist():
         return best
+    tied = values == values.max(axis=1, keepdims=True)
     return np.where(tied, rng.random(tied.shape), -1.0).argmax(axis=1)
+
+
+@lru_cache(maxsize=None)
+def _arange(stop: int) -> np.ndarray:
+    """A read-only ``np.arange(stop)``, made once per length."""
+    values = np.arange(stop)
+    values.flags.writeable = False
+    return values
 
 
 def mix_probabilities(mu: np.ndarray, n_players: int) -> np.ndarray:
@@ -83,7 +95,7 @@ def mix_probabilities(mu: np.ndarray, n_players: int) -> np.ndarray:
     """
     inv_root = mu ** (-1.0 / (n_players - 1))
     s = np.sort(inv_root, axis=-1)
-    level = (np.arange(s.shape[-1]) / s.cumsum(axis=-1)).max(axis=-1, keepdims=True)
+    level = np.maximum.reduce(_arange(s.shape[-1]) / s.cumsum(axis=-1), axis=-1, keepdims=True)
     return np.maximum(1.0 - level * inv_root, 0.0)
 
 
@@ -95,8 +107,9 @@ class Policy:
     rule: in arm order, or with ``init_order="random"`` in a permutation
     per player, drawn at construction.  Reports heard during the sweep
     still reach the tallies; they just don't redirect it.  ``sweep`` holds
-    the turns already decided, the sweep's or any a policy draws ahead, and
-    ``select()`` plays them before it calls ``choose()`` again.
+    the turns already decided, a (turns, N) array in play order: the
+    sweep's, or the random policy's read-ahead.  ``select(limit)`` plays
+    them, up to ``limit`` at a time, before it calls ``choose()`` again.
     """
 
     sweeps_first = True
@@ -107,21 +120,34 @@ class Policy:
         self.n_arms = n_arms = config.n_arms
         self.counts, self.successes = tallies[:, :n_arms], tallies[:, n_arms:]
         self.rng = rng
-        self.sweep: list[np.ndarray] = []  # turns already decided, last turn first
+        self.stretch = stretch_turns(len(tallies), n_arms)  # most turns one select returns
+        self.sweep = np.empty((0, len(tallies)), dtype=np.int64)  # turns already decided
         if self.sweeps_first:
             order = np.tile(np.arange(n_arms), (len(tallies), 1))
             if config.init_order == "random":
                 order = rng.permuted(order, axis=1)
-            self.sweep = list(order.T[::-1])
+            self.sweep = np.ascontiguousarray(order.T)
 
-    def select(self) -> np.ndarray:
-        """The turn's N choices; ε then decays once, sweep turns included."""
-        arms = self.sweep.pop() if self.sweep else self.choose()
+    def select(self, limit: int) -> np.ndarray:
+        """A stretch of up to ``limit`` turns' choices, (k, N); ε decays once per turn.
+
+        The turns already decided come first, as many as ``limit`` and
+        ``self.stretch`` allow; only when none is left does ``choose()``
+        decide the next turn.
+        """
+        decided = self.sweep
+        if len(decided):
+            limit = min(limit, self.stretch)
+            arms, self.sweep = decided[:limit], decided[limit:]
+            for _ in range(len(arms)):
+                self.epsilon *= self.config.decay
+            return arms
+        arms = self.choose()
         self.epsilon *= self.config.decay
         return arms
 
     def choose(self) -> np.ndarray:
-        """The algorithm's own step for one turn after the sweep."""
+        """The algorithm's own step after the sweep: one turn's choices, (1, N)."""
         raise NotImplementedError
 
     def explore(self, arms: np.ndarray) -> np.ndarray:
@@ -131,7 +157,7 @@ class Policy:
         """
         rng = self.rng
         exploring = rng.random(len(arms)) >= 1.0 - self.epsilon
-        if exploring.any():
+        if True in exploring.tolist():  # cheaper than ndarray.any() on N entries
             arms = np.where(exploring, rng.integers(self.n_arms, size=len(arms)), arms)
         return arms
 
@@ -144,7 +170,7 @@ class Ucb1Policy(Policy):
         counts = self.counts
         total = counts.sum(axis=1, keepdims=True)
         index = self.successes / counts + np.sqrt(2.0 * np.log(total) / counts)
-        return argmax_rows(index, self.rng)
+        return argmax_rows(index, self.rng)[None]
 
 
 class EpsilonGreedyPolicy(Policy):
@@ -153,7 +179,7 @@ class EpsilonGreedyPolicy(Policy):
     def choose(self) -> np.ndarray:
         # unseen arms read mean 0: their successes are 0 too
         means = self.successes / np.maximum(self.counts, 1)
-        return self.explore(argmax_rows(means, self.rng))
+        return self.explore(argmax_rows(means, self.rng))[None]
 
 
 class ThompsonPolicy(Policy):
@@ -162,7 +188,7 @@ class ThompsonPolicy(Policy):
     def choose(self) -> np.ndarray:
         successes = self.successes
         theta = self.rng.beta(successes + 1.0, self.counts - successes + 1.0)
-        return argmax_rows(theta, self.rng)
+        return argmax_rows(theta, self.rng)[None]
 
 
 class AsympOptPolicy(Policy):
@@ -187,29 +213,30 @@ class AsympOptPolicy(Policy):
         # cdf never decreases along a row, so the masses at or below the draw
         # are a prefix, and that first index equals their count
         draw = self.rng.random(len(cdf)) * cdf[:, -1]
-        return self.explore((cdf > draw[:, None]).argmax(axis=1))
+        return self.explore((cdf > draw[:, None]).argmax(axis=1))[None]
 
 
 class UniformRandomPolicy(Policy):
     """Calibration baseline: every turn an independent uniform arm per player.
 
-    The arms do not depend on the tallies, so ``choose()`` draws
-    ``_RANDOM_CHUNK`` turns in one ``integers(S, size=(chunk, N))`` call
-    and queues them in ``sweep``: one call per turn cost about 9.5 µs
-    (NumPy 2.4.6), nearly all of it call overhead.  The rows are the
-    per-turn draws, in order.  NumPy draws each bounded integer from the
-    bit generator's next 32-bit output, with its own rejection, in
-    row-major order, and PCG64 keeps the spare half of a 64-bit output in
-    the bit generator, not in the call.  Only the stream's end state
-    differs, and nothing else draws from this episode's ``players`` stream.
+    The arms do not depend on the tallies, so whenever no turn is left
+    decided, ``select`` decides one stretch of turns, ``self.stretch``, in
+    one ``integers(S, size=(turns, N))`` call, and plays them out: one call
+    per turn cost about 9.5 µs (NumPy 2.4.6), nearly all of it call
+    overhead.  The rows are the per-turn draws, in order.  NumPy
+    draws each bounded integer from the bit generator's next 32-bit
+    output, with its own rejection, in row-major order, and PCG64 keeps
+    the spare half of a 64-bit output in the bit generator, not in the
+    call.  Only the stream's end state differs, and nothing else draws
+    from this episode's ``players`` stream.
     """
 
     sweeps_first = False
 
-    def choose(self) -> np.ndarray:
-        arms = self.rng.integers(self.n_arms, size=(_RANDOM_CHUNK, len(self.counts)))
-        self.sweep = list(arms[:0:-1])
-        return arms[0]
+    def select(self, limit: int) -> np.ndarray:
+        if not len(self.sweep):
+            self.sweep = self.rng.integers(self.n_arms, size=(self.stretch, len(self.counts)))
+        return super().select(limit)
 
 
 _KINDS = {

@@ -9,14 +9,16 @@ can run concurrently without coordination.
 
 Two streams whose draws do not depend on the game state are read ahead,
 because one NumPy call per turn costs more than the values it returns:
-the random policy's arms on the ``players`` stream (see
-``policies.UniformRandomPolicy``) and the collision priorities on the
-``env-winners`` stream, through ``Prefetched``.  The values each consumer
-uses and their order are unchanged; only the streams' end states differ,
-since an episode ends with unread values drawn, and nothing reads those
-end states.  The other policies' ``players`` stream is not read ahead:
-it interleaves doubles, 32-bit integers and Beta draws, so reading it
-ahead would change what each call returns.
+the random policy's arms on the ``players`` stream, one stretch of turns
+per call (see ``policies.UniformRandomPolicy``), and the collision
+priorities on the ``env-winners`` stream, through ``Prefetched``.  A
+stretch of turns asks for the priorities of all its collided turns in one
+``random(n)`` call, in turn order.  The values each consumer uses and
+their order are unchanged; only the streams' end states differ, since an
+episode ends with unread values drawn, and nothing reads those end
+states.  The other policies' ``players`` stream is not read ahead: it
+interleaves doubles, 32-bit integers and Beta draws, so reading it ahead
+would change what each call returns.
 """
 
 from __future__ import annotations

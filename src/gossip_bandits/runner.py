@@ -11,8 +11,13 @@ whole-number counts, so that delivering a turn is a BLAS product; they
 are exact below 2**53, far above any count an episode reaches, and the
 reach matrices stay boolean.  There are no per-player objects: one
 policy, built once per episode, reads the whole matrix and returns every
-player's choice each turn.  ``env_step`` pays the turn's realizations and
-``disseminate`` adds every report to the tallies it reaches.
+player's choices for a stretch of turns: the turns it has already
+decided (the sweep, or the random policy's read-ahead), else the one turn
+its rule decides next.  A stretch never crosses a block, and the policy
+keeps it to at most ``network.STRETCH_BYTES`` of report rows.
+``env_step`` pays the
+stretch's realizations and ``disseminate`` adds every report of it to
+the tallies it reaches, one call each per stretch.
 ``episode_blocks`` yields each block's choices (turns, N) and
 realizations (turns, S) with the live tallies (N, 2S).  The rewards the
 players received go from ``env_step`` straight to ``disseminate`` and
@@ -30,11 +35,15 @@ for the arm realizations, ``graph`` for the reach matrices,
 draw of every player.  The realizations and the graphs therefore do not
 depend on the policy.  Two streams are read ahead of the turns: the
 collision priorities through ``rng.Prefetched``, and the random policy's
-arms in chunks of turns.  Each value is still used in the same place and
-order as one call per turn would use it, so output does not change; only
-those streams' end states differ, with unread values drawn, and nothing
-reads them.  All players share one stream, so a player's
-choices depend on the other players' draws.  Each repetition's seed
+arms a stretch at a time.  A stretch is played as one: its collided
+turns draw their priorities in turn order in one call, and its reports
+are added in one sum of whole numbers, exact below 2**53.  Each value is
+still used in the same place and order as one call per turn would use
+it, so output does not change; only the read-ahead streams' end states
+differ, with unread values drawn, and nothing reads them.  Only the
+learning rules' own turns, which read the tallies, are played one at a
+time.  All players share one stream, so a player's choices depend on
+the other players' draws.  Each repetition's seed
 comes from (``base_seed``, alpha index, repetition), so an episode does
 not depend on ``repetitions`` either, and a config with a given
 ``base_seed`` writes byte-identical CSV and JSON whatever ``n_jobs`` is,
@@ -119,10 +128,13 @@ def episode_blocks(
         rewards = draw_arm_rewards(config.means, length, arm_rng)
         reach = sample_reach(n_players, alpha, length, graph_rng)
         choices = np.empty((length, n_players), dtype=np.int64)
-        for t in range(length):
-            chosen = policy.select()
-            choices[t] = chosen
-            disseminate(tallies, reach[t], chosen, env_step(chosen, rewards[t], winner_rng))
+        t = 0
+        while t < length:
+            chosen = policy.select(length - t)
+            end = t + len(chosen)
+            choices[t:end] = chosen
+            disseminate(tallies, reach[t:end], chosen, env_step(chosen, rewards[t:end], winner_rng))
+            t = end
         yield choices, rewards, tallies
         del choices, rewards, reach  # gone before the next block is drawn
 

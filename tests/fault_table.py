@@ -4,10 +4,11 @@
 
 For each fault in ``FAULTS`` the script copies the repository to a
 temporary directory, replaces one exact snippet of one source file, and
-runs ``pytest -x --ignore=tests/test_golden.py`` there.
-The golden digests are left out because they catch every change in
-output, so they would hide whether the behavioural tests still say what
-the engine means.  A fault is *killed* by the first test that fails,
+runs ``pytest -x`` there on every test file but ``tests/test_golden.py``,
+with ``tests/test_acceptance.py`` last, so its Monte Carlo runs only for
+a fault that no unit test kills.  The golden digests are left out
+because they catch every change in output, so they would hide whether
+the behavioural tests still say what the engine means.  A fault is *killed* by the first test that fails,
 *survives* when the suite passes, and is *not planted* when its snippet
 is no longer in the source, which fails the script rather than passing
 silently.  The table is printed and appended to ``CHANGES.md`` as one
@@ -28,6 +29,11 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
+# The unit-test files in name order, then the acceptance suite; no golden digests.
+TEST_FILES = [
+    f"tests/{path.name}" for path in sorted((ROOT / "tests").glob("test_*.py"))
+    if path.name not in ("test_golden.py", "test_acceptance.py")
+] + ["tests/test_acceptance.py"]
 
 
 class Fault(NamedTuple):
@@ -47,22 +53,27 @@ FAULTS = (
     ),
     Fault(
         "winner_lowest_priority", "src/gossip_bandits/env.py",
-        "        top = np.zeros(len(arm_rewards))  # priorities are >= 0\n"
-        "        np.maximum.at(top, choices, priority)\n"
-        "        realized &= priority >= top[choices]\n",
-        "        top = np.ones(len(arm_rewards))\n"
-        "        np.minimum.at(top, choices, priority)\n"
-        "        realized &= priority <= top[choices]\n",
+        "        top = np.zeros(arm_rewards.size)  # priorities are >= 0\n"
+        "        np.maximum.at(top, keys, priority)\n"
+        "        paid = realized.ravel()  # a view: the turns' rows side by side, like the keys\n"
+        "        paid &= priority >= top[keys]\n",
+        "        top = np.ones(arm_rewards.size)\n"
+        "        np.minimum.at(top, keys, priority)\n"
+        "        paid = realized.ravel()\n"
+        "        paid &= priority <= top[keys]\n",
         "a collision goes to the lowest priority on the arm",
     ),
     Fault(
         "loser_keeps_realization", "src/gossip_bandits/env.py",
-        "        realized &= priority >= top[choices]\n", "",
+        "        paid &= priority >= top[keys]\n", "",
         "every player on a collided arm receives its realization",
     ),
     Fault(
         "priorities_every_turn", "src/gossip_bandits/env.py",
-        "    if len(set(choices.tolist())) < len(choices):\n", "    if True:\n",
+        "    if len(set(listed)) < len(listed):  # a key repeats: some turn has a collision\n"
+        "        collided = [True] if n_turns == 1 else [len(set(row)) < n_players for row in choices.tolist()]\n",
+        "    if True:\n"
+        "        collided = [True] * n_turns\n",
         "the priorities are drawn on every turn, with or without a collision",
     ),
     Fault(
@@ -79,29 +90,34 @@ FAULTS = (
     ),
     Fault(
         "winner_lowest_index", "src/gossip_bandits/env.py",
-        "        priority = winner_rng.random(len(choices))\n",
-        "        winner_rng.random(len(choices))\n        priority = np.linspace(1.0, 0.0, len(choices))\n",
+        "        priority = winner_rng.random(drawn * n_players)\n",
+        "        winner_rng.random(drawn * n_players)\n"
+        "        priority = np.tile(np.linspace(1.0, 0.0, n_players), drawn)\n",
         "a collision goes to the lowest-numbered player on the arm; the draw still happens",
     ),
     Fault(
         "no_self_report", "src/gossip_bandits/network.py",
-        "    reach[:, np.arange(n_players), np.arange(n_players)] = True\n", "",
+        "    edges = np.ones((n_turns, pairs + 1), dtype=bool)  # the last column is every player's own\n",
+        "    edges = np.zeros((n_turns, pairs + 1), dtype=bool)\n",
         "a player does not hear its own report",
     ),
     Fault(
         "one_way_edges", "src/gossip_bandits/network.py",
-        "    reach |= reach.transpose(0, 2, 1)\n", "",
-        "a graph edge carries reports one way only",
+        "    columns[first, second] = columns[second, first] = np.arange(len(first))\n",
+        "    columns[first, second] = np.arange(len(first))\n",
+        "a pair's edge sets only its reach entry above the diagonal; the one below always reaches",
     ),
     Fault(
         "sweep_skipped", "src/gossip_bandits/policies.py",
-        "            self.sweep = list(order.T[::-1])\n", "            self.sweep = []\n",
+        "            self.sweep = np.ascontiguousarray(order.T)\n", "            self.sweep = order.T[:0]\n",
         "the pull-each-arm-once sweep is skipped",
     ),
     Fault(
         "epsilon_decays_on_choose_only", "src/gossip_bandits/policies.py",
-        "        arms = self.sweep.pop() if self.sweep else self.choose()\n",
-        "        if self.sweep:\n            return self.sweep.pop()\n        arms = self.choose()\n",
+        "            for _ in range(len(arms)):\n"
+        "                self.epsilon *= self.config.decay\n"
+        "            return arms\n",
+        "            return arms\n",
         "epsilon decays only on turns after the sweep",
     ),
     Fault(
@@ -122,9 +138,30 @@ FAULTS = (
     ),
     Fault(
         "random_chunk_transposed", "src/gossip_bandits/policies.py",
-        "self.rng.integers(self.n_arms, size=(_RANDOM_CHUNK, len(self.counts)))",
-        "self.rng.integers(self.n_arms, size=(len(self.counts), _RANDOM_CHUNK)).T",
-        "the random policy draws its chunk (N, chunk) and transposes it",
+        "self.rng.integers(self.n_arms, size=(self.stretch, len(self.counts)))",
+        "self.rng.integers(self.n_arms, size=(len(self.counts), self.stretch)).T",
+        "the random policy draws its read-ahead (N, turns) and transposes it",
+    ),
+    Fault(
+        "epsilon_decays_once_per_stretch", "src/gossip_bandits/policies.py",
+        "            for _ in range(len(arms)):\n"
+        "                self.epsilon *= self.config.decay\n",
+        "            self.epsilon *= self.config.decay\n",
+        "epsilon decays once per stretch of decided turns, not once per turn",
+    ),
+    Fault(
+        "stretch_delivers_first_turn_only", "src/gossip_bandits/network.py",
+        "    tallies += np.dot(reach.transpose(1, 0, 2).reshape(n_players, -1), reports.reshape(-1, width))\n",
+        "    tallies += np.dot(reach[0], reports[0])\n",
+        "a stretch delivers only its first turn's reports",
+    ),
+    Fault(
+        "priorities_for_every_stretch_row", "src/gossip_bandits/env.py",
+        "        priority = winner_rng.random(drawn * n_players)\n"
+        "        if drawn < n_turns:\n",
+        "        priority = winner_rng.random(n_turns * n_players)\n"
+        "        if False:\n",
+        "a stretch with a collision draws priorities for every one of its turns",
     ),
 )
 
@@ -146,8 +183,7 @@ def first_failure(fault: Fault) -> str | None:
             ".git", "__pycache__", ".pytest_cache", ".bench_out"))
         plant(fault, copy)
         proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-rfE", "-p", "no:cacheprovider",
-             "--ignore=tests/test_golden.py"],
+            [sys.executable, "-m", "pytest", "-x", "-q", "-rfE", "-p", "no:cacheprovider", *TEST_FILES],
             cwd=copy, env=dict(os.environ, PYTHONPATH="src"),
             capture_output=True, text=True, timeout=1800,
         )

@@ -47,14 +47,14 @@ def reference_episode(config, alpha: float, seed: int):
         if config.algorithm == "random":
             choices[t] = players.integers(n_arms, size=n_players)
         else:
-            choices[t] = policy.select()
-        disseminate(tallies, reach, choices[t], env_step(choices[t], rewards[t], winner_rng))
+            choices[t] = policy.select(1)[0]
+        disseminate(tallies, reach[None], choices[t][None], env_step(choices[t][None], rewards[t][None], winner_rng))
     return choices, rewards, tallies
 
 
 def pay(choices, rewards, winner_rng) -> np.ndarray:
     """(turns, N) 0/1 rewards ``env_step`` pays turn by turn, collisions drawn on ``winner_rng``."""
-    return np.array([env_step(c, r, winner_rng) for c, r in zip(choices, rewards)], dtype=np.int64)
+    return np.array([env_step(c[None], r[None], winner_rng)[0] for c, r in zip(choices, rewards)], dtype=np.int64)
 
 
 def received_rewards(choices, rewards, seed: int) -> np.ndarray:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from gossip_bandits import rng as rng_module
 from gossip_bandits.env import draw_arm_rewards, env_step
-from gossip_bandits.rng import substream
+from gossip_bandits.rng import Prefetched, substream
 from oracles import pairwise_env_step
 
 MU_SPREAD = (0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.01)
@@ -31,7 +32,7 @@ class TestDrawArmRewards:
 
 def step(choices, arm_rewards, rng):
     """``env_step`` on plain lists, as a list."""
-    return env_step(np.asarray(choices), np.asarray(arm_rewards, dtype=bool), rng).tolist()
+    return env_step(np.asarray(choices)[None], np.asarray(arm_rewards, dtype=bool)[None], rng)[0].tolist()
 
 
 class TestEnvStep:
@@ -50,7 +51,7 @@ class TestEnvStep:
         # oracle: each of k contenders wins a resolution with probability 1/k
         rng = np.random.default_rng(12)
         n = 10**4
-        wins = np.array([env_step(np.zeros(k, dtype=np.int64), np.array([True, True]), rng)
+        wins = np.array([env_step(np.zeros(k, dtype=np.int64)[None], np.array([True, True])[None], rng)[0]
                          for _ in range(n)])
         assert (wins.sum(axis=1) == 1).all()
         sigma = np.sqrt((1 / k) * (1 - 1 / k) / n)
@@ -100,7 +101,7 @@ class TestEnvStep:
         rewards = draw_arm_rewards(MU_SPREAD, n, substream(99, "env-arms"))
         winner_rng = substream(99, "env-winners")
         pulls = np.zeros(5, dtype=np.int64)
-        total = sum(int(env_step(pulls, row, winner_rng).sum()) for row in rewards)
+        total = sum(int(env_step(pulls[None], row[None], winner_rng).sum()) for row in rewards)
         sigma = np.sqrt(0.9 * 0.1 / n)
         assert abs(total / n - 0.9) < 3 * sigma
 
@@ -111,7 +112,7 @@ class TestEnvStep:
         def run():
             rewards = draw_arm_rewards(MU_SPREAD, 50, substream(77, "env-arms"))
             winner_rng = substream(77, "env-winners")
-            return [env_step(c, r, winner_rng).tolist() for c, r in zip(choice_seq, rewards)]
+            return [env_step(c[None], r[None], winner_rng)[0].tolist() for c, r in zip(choice_seq, rewards)]
 
         assert run() == run()
 
@@ -144,7 +145,7 @@ class TestMatchesPairwiseReference:
         drew = 0
         for choices, arm_rewards in self.turns(80 + n_players, n_players, 500):
             before = fast.bit_generator.state
-            paid = env_step(choices, arm_rewards, fast)
+            paid = env_step(choices[None], arm_rewards[None], fast)[0]
             expected = pairwise_env_step(choices, arm_rewards, reference)
             assert paid.dtype == expected.dtype and np.array_equal(paid, expected)
             assert fast.bit_generator.state == reference.bit_generator.state
@@ -157,10 +158,68 @@ class TestMatchesPairwiseReference:
     def test_exactly_tied_priorities_pay_alike(self, n_players):
         fast, reference = LevelDraws(82, levels=3), LevelDraws(82, levels=3)
         for choices, arm_rewards in self.turns(90 + n_players, n_players, 300):
-            paid = env_step(choices, arm_rewards, fast)
+            paid = env_step(choices[None], arm_rewards[None], fast)[0]
             assert np.array_equal(paid, pairwise_env_step(choices, arm_rewards, reference))
             assert fast.rng.bit_generator.state == reference.rng.bit_generator.state
 
     def test_players_tied_at_the_top_are_all_paid(self):
         # every priority is 0.0: no player on arm 1 has a strictly higher one than another
         assert step([1, 1, 0, 1], [1, 1], LevelDraws(0, levels=1)) == [1, 1, 1, 1]
+
+
+class TestStretch:
+    """A (k, N) stretch against k one-turn calls on a twin priority stream."""
+
+    @staticmethod
+    def stretches(seed, n_players, n_arms, longest, count):
+        """``count`` random stretches of 1 to ``longest`` turns: (choices, realizations)."""
+        data = np.random.default_rng(seed)
+        for _ in range(count):
+            n_turns = int(data.integers(1, longest + 1))
+            yield data.integers(n_arms, size=(n_turns, n_players)), data.random((n_turns, n_arms)) < 0.5
+
+    @pytest.mark.parametrize("n_players, n_arms, longest, kinds", [
+        (5, 10, 12, {"all", "some", "none"}),  # stretches of every kind
+        (3, 40, 12, {"some", "none"}),          # most turns without a collision
+        (20, 4, 64, {"all"}),                   # 64 * 20 priorities outgrow a refill
+        (20, 25, 32, {"all"}),                  # the dense workload's shape
+        (1, 3, 8, {"none"}),                    # one player never collides
+    ])
+    def test_a_stretch_pays_and_draws_what_its_turns_do(self, n_players, n_arms, longest, kinds):
+        fast, twin = Prefetched(np.random.default_rng(91)), Prefetched(np.random.default_rng(91))
+        seen = set()
+        for choices, rewards in self.stretches(90 + n_players, n_players, n_arms, longest, 300):
+            paid = env_step(choices, rewards, fast)
+            expected = [env_step(c[None], r[None], twin)[0] for c, r in zip(choices, rewards)]
+            assert paid.shape == choices.shape and paid.dtype == bool
+            assert np.array_equal(paid, expected)
+            # both streams stand at the same next value
+            assert fast.random(1)[0] == twin.random(1)[0]
+            collided = [len(set(row)) < n_players for row in choices.tolist()]
+            seen.add("all" if all(collided) else "some" if any(collided) else "none")
+        assert seen >= kinds
+
+    def test_priorities_cross_a_refill_in_turn_order(self):
+        # 60 collided turns of 20 players ask for 1200 priorities in one call,
+        # more than one refill holds, starting part-way through the buffer
+        assert 60 * 20 > rng_module._PREFETCH
+        choices = np.zeros((60, 20), dtype=np.int64)
+        rewards = np.ones((60, 2), dtype=bool)
+        fast, plain = Prefetched(np.random.default_rng(92)), np.random.default_rng(92)
+        fast.random(1000)
+        plain.random(1000)
+        paid = env_step(choices, rewards, fast)
+        priority = plain.random((60, 20))
+        assert np.array_equal(paid, priority == priority.max(axis=1, keepdims=True))
+        assert fast.random(1)[0] == plain.random()
+
+    def test_only_collided_turns_draw(self):
+        # turns 0 and 2 collide, turn 1 does not: 2 * 3 priorities, in turn order
+        choices = np.array([[0, 0, 1], [0, 1, 2], [2, 1, 2]])
+        rewards = np.ones((3, 3), dtype=bool)
+        plain = np.random.default_rng(93)
+        paid = env_step(choices, rewards, np.random.default_rng(93))
+        first, third = plain.random(3), plain.random(3)
+        assert paid[1].tolist() == [True] * 3
+        assert paid[0].tolist() == [first[0] > first[1], first[1] > first[0], True]
+        assert paid[2].tolist() == [third[0] > third[2], True, third[2] > third[0]]

@@ -21,7 +21,7 @@ def reference_tallies(reach, choices, realized, n_arms):
 
 def deliver(reach, choices, realized, n_arms):
     tallies = np.zeros((len(choices), 2 * n_arms), dtype=np.float64)
-    disseminate(tallies, reach, np.asarray(choices), np.asarray(realized))
+    disseminate(tallies, np.asarray(reach)[None], np.asarray(choices)[None], np.asarray(realized)[None])
     return tallies
 
 
@@ -86,8 +86,8 @@ class TestDisseminate:
     def test_accumulates_across_turns(self):
         tallies = np.zeros((2, 4), dtype=np.float64)
         reach = np.ones((2, 2), dtype=np.int64)
-        disseminate(tallies, reach, np.array([0, 1]), np.array([1, 0]))
-        disseminate(tallies, reach, np.array([0, 0]), np.array([0, 1]))
+        disseminate(tallies, reach[None], np.array([0, 1])[None], np.array([1, 0])[None])
+        disseminate(tallies, reach[None], np.array([0, 0])[None], np.array([0, 1])[None])
         assert tallies.tolist() == [[3, 1, 2, 0]] * 2
 
     def test_matches_report_by_report_reference(self):
@@ -96,7 +96,7 @@ class TestDisseminate:
             n = int(rng.integers(2, 7))
             n_arms = int(rng.integers(2, 5))
             choices = rng.integers(n_arms, size=n)
-            realized = env_step(choices, rng.integers(2, size=n_arms).astype(bool), rng)
+            realized = env_step(choices[None], rng.integers(2, size=n_arms).astype(bool)[None], rng)[0]
             reach = sample_reach(n, float(rng.random()), 1, rng)[0]
             tallies = deliver(reach, choices, realized, n_arms)
             assert np.array_equal(tallies, reference_tallies(reach, choices, realized, n_arms))
@@ -107,7 +107,7 @@ class TestDisseminate:
 
     def test_collision_losers_report_zero(self):
         # the arm paid 1 but only the winner's report carries it
-        realized = env_step(np.zeros(3, dtype=np.int64), np.ones(2, dtype=bool), np.random.default_rng(23))
+        realized = env_step(np.zeros(3, dtype=np.int64)[None], np.ones(2, dtype=bool)[None], np.random.default_rng(23))[0]
         tallies = deliver(np.ones((3, 3), dtype=np.int64), [0, 0, 0], realized, n_arms=2)
         assert tallies.tolist() == [[3, 0, 1, 0]] * 3
 
@@ -115,3 +115,35 @@ class TestDisseminate:
         # env_step's booleans; with two players a mask would fit the reward axis
         tallies = deliver(np.ones((2, 2), dtype=bool), [0, 1], [True, False], n_arms=3)
         assert tallies.tolist() == [[1, 1, 0, 1, 0, 0]] * 2
+
+
+class TestStretch:
+    @pytest.mark.parametrize("n, n_arms, n_turns", [(5, 10, 7), (20, 25, 32), (3, 2, 1), (1, 3, 4)])
+    def test_a_stretch_delivers_the_sum_of_its_turns(self, n, n_arms, n_turns):
+        # one-way reach matrices, so a receiver mixed up with a sender shows
+        rng = np.random.default_rng(26)
+        for _ in range(20):
+            reach = (rng.random((n_turns, n, n)) < 0.4) | np.eye(n, dtype=bool)
+            choices = rng.integers(n_arms, size=(n_turns, n))
+            realized = rng.random((n_turns, n)) < 0.5
+            stretch = np.zeros((n, 2 * n_arms))
+            disseminate(stretch, reach, choices, realized)
+            turns = np.zeros((n, 2 * n_arms))
+            for t in range(n_turns):
+                disseminate(turns, reach[t][None], choices[t][None], realized[t][None])
+            assert np.array_equal(stretch, turns)
+            expected = sum(reference_tallies(r, c, w, n_arms) for r, c, w in zip(reach, choices, realized))
+            assert np.array_equal(stretch, expected)
+
+
+class TestReachGather:
+    @pytest.mark.parametrize("n", [1, 2, 5, 20])
+    def test_reach_is_the_edges_mirrored_plus_the_identity(self, n):
+        # the gather reads each pair's edge for both of its entries
+        alpha, turns = 0.5, 40
+        edges = np.random.default_rng(27).random((turns, n * (n - 1) // 2)) < alpha
+        first, second = np.triu_indices(n, k=1)
+        expected = np.zeros((turns, n, n), dtype=bool)
+        expected[:, first, second] = expected[:, second, first] = edges
+        expected |= np.eye(n, dtype=bool)
+        assert np.array_equal(sample_reach(n, alpha, turns, np.random.default_rng(27)), expected)

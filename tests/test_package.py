@@ -47,16 +47,18 @@ def test_runner_exposes_the_layers_looked_up_by_name():
 
 def test_runner_calls_the_patched_names_at_run_time(monkeypatch):
     # the traced bench run wraps the policy, counts env_step and disseminate
-    # per turn, and its memory probe reads the heap at build_run_record: a
+    # per stretch, and its memory probe reads the heap at build_run_record: a
     # call that bypassed the module globals would drop its layer from the trace
     runner = gossip_bandits.runner
-    calls = Counter()
+    calls, rows = Counter(), Counter()
 
     def counted(name):
         fn = getattr(runner, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
+            if name in ("env_step", "disseminate"):
+                rows[name] += len(args[0] if name == "env_step" else args[2])  # the stretch's choices
             return fn(*args, **kwargs)
 
         return wrapper
@@ -66,5 +68,15 @@ def test_runner_calls_the_patched_names_at_run_time(monkeypatch):
     config = gossip_bandits.ExperimentConfig(turns=50, repetitions=1)
     runner.run_episode(config, 0.5, 1, (50,))
     assert calls["make_policy"] == 1
-    assert calls["env_step"] == calls["disseminate"] == config.turns
+    # every turn is played once: the stretches' rows add up to the horizon
+    assert calls["env_step"] == calls["disseminate"]
+    assert rows["env_step"] == rows["disseminate"] == config.turns
     assert calls["build_run_record"] >= 1
+    # the random policy's turns are decided ahead, so they are played in stretches
+    calls.clear()
+    rows.clear()
+    dense = gossip_bandits.ExperimentConfig(algorithm="random", n_players=20, means=(0.5,) * 25,
+                                             turns=1000, repetitions=1)
+    runner.run_episode(dense, 1.0, 1, (1000,))
+    assert calls["env_step"] == calls["disseminate"] <= dense.turns // 10
+    assert rows["env_step"] == rows["disseminate"] == dense.turns

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from gossip_bandits import policies
+from gossip_bandits import network
 from gossip_bandits.config import ConfigError, ExperimentConfig
-from gossip_bandits.network import disseminate
+from gossip_bandits.network import disseminate, stretch_turns
 from gossip_bandits.policies import (
     AsympOptPolicy,
     EpsilonGreedyPolicy,
@@ -55,13 +55,13 @@ def prob_beta_exceeds(a, b, c, d):
 
 
 def skip_sweep(policy):
-    policy.sweep.clear()
+    policy.sweep = policy.sweep[:0]
     return policy
 
 
 def picks(policy, turns):
     """(turns, players) choices of ``turns`` selections."""
-    return np.array([policy.select() for _ in range(turns)])
+    return np.array([policy.select(1)[0] for _ in range(turns)])
 
 
 class TestSharedTallies:
@@ -70,15 +70,15 @@ class TestSharedTallies:
         policy, tallies = episode(name, 4, n_players=3)
         reach = np.ones((3, 3), dtype=bool)
         for _ in range(20):
-            choices = np.array(policy.select())
+            choices = np.array(policy.select(1)[0])
             before = tallies.copy()
-            disseminate(tallies, reach, choices, choices % 2)
+            disseminate(tallies, reach[None], choices[None], (choices % 2)[None])
             assert (tallies - before)[:, :4].sum() == 9
             assert np.shares_memory(policy.counts, tallies)
             assert np.array_equal(policy.counts, tallies[:, :4])
             assert np.array_equal(policy.successes, tallies[:, 4:])
         snapshot = tallies.copy()
-        policy.select()
+        policy.select(1)[0]
         assert np.array_equal(tallies, snapshot)
 
     @pytest.mark.parametrize("name", POLICIES)
@@ -98,7 +98,7 @@ class TestSharedTallies:
             rows = np.arange(3)
             chosen = []
             for _ in range(200):
-                arms = policy.select()
+                arms = policy.select(1)[0]
                 chosen.append(arms)
                 # each player's own report, the same whole numbers in either dtype
                 tallies[rows, arms] += 1
@@ -173,9 +173,9 @@ class TestArgmaxRandomTie:
 class TestUcb1:
     def test_init_phase_sweeps_arms_in_order(self):
         pol, _ = episode("ucb1", 10, n_players=3)
-        assert [pol.select().tolist() for _ in range(4)] == [[0, 0, 0], [1, 1, 1], [2, 2, 2], [3, 3, 3]]
+        assert [pol.select(1)[0].tolist() for _ in range(4)] == [[0, 0, 0], [1, 1, 1], [2, 2, 2], [3, 3, 3]]
         assert len(pol.sweep) == 6
-        assert pol.select().tolist() == [4, 4, 4]
+        assert pol.select(1)[0].tolist() == [4, 4, 4]
         assert len(pol.sweep) == 5
 
     def test_random_init_order_is_a_permutation(self):
@@ -195,7 +195,7 @@ class TestUcb1:
         assert bonus == pytest.approx(1.1774100225154747)
         pol, tallies = episode("ucb1", 2)
         prime(tallies, counts=[1, 1], successes=[1, 0])
-        assert skip_sweep(pol).select().tolist() == [0]
+        assert skip_sweep(pol).select(1)[0].tolist() == [0]
         # each row's bonus uses its own total: row 1 prefers its least-pulled arm
         pol, tallies = episode("ucb1", 3, n_players=2)
         prime(tallies, counts=[[1, 1, 1], [4, 1, 2]], successes=[[1, 0, 0], [3, 0, 1]])
@@ -204,7 +204,7 @@ class TestUcb1:
             int(np.argmax(s / c + np.sqrt(2.0 * np.log(c.sum()) / c)))
             for c, s in zip(counts, successes)
         ]
-        assert skip_sweep(pol).select().tolist() == expected == [0, 1]
+        assert skip_sweep(pol).select(1)[0].tolist() == expected == [0, 1]
 
     def test_symmetric_tie_selects_uniformly(self):
         pol, tallies = episode("ucb1", 3, n_players=2, seed=34)
@@ -221,12 +221,12 @@ class TestEpsilonGreedy:
     def test_pure_greedy(self):
         pol, tallies = episode("egreedy", 3, n_players=2, epsilon0=0.0)
         prime(tallies, counts=[10, 10, 10], successes=[[1, 9, 3], [5, 1, 3]])
-        assert all(skip_sweep(pol).select().tolist() == [1, 0] for _ in range(100))
+        assert all(skip_sweep(pol).select(1)[0].tolist() == [1, 0] for _ in range(100))
 
     def test_unseen_arms_read_mean_zero(self):
         pol, tallies = episode("egreedy", 3, epsilon0=0.0)
         prime(tallies, counts=[4, 0, 0], successes=[1, 0, 0])
-        assert all(skip_sweep(pol).select().tolist() == [0] for _ in range(100))
+        assert all(skip_sweep(pol).select(1)[0].tolist() == [0] for _ in range(100))
 
     def test_pure_exploration_is_uniform(self):
         pol, _ = episode("egreedy", 5, n_players=2, seed=35, epsilon0=1.0, decay=0.9999999)
@@ -239,12 +239,12 @@ class TestEpsilonGreedy:
     def test_decay_is_geometric_in_selections(self):
         pol, _ = episode("egreedy", 4, n_players=2, seed=2, epsilon0=1.0, decay=0.9)
         for _ in range(3):
-            pol.select()
+            pol.select(1)[0]
         assert pol.epsilon == 1.0 * 0.9 * 0.9 * 0.9  # 0.729 up to float repr
 
         expected = pol.epsilon
         for _ in range(37):
-            pol.select()
+            pol.select(1)[0]
             expected *= 0.9
         assert pol.epsilon == expected
 
@@ -436,7 +436,7 @@ class TestAsympOpt:
             counts = data.integers(30, size=(n_players, n_arms))
             prime(tallies, counts, data.binomial(counts, data.random(n_arms)))
             replay = copy.deepcopy(pol.rng)
-            chosen = pol.select()
+            chosen = pol.select(1)[0]
             means = np.maximum(pol.successes / np.maximum(pol.counts, 1), pol.config.mean_floor)
             mix = mix_probabilities(means, n_players)
             cdf = mix.cumsum(axis=1)
@@ -449,7 +449,7 @@ class TestAsympOpt:
         pol, _ = episode("asympopt", 5, n_players=2, seed=47, epsilon0=1.0, decay=0.995)
         expected = 1.0
         for _ in range(25):
-            pol.select()
+            pol.select(1)[0]
             expected *= 0.995
         assert pol.epsilon == expected
 
@@ -467,15 +467,50 @@ class TestUniformRandom:
     @pytest.mark.parametrize("chunk", [7, None])
     def test_select_draws_what_one_call_per_turn_draws(self, monkeypatch, n_players, n_arms, chunk):
         # however the arms are read ahead, every turn's row is the twin
-        # generator's per-turn draw; 3 * 1024 + 5 turns span three chunks and
-        # a remainder of any chunk up to 1024 turns, and 26 turns those of 7
+        # generator's per-turn draw; three stretches and a remainder: of the
+        # default stretch, and of 7 turns, whose report rows STRETCH_BYTES is set to
         if chunk is not None:
-            monkeypatch.setattr(policies, "_RANDOM_CHUNK", chunk)
-        turns = 3 * (chunk or 1024) + 5
+            monkeypatch.setattr(network, "STRETCH_BYTES", chunk * 16 * n_players * n_arms)
+        turns = 3 * (chunk or stretch_turns(n_players, n_arms)) + 5
         pol, _ = episode("random", n_arms, n_players=n_players, seed=53)
         twin = np.random.default_rng(53)
         for turn in range(turns):
-            assert np.array_equal(pol.select(), twin.integers(n_arms, size=n_players)), turn
+            assert np.array_equal(pol.select(1)[0], twin.integers(n_arms, size=n_players)), turn
+
+
+class TestStretches:
+    def test_the_sweep_is_served_up_to_the_limit(self):
+        pol, _ = episode("egreedy", 10, n_players=3)
+        assert pol.select(4).tolist() == [[0] * 3, [1] * 3, [2] * 3, [3] * 3]
+        assert len(pol.sweep) == 6
+        assert pol.select(100).tolist() == [[arm] * 3 for arm in range(4, 10)]
+        # nothing left decided: one turn of the rule itself
+        assert pol.select(100).shape == (1, 3)
+
+    @pytest.mark.parametrize("name", POLICIES)
+    def test_stretches_select_what_single_turns_do(self, name):
+        # ε decays once per turn of a stretch, by one multiplication each;
+        # every turn's own reports reach both twins before either chooses again
+        limits = np.random.default_rng(8).integers(1, 40, size=60)
+        fields = dict(n_players=3, seed=5, init_order="random", epsilon0=1.0, decay=0.9)
+        (stretched, stretched_tallies), (single, single_tallies) = (episode(name, 6, **fields) for _ in range(2))
+        rows = np.arange(3)
+        for limit in limits.tolist():
+            arms = stretched.select(limit)
+            assert 1 <= len(arms) <= limit
+            for row in arms:
+                assert np.array_equal(row, single.select(1)[0])
+                for tallies in (stretched_tallies, single_tallies):
+                    tallies[rows, row] += 1
+                    tallies[rows, 6 + row] += row % 2
+            assert stretched.epsilon == single.epsilon
+
+    def test_the_random_policy_reads_ahead_one_stretch(self):
+        pol, _ = episode("random", 25, n_players=20, seed=9)
+        stretch = stretch_turns(20, 25)
+        assert len(pol.select(1000)) == stretch
+        assert len(pol.select(5)) == 5
+        assert len(pol.select(1000)) == stretch - 5
 
 
 def drive(policy, tallies, turns=200):
@@ -484,9 +519,9 @@ def drive(policy, tallies, turns=200):
     obs_rng = np.random.default_rng(777)
     chosen = []
     for _ in range(turns):
-        chosen.append(policy.select())
-        disseminate(tallies, np.ones((n_players, n_players), dtype=bool),
-                    obs_rng.integers(n_arms, size=n_players), obs_rng.integers(2, size=n_players))
+        chosen.append(policy.select(1)[0])
+        disseminate(tallies, np.ones((n_players, n_players), dtype=bool)[None],
+                    obs_rng.integers(n_arms, size=n_players)[None], obs_rng.integers(2, size=n_players)[None])
     return np.array(chosen)
 
 

@@ -122,10 +122,12 @@ class TestStreamContract:
 
     @pytest.mark.parametrize("algorithm", POLICY_NAMES)
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
-    @pytest.mark.parametrize("n_players, n_arms, turns", [(3, 5, 301), (20, 25, 700)])
+    @pytest.mark.parametrize("n_players, n_arms, turns", [(3, 5, 301), (20, 25, 700), (20, 25, 1250)])
     def test_blocks_match_the_per_turn_reference(self, algorithm, alpha, n_players, n_arms, turns):
         # 700 turns at N=20, S=25 cross a 609-turn block; neither horizon is a
-        # multiple of a power-of-two read-ahead, in turns or in uniforms
+        # multiple of a power-of-two read-ahead, in turns or in uniforms.  The
+        # random policy's 32-turn stretches are cut by both block ends of 1250
+        # turns, one turn and two turns after a stretch began
         cfg = ExperimentConfig(algorithm=algorithm, n_players=n_players, turns=turns,
                                means=tuple(np.linspace(0.95, 0.05, n_arms)))
         engine = simulate_episode(cfg, alpha, 61)
@@ -157,7 +159,7 @@ class TestBlocks:
         assert runner.block_turns(cfg) >= cfg.turns
         record = run_episode(cfg, 0.5, 21, self.CHECKPOINTS)
         _, _, tallies = simulate_episode(cfg, 0.5, 21)
-        for turns in (1, 7, cfg.turns, 1000):
+        for turns in (1, 3, 7, cfg.turns, 1000):  # 3 cuts the five-turn sweep
             self.set_block_turns(monkeypatch, cfg, turns)
             again = run_episode(cfg, 0.5, 21, self.CHECKPOINTS)
             for name, series, other in zip(SERIES, record, again):
