@@ -57,8 +57,9 @@ def env_step(choices: np.ndarray, arm_rewards: np.ndarray, winner_rng: np.random
     is its own collision.
     """
     n_turns, n_players = choices.shape
-    # a one-turn stretch's keys are its arms
-    keys = choices if n_turns == 1 else choices + np.arange(0, arm_rewards.size, arm_rewards.shape[1])[:, None]
+    keys = choices  # a one-turn stretch's keys are its arms
+    if n_turns > 1:
+        keys = choices + np.arange(0, arm_rewards.size, arm_rewards.shape[1])[:, None]
     realized = arm_rewards.ravel()[keys]
     keys = keys.ravel()
     listed = keys.tolist()

@@ -103,4 +103,5 @@ def disseminate(
     n_players, width = tallies.shape
     # the rewards index the row table, never mask it: booleans become 0/1
     reports = _report_rows(width // 2)[choices, realized.astype(np.intp, copy=False)]
+    # np.dot, not @: for a boolean and a float64 operand it is the cheaper call
     tallies += np.dot(reach.transpose(1, 0, 2).reshape(n_players, -1), reports.reshape(-1, width))

@@ -11,8 +11,8 @@ delivers a turn with a BLAS product over its boolean reach matrix, and
 exact below 2**53, so every rule reads the same numbers as from integers.
 ``select(limit)`` returns a stretch of up to ``limit`` turns, a (k, N)
 array: the turns already decided (the sweep's rows, or the random
-policy's read-ahead), else what ``choose()`` decides next, which for the
-learning rules is one turn, worked out on all rows at once.
+policy's read-ahead), else the one turn the algorithm's own step
+``choose()`` decides, working on all rows at once.
 
 All players draw from one generator, the episode's ``players``
 substream, and every draw of a turn is one array call over the rows:

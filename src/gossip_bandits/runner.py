@@ -15,9 +15,8 @@ player's choices for a stretch of turns: the turns it has already
 decided (the sweep, or the random policy's read-ahead), else the one turn
 its rule decides next.  A stretch never crosses a block, and the policy
 keeps it to at most ``network.STRETCH_BYTES`` of report rows.
-``env_step`` pays the
-stretch's realizations and ``disseminate`` adds every report of it to
-the tallies it reaches, one call each per stretch.
+``env_step`` pays the stretch's realizations and ``disseminate`` adds
+every report of it to the tallies it reaches, one call each per stretch.
 ``episode_blocks`` yields each block's choices (turns, N) and
 realizations (turns, S) with the live tallies (N, 2S).  The rewards the
 players received go from ``env_step`` straight to ``disseminate`` and

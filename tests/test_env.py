@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from gossip_bandits import rng as rng_module
 from gossip_bandits.env import draw_arm_rewards, env_step
 from gossip_bandits.rng import Prefetched, substream
 from oracles import pairwise_env_step
@@ -181,7 +180,7 @@ class TestStretch:
     @pytest.mark.parametrize("n_players, n_arms, longest, kinds", [
         (5, 10, 12, {"all", "some", "none"}),  # stretches of every kind
         (3, 40, 12, {"some", "none"}),          # most turns without a collision
-        (20, 4, 64, {"all"}),                   # 64 * 20 priorities outgrow a refill
+        (20, 4, 64, {"all"}),                   # up to 64 * 20 priorities, more than a refill
         (20, 25, 32, {"all"}),                  # the dense workload's shape
         (1, 3, 8, {"none"}),                    # one player never collides
     ])
@@ -198,20 +197,6 @@ class TestStretch:
             collided = [len(set(row)) < n_players for row in choices.tolist()]
             seen.add("all" if all(collided) else "some" if any(collided) else "none")
         assert seen >= kinds
-
-    def test_priorities_cross_a_refill_in_turn_order(self):
-        # 60 collided turns of 20 players ask for 1200 priorities in one call,
-        # more than one refill holds, starting part-way through the buffer
-        assert 60 * 20 > rng_module._PREFETCH
-        choices = np.zeros((60, 20), dtype=np.int64)
-        rewards = np.ones((60, 2), dtype=bool)
-        fast, plain = Prefetched(np.random.default_rng(92)), np.random.default_rng(92)
-        fast.random(1000)
-        plain.random(1000)
-        paid = env_step(choices, rewards, fast)
-        priority = plain.random((60, 20))
-        assert np.array_equal(paid, priority == priority.max(axis=1, keepdims=True))
-        assert fast.random(1)[0] == plain.random()
 
     def test_only_collided_turns_draw(self):
         # turns 0 and 2 collide, turn 1 does not: 2 * 3 priorities, in turn order

@@ -134,16 +134,3 @@ class TestStretch:
             assert np.array_equal(stretch, turns)
             expected = sum(reference_tallies(r, c, w, n_arms) for r, c, w in zip(reach, choices, realized))
             assert np.array_equal(stretch, expected)
-
-
-class TestReachGather:
-    @pytest.mark.parametrize("n", [1, 2, 5, 20])
-    def test_reach_is_the_edges_mirrored_plus_the_identity(self, n):
-        # the gather reads each pair's edge for both of its entries
-        alpha, turns = 0.5, 40
-        edges = np.random.default_rng(27).random((turns, n * (n - 1) // 2)) < alpha
-        first, second = np.triu_indices(n, k=1)
-        expected = np.zeros((turns, n, n), dtype=bool)
-        expected[:, first, second] = expected[:, second, first] = edges
-        expected |= np.eye(n, dtype=bool)
-        assert np.array_equal(sample_reach(n, alpha, turns, np.random.default_rng(27)), expected)
