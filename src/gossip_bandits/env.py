@@ -11,8 +11,12 @@ receives it and the losers get 0.  Random priorities decide, one uniform
 per player on a turn with a collision: each (turn, arm)'s highest
 priority is found once, in one vector over the stretch's flat keys
 ``turn * S + arm``, and a player is paid when its own priority reaches
-its key's.  The environment never tells a player whether it collided; a
-loser's zero is indistinguishable from a true zero draw.
+its key's.  A stretch of several turns finds its collided turns with one
+sort of each turn's arms, where a repeated arm sits next to its twin; a
+one-turn stretch, the learning rules' turn, tests its arms with one
+``set``, which is cheaper than the sort at small N.  The environment never
+tells a player whether it collided; a loser's zero is indistinguishable
+from a true zero draw.
 """
 
 from __future__ import annotations
@@ -52,20 +56,24 @@ def env_step(choices: np.ndarray, arm_rewards: np.ndarray, winner_rng: np.random
     ``rng.Prefetched`` over it, whose ``random(n)`` returns the same values
     as the generator's.
 
-    A learning rule's own turns come one per stretch, so a one-turn stretch
-    skips what is known for it: its keys are its arms, and a repeated key
-    is its own collision.
+    The collided turns of a longer stretch are the rows of ``np.sort(choices,
+    axis=1)`` with two equal neighbours, found without a Python loop.  A
+    learning rule's own turns come one per stretch, so a one-turn stretch
+    skips what is known for it: its keys are its arms, and a ``set`` of
+    them shorter than N is its collision.
     """
     n_turns, n_players = choices.shape
-    keys = choices  # a one-turn stretch's keys are its arms
-    if n_turns > 1:
+    if n_turns == 1:
+        keys = choices  # a one-turn stretch's keys are its arms
+        drawn = len(set(choices.ravel().tolist())) < n_players  # a repeated arm is its collision
+    else:
         keys = choices + np.arange(0, arm_rewards.size, arm_rewards.shape[1])[:, None]
+        ranked = np.sort(choices, axis=1)  # a turn's repeated arms sit side by side
+        collided = (ranked[:, 1:] == ranked[:, :-1]).any(axis=1)
+        drawn = np.count_nonzero(collided)
     realized = arm_rewards.ravel()[keys]
-    keys = keys.ravel()
-    listed = keys.tolist()
-    if len(set(listed)) < len(listed):  # a key repeats: some turn has a collision
-        collided = [True] if n_turns == 1 else [len(set(row)) < n_players for row in choices.tolist()]
-        drawn = collided.count(True)
+    if drawn:
+        keys = keys.ravel()
         priority = winner_rng.random(drawn * n_players)
         if drawn < n_turns:
             priority, spread = np.zeros(len(keys)), priority

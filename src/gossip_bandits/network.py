@@ -15,13 +15,20 @@ delivers a stretch of k turns at once, as one product of the (N, k·N)
 reach rows of all its turns with their (k·N, 2S) reports: the sum of the
 turns' products.  A stretch is at most ``STRETCH_BYTES`` of report rows.
 
-The tallies and the report rows are float64 whole-number counts, because
-NumPy computes a float64 product through BLAS but an integer one in its
-generic loop, several times slower at N=20.  Every count is exact, since
-no tally of an episode comes near 2**53, so adding a stretch in one sum
-gives the same tallies as adding its turns one by one.  The reach
-matrices stay boolean, one byte per entry, drawn a block of turns at a
-time; a float64 copy of a block's would take eight times as much.
+The tallies are float64 whole-number counts, and so are a one-turn
+stretch's report rows, because NumPy computes a floating-point product
+through BLAS but an integer one in its generic loop, several times slower
+at N=20.  A longer stretch gathers its report rows from a float32 copy of
+the table, so that its product runs as the cheaper sgemm: every entry of
+that product is a whole count of at most k·N, which ``STRETCH_BYTES``
+bounds at 2**18 / (16·S) <= 2**13, far below float32's 2**24, and the
+product is added into the float64 tallies.  A one-turn stretch stays
+float64, since the float32 result's cast into the tallies would cost each
+learning rule's turn more than the smaller product saves.  Every count is
+exact, since no tally of an episode comes near 2**53, so adding a stretch
+in one sum gives the same tallies as adding its turns one by one.  The
+reach matrices stay boolean, one byte per entry, drawn a block of turns
+at a time; a float64 copy of a block's would take eight times as much.
 """
 
 from __future__ import annotations
@@ -31,7 +38,8 @@ from functools import lru_cache
 import numpy as np
 
 # Bytes of float64 report rows one ``disseminate`` call adds up, about 256 KiB:
-# 32 turns at N=20, S=25.
+# 32 turns at N=20, S=25.  It bounds a stretch of k > 1 turns at
+# k·N <= 2**18 / (16·S) <= 2**13 reports, so its float32 product is exact.
 STRETCH_BYTES = 1 << 18
 
 
@@ -76,9 +84,9 @@ def sample_reach(
 
 
 @lru_cache(maxsize=None)
-def _report_rows(n_arms: int) -> np.ndarray:
+def _report_rows(n_arms: int, dtype: type = np.float64) -> np.ndarray:
     """(arm, reward) -> one report row: one-hot arm, then one-hot times reward."""
-    rows = np.zeros((n_arms, 2, 2 * n_arms), dtype=np.float64)
+    rows = np.zeros((n_arms, 2, 2 * n_arms), dtype=dtype)
     arms = np.arange(n_arms)
     rows[arms, :, arms] = 1
     rows[arms, 1, n_arms + arms] = 1
@@ -98,10 +106,14 @@ def disseminate(
     ``realized`` its (k, N) arms and rewards; ``realized`` may be 0/1
     integers or ``env_step``'s booleans.  Row i of the (N, k·N) product
     operand is receiver i's reach rows of every turn, side by side, in
-    the order of the (k·N, 2S) report rows.
+    the order of the (k·N, 2S) report rows.  A stretch of k > 1 turns is
+    added through a float32 product, exact while k·N stays below 2**24;
+    ``stretch_turns`` keeps it at most 2**13.
     """
     n_players, width = tallies.shape
+    # a stretch's product entries are whole counts of at most k·N <= 2**13, exact in float32
+    rows = _report_rows(width // 2) if len(choices) == 1 else _report_rows(width // 2, np.float32)
     # the rewards index the row table, never mask it: booleans become 0/1
-    reports = _report_rows(width // 2)[choices, realized.astype(np.intp, copy=False)]
-    # np.dot, not @: for a boolean and a float64 operand it is the cheaper call
+    reports = rows[choices, realized.astype(np.intp, copy=False)]
+    # np.dot, not @: for a boolean and a floating-point operand it is the cheaper call
     tallies += np.dot(reach.transpose(1, 0, 2).reshape(n_players, -1), reports.reshape(-1, width))

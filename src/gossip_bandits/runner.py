@@ -34,9 +34,11 @@ for the arm realizations, ``graph`` for the reach matrices,
 draw of every player.  The realizations and the graphs therefore do not
 depend on the policy.  Two streams are read ahead of the turns: the
 collision priorities through ``rng.Prefetched``, and the random policy's
-arms a stretch at a time.  A stretch is played as one: its collided
-turns draw their priorities in turn order in one call, and its reports
-are added in one sum of whole numbers, exact below 2**53.  Each value is
+arms a stretch at a time.  A stretch is played as one: one row sort
+finds its collided turns, which draw their priorities in turn order in
+one call, and its reports are added in one float32 product of whole
+numbers of at most k·N <= 2**13, exact below 2**24, into float64 tallies
+exact below 2**53.  Each value is
 still used in the same place and order as one call per turn would use
 it, so output does not change; only the read-ahead streams' end states
 differ, with unread values drawn, and nothing reads them.  Only the

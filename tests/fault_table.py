@@ -4,9 +4,12 @@
 
 For each fault in ``FAULTS`` the script copies the repository to a
 temporary directory, replaces one exact snippet of one source file, and
-runs ``pytest -x`` there on every test file but ``tests/test_golden.py``,
-with ``tests/test_acceptance.py`` last, so its Monte Carlo runs only for
-a fault that no unit test kills.  The golden digests are left out
+runs ``pytest -x`` there on every test file but ``tests/test_golden.py``:
+the engine's unit tests (``ENGINE_TESTS``) first, so a fault is credited
+to the test of the layer it breaks rather than to a command-line test
+that trips over its side effects, then the other unit tests, and
+``tests/test_acceptance.py`` last, so its Monte Carlo runs only for a
+fault that no unit test kills.  The golden digests are left out
 because they catch every change in output, so they would hide whether
 the behavioural tests still say what the engine means.  A fault is *killed* by the first test that fails,
 *survives* when the suite passes, and is *not planted* when its snippet
@@ -29,10 +32,12 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
-# The unit-test files in name order, then the acceptance suite; no golden digests.
-TEST_FILES = [
+ENGINE_TESTS = ["test_env.py", "test_network.py", "test_policies.py", "test_runner.py"]
+# The engine's unit tests, the other unit-test files in name order, then the
+# acceptance suite; no golden digests.
+TEST_FILES = [f"tests/{name}" for name in ENGINE_TESTS] + [
     f"tests/{path.name}" for path in sorted((ROOT / "tests").glob("test_*.py"))
-    if path.name not in ("test_golden.py", "test_acceptance.py")
+    if path.name not in ("test_golden.py", "test_acceptance.py", *ENGINE_TESTS)
 ] + ["tests/test_acceptance.py"]
 
 
@@ -70,10 +75,16 @@ FAULTS = (
     ),
     Fault(
         "priorities_every_turn", "src/gossip_bandits/env.py",
-        "    if len(set(listed)) < len(listed):  # a key repeats: some turn has a collision\n"
-        "        collided = [True] if n_turns == 1 else [len(set(row)) < n_players for row in choices.tolist()]\n",
-        "    if True:\n"
-        "        collided = [True] * n_turns\n",
+        "        drawn = len(set(choices.ravel().tolist())) < n_players  # a repeated arm is its collision\n"
+        "    else:\n"
+        "        keys = choices + np.arange(0, arm_rewards.size, arm_rewards.shape[1])[:, None]\n"
+        "        ranked = np.sort(choices, axis=1)  # a turn's repeated arms sit side by side\n"
+        "        collided = (ranked[:, 1:] == ranked[:, :-1]).any(axis=1)\n"
+        "        drawn = np.count_nonzero(collided)\n",
+        "        drawn = 1\n"
+        "    else:\n"
+        "        keys = choices + np.arange(0, arm_rewards.size, arm_rewards.shape[1])[:, None]\n"
+        "        drawn = n_turns\n",
         "the priorities are drawn on every turn, with or without a collision",
     ),
     Fault(
@@ -162,6 +173,18 @@ FAULTS = (
         "        priority = winner_rng.random(n_turns * n_players)\n"
         "        if False:\n",
         "a stretch with a collision draws priorities for every one of its turns",
+    ),
+    Fault(
+        "collision_rows_unsorted", "src/gossip_bandits/env.py",
+        "        ranked = np.sort(choices, axis=1)  # a turn's repeated arms sit side by side\n",
+        "        ranked = choices\n",
+        "a stretch compares each turn's neighbouring players' arms without sorting them",
+    ),
+    Fault(
+        "collision_rows_sorted_over_turns", "src/gossip_bandits/env.py",
+        "        ranked = np.sort(choices, axis=1)  # a turn's repeated arms sit side by side\n",
+        "        ranked = np.sort(choices, axis=0)\n",
+        "a stretch sorts its arms down the turns, not along each turn, to find collisions",
     ),
 )
 

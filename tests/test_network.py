@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gossip_bandits.env import env_step
-from gossip_bandits.network import disseminate, sample_reach
+from gossip_bandits.network import disseminate, sample_reach, stretch_turns
 
 
 def reference_tallies(reach, choices, realized, n_arms):
@@ -134,3 +134,26 @@ class TestStretch:
             assert np.array_equal(stretch, turns)
             expected = sum(reference_tallies(r, c, w, n_arms) for r, c, w in zip(reach, choices, realized))
             assert np.array_equal(stretch, expected)
+
+    @pytest.mark.parametrize("n, n_arms", [(1, 2), (2, 3), (20, 25)])
+    def test_a_maximal_stretch_adds_exactly_onto_large_tallies(self, n, n_arms):
+        # the float32 product's largest entry: every report of the longest stretch on one arm, paid
+        n_turns = stretch_turns(n, n_arms)
+        reach = np.ones((n_turns, n, n), dtype=bool)
+        choices = np.ones((n_turns, n), dtype=np.int64)
+        realized = np.ones((n_turns, n), dtype=bool)
+        stretch = np.full((n, 2 * n_arms), 2.0**40)
+        disseminate(stretch, reach, choices, realized)
+        turns = np.full((n, 2 * n_arms), 2.0**40)
+        for t in range(n_turns):
+            disseminate(turns, reach[t][None], choices[t][None], realized[t][None])
+        assert np.array_equal(stretch, turns)
+        assert (stretch[:, [1, n_arms + 1]] == 2.0**40 + n_turns * n).all()
+
+
+def test_a_stretch_product_is_exact_in_float32():
+    # every entry of a stretch's product is a count of at most k·N reports
+    for n_arms in (2, 3, 5, 10, 25, 100, 1000, 10**5):
+        for n in {1, 2, 5, 20, n_arms // 2, n_arms - 1} - {0}:
+            if n < n_arms:
+                assert stretch_turns(n, n_arms) * n < 2**24
