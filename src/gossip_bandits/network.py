@@ -111,7 +111,6 @@ def disseminate(
     ``stretch_turns`` keeps it at most 2**13.
     """
     n_players, width = tallies.shape
-    # a stretch's product entries are whole counts of at most k·N <= 2**13, exact in float32
     rows = _report_rows(width // 2) if len(choices) == 1 else _report_rows(width // 2, np.float32)
     # the rewards index the row table, never mask it: booleans become 0/1
     reports = rows[choices, realized.astype(np.intp, copy=False)]

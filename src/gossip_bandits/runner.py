@@ -37,8 +37,8 @@ collision priorities through ``rng.Prefetched``, and the random policy's
 arms a stretch at a time.  A stretch is played as one: one row sort
 finds its collided turns, which draw their priorities in turn order in
 one call, and its reports are added in one float32 product of whole
-numbers of at most k·N <= 2**13, exact below 2**24, into float64 tallies
-exact below 2**53.  Each value is
+counts of at most k·N <= 2**13, exact below 2**24, into the float64
+tallies, exact below 2**53.  Each value is
 still used in the same place and order as one call per turn would use
 it, so output does not change; only the read-ahead streams' end states
 differ, with unread values drawn, and nothing reads them.  Only the

@@ -150,10 +150,9 @@ class TestStretch:
         assert np.array_equal(stretch, turns)
         assert (stretch[:, [1, n_arms + 1]] == 2.0**40 + n_turns * n).all()
 
-
-def test_a_stretch_product_is_exact_in_float32():
-    # every entry of a stretch's product is a count of at most k·N reports
-    for n_arms in (2, 3, 5, 10, 25, 100, 1000, 10**5):
-        for n in {1, 2, 5, 20, n_arms // 2, n_arms - 1} - {0}:
-            if n < n_arms:
-                assert stretch_turns(n, n_arms) * n < 2**24
+    def test_a_stretch_product_is_exact_in_float32(self):
+        # every entry of a stretch's product is a count of at most k·N reports
+        for n_arms in (2, 3, 5, 10, 25, 100, 1000, 10**5):
+            for n in {1, 2, 5, 20, n_arms // 2, n_arms - 1} - {0}:
+                if n < n_arms:
+                    assert stretch_turns(n, n_arms) * n < 2**24
