@@ -182,8 +182,8 @@ class TestStretch:
         (3, 40, 12, {"some", "none"}),          # most turns without a collision
         (20, 4, 64, {"all"}),                   # up to 64 * 20 priorities, more than a refill
         (20, 25, 32, {"all"}),                  # the dense workload's shape
-        (20, 400, 16, {"some", "none"}),        # N=20 with clean turns between collided ones
         (1, 3, 8, {"none"}),                    # one player never collides
+        (20, 400, 16, {"some", "none"}),        # N=20 with clean turns between collided ones
     ])
     def test_a_stretch_pays_and_draws_what_its_turns_do(self, n_players, n_arms, longest, kinds):
         fast, twin = Prefetched(np.random.default_rng(91)), Prefetched(np.random.default_rng(91))
