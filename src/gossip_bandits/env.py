@@ -52,9 +52,8 @@ def env_step(choices: np.ndarray, arm_rewards: np.ndarray, winner_rng: np.random
     priorities of 0, so each of its players tops its own key.  One
     ``np.maximum.at`` over the raveled keys resolves every turn.
     ``winner_rng`` must be a substream of its own, so the realizations do
-    not depend on the collision pattern; the runner passes a
-    ``rng.Prefetched`` over it, whose ``random(n)`` returns the same values
-    as the generator's.
+    not depend on the collision pattern; the runner passes the episode's
+    ``env-winners`` substream.
 
     The collided turns of a longer stretch are the rows of ``np.sort(choices,
     axis=1)`` with two equal neighbours, found without a Python loop.  A

@@ -108,7 +108,7 @@ def disseminate(
     operand is receiver i's reach rows of every turn, side by side, in
     the order of the (k·N, 2S) report rows.  A stretch of k > 1 turns is
     added through a float32 product, exact while k·N stays below 2**24;
-    ``stretch_turns`` keeps it at most 2**13.
+    the runner's cap of ``stretch_turns`` turns keeps it at most 2**13.
     """
     n_players, width = tallies.shape
     rows = _report_rows(width // 2) if len(choices) == 1 else _report_rows(width // 2, np.float32)

@@ -10,9 +10,10 @@ They are float64 whole-number counts, float so that the network layer
 delivers a turn with a BLAS product over its boolean reach matrix, and
 exact below 2**53, so every rule reads the same numbers as from integers.
 ``select(limit)`` returns a stretch of up to ``limit`` turns, a (k, N)
-array: the turns already decided (the sweep's rows, or the random
-policy's read-ahead), else the one turn the algorithm's own step
-``choose()`` decides, working on all rows at once.
+array: the sweep's rows, or the random policy's ``limit`` turns, else the
+one turn the algorithm's own step ``choose()`` decides, working on all
+rows at once.  The runner sets ``limit``; a policy draws nothing for a
+turn it does not return.
 
 All players draw from one generator, the episode's ``players``
 substream, and every draw of a turn is one array call over the rows:
@@ -31,8 +32,6 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
-
-from .network import stretch_turns
 
 if TYPE_CHECKING:
     from .config import ExperimentConfig
@@ -107,9 +106,9 @@ class Policy:
     rule: in arm order, or with ``init_order="random"`` in a permutation
     per player, drawn at construction.  Reports heard during the sweep
     still reach the tallies; they just don't redirect it.  ``sweep`` holds
-    the turns already decided, a (turns, N) array in play order: the
-    sweep's, or the random policy's read-ahead.  ``select(limit)`` plays
-    them, up to ``limit`` at a time, before it calls ``choose()`` again.
+    the sweep's turns not yet played, a (turns, N) array in play order.
+    ``select(limit)`` plays them, up to ``limit`` at a time, before it
+    calls ``choose()``.
     """
 
     sweeps_first = True
@@ -120,8 +119,7 @@ class Policy:
         self.n_arms = n_arms = config.n_arms
         self.counts, self.successes = tallies[:, :n_arms], tallies[:, n_arms:]
         self.rng = rng
-        self.stretch = stretch_turns(len(tallies), n_arms)  # most turns one select returns
-        self.sweep = np.empty((0, len(tallies)), dtype=np.int64)  # turns already decided
+        self.sweep = np.empty((0, len(tallies)), dtype=np.int64)  # sweep turns not yet played
         if self.sweeps_first:
             order = np.tile(np.arange(n_arms), (len(tallies), 1))
             if config.init_order == "random":
@@ -131,13 +129,11 @@ class Policy:
     def select(self, limit: int) -> np.ndarray:
         """A stretch of up to ``limit`` turns' choices, (k, N); ε decays once per turn.
 
-        The turns already decided come first, as many as ``limit`` and
-        ``self.stretch`` allow; only when none is left does ``choose()``
-        decide the next turn.
+        The sweep's turns come first, as many as ``limit`` allows; only
+        when none is left does ``choose()`` decide the next turn.
         """
         decided = self.sweep
         if len(decided):
-            limit = min(limit, self.stretch)
             arms, self.sweep = decided[:limit], decided[limit:]
             for _ in range(len(arms)):
                 self.epsilon *= self.config.decay
@@ -219,24 +215,22 @@ class AsympOptPolicy(Policy):
 class UniformRandomPolicy(Policy):
     """Calibration baseline: every turn an independent uniform arm per player.
 
-    The arms do not depend on the tallies, so whenever no turn is left
-    decided, ``select`` decides one stretch of turns, ``self.stretch``, in
-    one ``integers(S, size=(turns, N))`` call, and plays them out: one call
+    The arms do not depend on the tallies, so ``select(limit)`` draws all
+    ``limit`` turns in one ``integers(S, size=(limit, N))`` call: one call
     per turn cost about 9.5 µs (NumPy 2.4.6), nearly all of it call
-    overhead.  The rows are the per-turn draws, in order.  NumPy
-    draws each bounded integer from the bit generator's next 32-bit
-    output, with its own rejection, in row-major order, and PCG64 keeps
-    the spare half of a 64-bit output in the bit generator, not in the
-    call.  Only the stream's end state differs, and nothing else draws
-    from this episode's ``players`` stream.
+    overhead.  The rows are the per-turn draws, in order, and the stream
+    ends where one call per turn leaves it: NumPy draws each bounded
+    integer from the bit generator's next 32-bit output, with its own
+    rejection, in row-major order, and PCG64 keeps the spare half of a
+    64-bit output in the bit generator, not in the call.  It has no
+    sweep, so ``init_order="random"`` draws nothing at construction, and
+    it never reads ε.
     """
 
     sweeps_first = False
 
     def select(self, limit: int) -> np.ndarray:
-        if not len(self.sweep):
-            self.sweep = self.rng.integers(self.n_arms, size=(self.stretch, len(self.counts)))
-        return super().select(limit)
+        return self.rng.integers(self.n_arms, size=(limit, len(self.counts)))
 
 
 _KINDS = {

@@ -11,10 +11,12 @@ whole-number counts, so that delivering a turn is a BLAS product; they
 are exact below 2**53, far above any count an episode reaches, and the
 reach matrices stay boolean.  There are no per-player objects: one
 policy, built once per episode, reads the whole matrix and returns every
-player's choices for a stretch of turns: the turns it has already
-decided (the sweep, or the random policy's read-ahead), else the one turn
-its rule decides next.  A stretch never crosses a block, and the policy
-keeps it to at most ``network.STRETCH_BYTES`` of report rows.
+player's choices for a stretch of up to as many turns as the runner
+asks for: the sweep's turns, decided at construction, or the random
+policy's arms, drawn for just those turns, else the one turn its rule
+decides next.  The runner sizes every stretch: it never crosses a block
+and holds at most ``network.stretch_turns`` turns, ``STRETCH_BYTES`` of
+report rows.
 ``env_step`` pays the stretch's realizations and ``disseminate`` adds
 every report of it to the tallies it reaches, one call each per stretch.
 ``episode_blocks`` yields each block's choices (turns, N) and
@@ -32,16 +34,13 @@ seed).  It draws from four named substreams of its seed: ``env-arms``
 for the arm realizations, ``graph`` for the reach matrices,
 ``env-winners`` for the collision priorities and ``players`` for every
 draw of every player.  The realizations and the graphs therefore do not
-depend on the policy.  Two streams are read ahead of the turns: the
-collision priorities through ``rng.Prefetched``, and the random policy's
-arms a stretch at a time.  A stretch is played as one: one row sort
-finds its collided turns, which draw their priorities in turn order in
-one call, and its reports are added in one float32 product of whole
-counts of at most k·N <= 2**13, exact below 2**24, into the float64
-tallies, exact below 2**53.  Each value is
-still used in the same place and order as one call per turn would use
-it, so output does not change; only the read-ahead streams' end states
-differ, with unread values drawn, and nothing reads them.  Only the
+depend on the policy.  Nothing is drawn ahead of the turns that use it:
+every substream draws exactly the values, in the same order, and ends in
+exactly the state that a loop drawing one turn at a time would.  A
+stretch is played as one: one row sort finds its collided turns, which
+draw their priorities in turn order in one call, and its reports are
+added in one float32 product of whole counts of at most k·N <= 2**13,
+exact below 2**24, into the float64 tallies, exact below 2**53.  Only the
 learning rules' own turns, which read the tallies, are played one at a
 time.  All players share one stream, so a player's choices depend on
 the other players' draws.  Each repetition's seed
@@ -71,9 +70,9 @@ import numpy as np
 from .config import ConfigError, ExperimentConfig, _is_int
 from .env import draw_arm_rewards, env_step
 from .metrics import RunRecord, build_run_record
-from .network import disseminate, sample_reach
+from .network import disseminate, sample_reach, stretch_turns
 from .policies import make_policy
-from .rng import Prefetched, derive_seed, substream
+from .rng import derive_seed, substream
 
 
 class AggregateRecord(NamedTuple):
@@ -120,8 +119,9 @@ def episode_blocks(
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Play the turns a block at a time; yield choices, realizations and the live tallies."""
     n_players, n_turns, block = config.n_players, config.turns, block_turns(config)
+    stretch = stretch_turns(n_players, config.n_arms)  # keeps disseminate's float32 product exact
     arm_rng, graph_rng = substream(seed, "env-arms"), substream(seed, "graph")
-    winner_rng = Prefetched(substream(seed, "env-winners"))
+    winner_rng = substream(seed, "env-winners")
     tallies = np.zeros((n_players, 2 * config.n_arms), dtype=np.float64)
     policy = make_policy(config, tallies, substream(seed, "players"))
     for first in range(0, n_turns, block):
@@ -131,7 +131,7 @@ def episode_blocks(
         choices = np.empty((length, n_players), dtype=np.int64)
         t = 0
         while t < length:
-            chosen = policy.select(length - t)
+            chosen = policy.select(min(length - t, stretch))
             end = t + len(chosen)
             choices[t:end] = chosen
             disseminate(tallies, reach[t:end], chosen, env_step(chosen, rewards[t:end], winner_rng))

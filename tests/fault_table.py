@@ -4,18 +4,22 @@
 
 For each fault in ``FAULTS`` the script copies the repository to a
 temporary directory, replaces one exact snippet of one source file, and
-runs ``pytest -x`` there on every test file but ``tests/test_golden.py``:
-the engine's unit tests (``ENGINE_TESTS``) first, so a fault is credited
-to the test of the layer it breaks rather than to a command-line test
-that trips over its side effects, then the other unit tests, and
-``tests/test_acceptance.py`` last, so its Monte Carlo runs only for a
-fault that no unit test kills.  The golden digests are left out
+runs pytest there on every test file but ``tests/test_golden.py``.  The
+engine's unit tests (``ENGINE_TESTS``) run first and in full, and a
+fault that fails any of them is *killed* by every one that fails, so the
+table names the tests that check what the fault breaks, not only the
+first in file order, which may trip over a side effect (a zero count's
+divide warning, say).  Only a fault that every engine test passes goes
+on to ``pytest -x`` over the other unit tests and then
+``tests/test_acceptance.py``, whose Monte Carlo runs last, and is killed
+by the first test that fails there.  The golden digests are left out
 because they catch every change in output, so they would hide whether
-the behavioural tests still say what the engine means.  A fault is *killed* by the first test that fails,
-*survives* when the suite passes, and is *not planted* when its snippet
+the behavioural tests still say what the engine means.  A fault
+*survives* when every test passes, and is *not planted* when its snippet
 is no longer in the source, which fails the script rather than passing
 silently.  The table is printed and appended to ``CHANGES.md`` as one
-line.
+line, where a test with several failing cases appears once, as
+``test`` ×cases.
 
 The file name does not match pytest's ``test_*.py`` pattern, so Tier-1
 never collects it: each fault costs a full run of the suite.
@@ -33,12 +37,14 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 ENGINE_TESTS = ["test_env.py", "test_network.py", "test_policies.py", "test_runner.py"]
-# The engine's unit tests, the other unit-test files in name order, then the
-# acceptance suite; no golden digests.
-TEST_FILES = [f"tests/{name}" for name in ENGINE_TESTS] + [
-    f"tests/{path.name}" for path in sorted((ROOT / "tests").glob("test_*.py"))
-    if path.name not in ("test_golden.py", "test_acceptance.py", *ENGINE_TESTS)
-] + ["tests/test_acceptance.py"]
+# Run in full first, then, up to the first failure, the other unit-test files
+# in name order and the acceptance suite; no golden digests.
+TEST_RUNS = (
+    ([f"tests/{name}" for name in ENGINE_TESTS], []),
+    ([f"tests/{path.name}" for path in sorted((ROOT / "tests").glob("test_*.py"))
+      if path.name not in ("test_golden.py", "test_acceptance.py", *ENGINE_TESTS)]
+     + ["tests/test_acceptance.py"], ["-x"]),
+)
 
 
 class Fault(NamedTuple):
@@ -143,15 +149,10 @@ FAULTS = (
         "asympopt does not clamp its observed means at mean_floor",
     ),
     Fault(
-        "prefetch_drops_tail", "src/gossip_bandits/rng.py",
-        "            tail = self._buffer[self._next:]\n", "            tail = self._buffer[:0]\n",
-        "a priority refill discards the uniforms not yet read",
-    ),
-    Fault(
         "random_chunk_transposed", "src/gossip_bandits/policies.py",
-        "self.rng.integers(self.n_arms, size=(self.stretch, len(self.counts)))",
-        "self.rng.integers(self.n_arms, size=(len(self.counts), self.stretch)).T",
-        "the random policy draws its read-ahead (N, turns) and transposes it",
+        "self.rng.integers(self.n_arms, size=(limit, len(self.counts)))",
+        "self.rng.integers(self.n_arms, size=(len(self.counts), limit)).T",
+        "the random policy draws its turns (N, turns) and transposes them",
     ),
     Fault(
         "epsilon_decays_once_per_stretch", "src/gossip_bandits/policies.py",
@@ -198,39 +199,51 @@ def plant(fault: Fault, copy: Path) -> None:
     path.write_text(text.replace(fault.old, fault.new), encoding="utf-8")
 
 
-def first_failure(fault: Fault) -> str | None:
-    """The id of the first test that fails with ``fault`` planted, or None if all pass."""
+def killers(fault: Fault) -> list[str]:
+    """The ids of the tests that kill ``fault`` (see the module docstring); empty if all pass."""
     with tempfile.TemporaryDirectory(prefix=f"fault-{fault.name}-") as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".pytest_cache", ".bench_out"))
         plant(fault, copy)
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-rfE", "-p", "no:cacheprovider", *TEST_FILES],
-            cwd=copy, env=dict(os.environ, PYTHONPATH="src"),
-            capture_output=True, text=True, timeout=1800,
-        )
-    if proc.returncode == 0:
-        return None
-    for line in proc.stdout.splitlines():
-        if line.startswith(("FAILED ", "ERROR ")):
-            return line.split()[1]
-    raise RuntimeError(f"{fault.name}: pytest exited {proc.returncode}:\n{proc.stdout[-3000:]}{proc.stderr[-3000:]}")
+        for files, flags in TEST_RUNS:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pytest", *flags, "-q", "-rfE", "-p", "no:cacheprovider", *files],
+                cwd=copy, env=dict(os.environ, PYTHONPATH="src"),
+                capture_output=True, text=True, timeout=1800,
+            )
+            if proc.returncode == 0:
+                continue
+            # "FAILED <id> - <message>"; a parametrized id may hold spaces
+            failed = [line.split(" ", 1)[1].split(" - ", 1)[0]
+                      for line in proc.stdout.splitlines() if line.startswith(("FAILED ", "ERROR "))]
+            if not failed:
+                raise RuntimeError(
+                    f"{fault.name}: pytest exited {proc.returncode}:\n{proc.stdout[-3000:]}{proc.stderr[-3000:]}")
+            return failed
+    return []
+
+
+def credit(ids: list[str]) -> str:
+    """The killers in short: a test with several failing cases once, as ``test`` ×cases."""
+    cases: dict[str, list[str]] = {}
+    for test_id in ids:
+        cases.setdefault(test_id.partition("[")[0], []).append(test_id)
+    return ", ".join(f"`{same[0]}`" if len(same) == 1 else f"`{test}` ×{len(same)}" for test, same in cases.items())
 
 
 def main() -> int:
     rows = []
     for fault in FAULTS:
-        killer = first_failure(fault)
-        rows.append((fault, killer))
-        print(f"| `{fault.name}` | {fault.what} | {f'`{killer}`' if killer else 'SURVIVED'} |", flush=True)
+        ids = killers(fault)
+        rows.append((fault, ids))
+        print(f"| `{fault.name}` | {fault.what} | {credit(ids) if ids else 'SURVIVED'} |", flush=True)
     summary = "; ".join(
-        f"`{fault.name}` killed by `{killer}`" if killer else f"`{fault.name}` SURVIVED"
-        for fault, killer in rows
+        f"`{fault.name}` killed by {credit(ids)}" if ids else f"`{fault.name}` SURVIVED" for fault, ids in rows
     )
     with open(ROOT / "CHANGES.md", "a", encoding="utf-8") as changes:
         changes.write(f"- Fault table (`python3 tests/fault_table.py`, golden digests left out): {summary}.\n")
-    return 1 if any(killer is None for _, killer in rows) else 0
+    return 1 if not all(ids for _, ids in rows) else 0
 
 
 if __name__ == "__main__":

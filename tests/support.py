@@ -27,10 +27,10 @@ def reference_episode(config, alpha: float, seed: int):
     """``simulate_episode``'s arrays from a per-turn loop on the episode's plain substreams.
 
     Every turn draws its realizations, its graph (a ``random(N(N-1)/2)`` in
-    pair order), the random policy's ``integers(S, size=N)`` and
-    ``env_step``'s priorities straight from the generators, one call each,
-    and plays the rules of ``episode_blocks``; nothing is read ahead and
-    nothing is drawn per block.
+    pair order) and ``env_step``'s priorities straight from the generators,
+    one call each, takes one turn of every policy's ``select(1)``, and
+    plays the rules of ``episode_blocks``; nothing is drawn per block or
+    per stretch.
     """
     n_players, n_arms, turns = config.n_players, config.n_arms, config.turns
     arm_rng, graph_rng, winner_rng, players = (
@@ -44,10 +44,7 @@ def reference_episode(config, alpha: float, seed: int):
         rewards[t] = arm_rng.random(n_arms) < np.asarray(config.means)
         reach = np.eye(n_players, dtype=bool)
         reach[first, second] = reach[second, first] = graph_rng.random(len(first)) < alpha
-        if config.algorithm == "random":
-            choices[t] = players.integers(n_arms, size=n_players)
-        else:
-            choices[t] = policy.select(1)[0]
+        choices[t] = policy.select(1)[0]
         disseminate(tallies, reach[None], choices[t][None], env_step(choices[t][None], rewards[t][None], winner_rng))
     return choices, rewards, tallies
 

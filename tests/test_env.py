@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gossip_bandits.env import draw_arm_rewards, env_step
-from gossip_bandits.rng import Prefetched, substream
+from gossip_bandits.rng import substream
 from oracles import pairwise_env_step
 
 MU_SPREAD = (0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.01)
@@ -180,21 +180,21 @@ class TestStretch:
     @pytest.mark.parametrize("n_players, n_arms, longest, kinds", [
         (5, 10, 12, {"all", "some", "none"}),  # stretches of every kind
         (3, 40, 12, {"some", "none"}),          # most turns without a collision
-        (20, 4, 64, {"all"}),                   # up to 64 * 20 priorities, more than a refill
+        (20, 4, 64, {"all"}),                   # up to 64 * 20 priorities in one call
         (20, 25, 32, {"all"}),                  # the dense workload's shape
         (1, 3, 8, {"none"}),                    # one player never collides
         (20, 400, 16, {"some", "none"}),        # N=20 with clean turns between collided ones
     ])
     def test_a_stretch_pays_and_draws_what_its_turns_do(self, n_players, n_arms, longest, kinds):
-        fast, twin = Prefetched(np.random.default_rng(91)), Prefetched(np.random.default_rng(91))
+        fast, twin = np.random.default_rng(91), np.random.default_rng(91)
         seen = set()
         for choices, rewards in self.stretches(90 + n_players, n_players, n_arms, longest, 300):
             paid = env_step(choices, rewards, fast)
             expected = [env_step(c[None], r[None], twin)[0] for c, r in zip(choices, rewards)]
             assert paid.shape == choices.shape and paid.dtype == bool
             assert np.array_equal(paid, expected)
-            # both streams stand at the same next value
-            assert fast.random(1)[0] == twin.random(1)[0]
+            # both streams end in the same state
+            assert fast.bit_generator.state == twin.bit_generator.state
             collided = [len(set(row)) < n_players for row in choices.tolist()]
             seen.add("all" if all(collided) else "some" if any(collided) else "none")
         assert seen >= kinds

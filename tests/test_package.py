@@ -11,6 +11,7 @@ import sys
 from collections import Counter
 
 import gossip_bandits
+from gossip_bandits.network import stretch_turns
 
 PUBLIC = {
     "AggregateRecord",
@@ -50,7 +51,7 @@ def test_runner_calls_the_patched_names_at_run_time(monkeypatch):
     # per stretch, and its memory probe reads the heap at build_run_record: a
     # call that bypassed the module globals would drop its layer from the trace
     runner = gossip_bandits.runner
-    calls, rows = Counter(), Counter()
+    calls, rows, longest = Counter(), Counter(), Counter()
 
     def counted(name):
         fn = getattr(runner, name)
@@ -58,7 +59,9 @@ def test_runner_calls_the_patched_names_at_run_time(monkeypatch):
         def wrapper(*args, **kwargs):
             calls[name] += 1
             if name in ("env_step", "disseminate"):
-                rows[name] += len(args[0] if name == "env_step" else args[2])  # the stretch's choices
+                turns = len(args[0] if name == "env_step" else args[2])  # the stretch's choices
+                rows[name] += turns
+                longest[name] = max(longest[name], turns)
             return fn(*args, **kwargs)
 
         return wrapper
@@ -72,11 +75,19 @@ def test_runner_calls_the_patched_names_at_run_time(monkeypatch):
     assert calls["env_step"] == calls["disseminate"]
     assert rows["env_step"] == rows["disseminate"] == config.turns
     assert calls["build_run_record"] >= 1
-    # the random policy's turns are decided ahead, so they are played in stretches
-    calls.clear()
-    rows.clear()
+    # the runner alone sizes a stretch, and caps it at stretch_turns(N, S), which
+    # keeps disseminate's float32 product exact: the random policy's turns and a
+    # 30-turn sweep longer than one 27-turn stretch are played in stretches up to the cap
     dense = gossip_bandits.ExperimentConfig(algorithm="random", n_players=20, means=(0.5,) * 25,
                                              turns=1000, repetitions=1)
-    runner.run_episode(dense, 1.0, 1, (1000,))
-    assert calls["env_step"] == calls["disseminate"] <= dense.turns // 10
-    assert rows["env_step"] == rows["disseminate"] == dense.turns
+    wide = gossip_bandits.ExperimentConfig(algorithm="egreedy", n_players=20, means=(0.5,) * 30,
+                                           turns=100, repetitions=1)
+    assert stretch_turns(20, 30) == 27
+    for config, most_calls in ((dense, dense.turns // 10), (wide, 2 + wide.turns - 30)):
+        calls.clear()
+        rows.clear()
+        longest.clear()
+        runner.run_episode(config, 1.0, 1, (config.turns,))
+        assert calls["env_step"] == calls["disseminate"] <= most_calls
+        assert rows["env_step"] == rows["disseminate"] == config.turns
+        assert longest["env_step"] == longest["disseminate"] == stretch_turns(config.n_players, config.n_arms)

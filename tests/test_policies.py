@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from gossip_bandits import network
 from gossip_bandits.config import ConfigError, ExperimentConfig
 from gossip_bandits.network import disseminate, stretch_turns
 from gossip_bandits.policies import (
@@ -464,18 +463,18 @@ class TestUniformRandom:
             assert abs((chosen == arm).mean() - 0.25) < 3 * sigma
 
     @pytest.mark.parametrize("n_players, n_arms", [(1, 2), (5, 10), (20, 25)])
-    @pytest.mark.parametrize("chunk", [7, None])
-    def test_select_draws_what_one_call_per_turn_draws(self, monkeypatch, n_players, n_arms, chunk):
-        # however the arms are read ahead, every turn's row is the twin
-        # generator's per-turn draw; three stretches and a remainder: of the
-        # default stretch, and of 7 turns, whose report rows STRETCH_BYTES is set to
-        if chunk is not None:
-            monkeypatch.setattr(network, "STRETCH_BYTES", chunk * 16 * n_players * n_arms)
-        turns = 3 * (chunk or stretch_turns(n_players, n_arms)) + 5
+    @pytest.mark.parametrize("longest", [7, None])
+    def test_select_draws_what_one_call_per_turn_draws(self, n_players, n_arms, longest):
+        # mixed limits of 1 to 7 turns, or to the runner's longest stretch: every
+        # turn's row is the twin generator's per-turn draw, and after each
+        # stretch both streams stand in the same state
+        longest = longest or stretch_turns(n_players, n_arms)
         pol, _ = episode("random", n_arms, n_players=n_players, seed=53)
         twin = np.random.default_rng(53)
-        for turn in range(turns):
-            assert np.array_equal(pol.select(1)[0], twin.integers(n_arms, size=n_players)), turn
+        for limit in np.random.default_rng(54).integers(1, longest + 1, size=8).tolist():
+            per_turn = [twin.integers(n_arms, size=n_players) for _ in range(limit)]
+            assert np.array_equal(pol.select(limit), per_turn), limit
+            assert pol.rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestStretches:
@@ -505,12 +504,12 @@ class TestStretches:
                     tallies[rows, 6 + row] += row % 2
             assert stretched.epsilon == single.epsilon
 
-    def test_the_random_policy_reads_ahead_one_stretch(self):
+    def test_the_random_policy_draws_exactly_the_turns_asked(self):
         pol, _ = episode("random", 25, n_players=20, seed=9)
-        stretch = stretch_turns(20, 25)
-        assert len(pol.select(1000)) == stretch
-        assert len(pol.select(5)) == 5
-        assert len(pol.select(1000)) == stretch - 5
+        twin = np.random.default_rng(9)
+        for limit in (1000, 5, 1, 32, 7):
+            assert np.array_equal(pol.select(limit), twin.integers(25, size=(limit, 20))), limit
+        assert pol.rng.bit_generator.state == twin.bit_generator.state
 
 
 def drive(policy, tallies, turns=200):

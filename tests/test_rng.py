@@ -1,8 +1,6 @@
 import numpy as np
-import pytest
 
-from gossip_bandits import rng as rng_module
-from gossip_bandits.rng import Prefetched, derive_seed, substream
+from gossip_bandits.rng import derive_seed, substream
 
 
 def test_derive_seed_is_stable():
@@ -32,16 +30,3 @@ def test_seed_fits_64_bits():
         seed = derive_seed(*parts)
         assert 0 <= seed < 2**64
 
-
-@pytest.mark.parametrize("chunk", [64, None])
-def test_prefetched_serves_what_the_generator_draws(monkeypatch, chunk):
-    # 5000 requests of 0 to 3 chunks, many across a refill and some longer
-    # than a whole chunk: every value is the twin's, in the twin's order
-    if chunk is not None:
-        monkeypatch.setattr(rng_module, "_PREFETCH", chunk)
-    wrapped = Prefetched(np.random.default_rng(71))
-    twin = np.random.default_rng(71)
-    for n in np.random.default_rng(72).integers(3 * rng_module._PREFETCH + 1, size=5000):
-        got = wrapped.random(int(n))
-        assert len(got) == n
-        assert np.array_equal(got, twin.random(int(n))), n

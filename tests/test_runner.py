@@ -23,6 +23,7 @@ from gossip_bandits.network import sample_reach
 from gossip_bandits.policies import POLICY_NAMES
 from gossip_bandits.rng import substream
 from gossip_bandits.runner import CSV_COLUMNS
+import support
 from support import SERIES, read_results_csv, received_rewards, reference_episode, simulate_episode
 
 SMALL = dict(means=(0.9, 0.5, 0.3, 0.1), n_players=2, turns=40, repetitions=3)
@@ -124,9 +125,8 @@ class TestStreamContract:
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("n_players, n_arms, turns", [(3, 5, 301), (20, 25, 700), (20, 25, 1250)])
     def test_blocks_match_the_per_turn_reference(self, algorithm, alpha, n_players, n_arms, turns):
-        # 700 turns at N=20, S=25 cross a 609-turn block; neither horizon is a
-        # multiple of a power-of-two read-ahead, in turns or in uniforms.  The
-        # random policy's 32-turn stretches are cut by both block ends of 1250
+        # 700 turns at N=20, S=25 cross a 609-turn block.  The runner's 32-turn
+        # stretches of the random policy are cut by both block ends of 1250
         # turns, one turn and two turns after a stretch began
         cfg = ExperimentConfig(algorithm=algorithm, n_players=n_players, turns=turns,
                                means=tuple(np.linspace(0.95, 0.05, n_arms)))
@@ -134,6 +134,34 @@ class TestStreamContract:
         for name, got, expected in zip(("choices", "realizations", "tallies"),
                                        engine, reference_episode(cfg, alpha, 61)):
             assert np.array_equal(got, expected), name
+
+    @pytest.mark.parametrize("algorithm", POLICY_NAMES)
+    @pytest.mark.parametrize("n_players, n_arms, turns", [(3, 5, 301), (20, 25, 1250), (5, 10, 7000)])
+    def test_every_stream_ends_where_the_per_turn_reference_ends(
+            self, monkeypatch, algorithm, n_players, n_arms, turns):
+        # nothing is drawn ahead of play: each of the four substreams ends in the
+        # state a loop drawing one turn at a time leaves it in; 7000 turns at
+        # N=5, S=10 cross a 6553-turn block
+        def recorded(module):
+            made = {}
+
+            def recording(seed, *tags):
+                made[tags] = substream(seed, *tags)
+                return made[tags]
+
+            monkeypatch.setattr(module, "substream", recording)
+            return made
+
+        cfg = ExperimentConfig(algorithm=algorithm, n_players=n_players, turns=turns,
+                               means=tuple(np.linspace(0.95, 0.05, n_arms)))
+        engine, reference = recorded(runner), recorded(support)
+        simulate_episode(cfg, 0.5, 61)
+        reference_episode(cfg, 0.5, 61)
+        assert sorted(engine) == sorted(reference) == [
+            ("env-arms",), ("env-winners",), ("graph",), ("players",)]
+        moved = [tags for tags, rng in engine.items()
+                 if rng.bit_generator.state != reference[tags].bit_generator.state]
+        assert moved == []
 
     def test_a_repetition_does_not_depend_on_how_many_run(self):
         # alpha index 1, repetition 1
