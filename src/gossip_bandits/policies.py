@@ -18,7 +18,11 @@ turn it does not return.
 All players draw from one generator, the episode's ``players``
 substream, and every draw of a turn is one array call over the rows:
 the sweep's permutations, the tie-breaks, the exploration coins and arms,
-Thompson's Beta draws and asympopt's categorical draws.  A run is
+Thompson's posterior draws and asympopt's categorical draws.  Thompson
+draws its Beta posteriors as NumPy's ``beta`` does, from gammas, but
+with one ``standard_gamma`` call over every arm's pair of shapes: the
+same values in the same order, since the sweep leaves no arm at count 0
+(see ``ThompsonPolicy``).  A run is
 reproducible from its seed alone, but a player's choices depend on the
 draws of the others.  The annealed ε is one shared value: every player
 selects once per turn, so all of theirs are equal at every turn.  It
@@ -179,12 +183,33 @@ class EpsilonGreedyPolicy(Policy):
 
 
 class ThompsonPolicy(Policy):
-    """Sample a Beta posterior per arm and pull the best draw."""
+    """Sample a Beta(successes + 1, failures + 1) posterior per arm and pull the best draw.
+
+    The draw is NumPy's own Beta sampler, taken apart: for a > 1 or b > 1,
+    ``Generator.beta(a, b)`` draws ``standard_gamma(a)``, then
+    ``standard_gamma(b)``, and returns Ga / (Ga + Gb) (Marsaglia & Tsang,
+    "A simple method for generating gamma variables", ACM TOMS 2000, for
+    shapes >= 1).  So one ``standard_gamma`` call on the (N, S, 2) shapes,
+    each arm's pair side by side, draws the same values in the same order
+    and leaves the generator where ``beta`` would, while paying NumPy's
+    parameter check once per turn instead of twice.  ``beta`` takes another
+    branch, Jöhnk's, only when a = b = 1, that is for an arm with count 0,
+    and none reaches ``choose``: the sweep pulls every arm once, and a
+    player always hears its own report.
+    """
+
+    def __init__(self, config: ExperimentConfig, tallies: np.ndarray, rng: np.random.Generator):
+        super().__init__(config, tallies, rng)
+        self.shapes = np.empty((len(tallies), self.n_arms, 2))  # (successes + 1, failures + 1) per arm
 
     def choose(self) -> np.ndarray:
-        successes = self.successes
-        theta = self.rng.beta(successes + 1.0, self.counts - successes + 1.0)
-        return argmax_rows(theta, self.rng)[None]
+        shapes, successes = self.shapes, self.successes
+        shapes[..., 0] = successes
+        np.subtract(self.counts, successes, out=shapes[..., 1])
+        shapes += 1.0
+        gamma = self.rng.standard_gamma(shapes)
+        ga, gb = gamma[..., 0], gamma[..., 1]
+        return argmax_rows(ga / (ga + gb), self.rng)[None]
 
 
 class AsympOptPolicy(Policy):

@@ -58,9 +58,22 @@ class Fault(NamedTuple):
 FAULTS = (
     Fault(
         "thompson_posterior", "src/gossip_bandits/policies.py",
-        "self.rng.beta(successes + 1.0, self.counts - successes + 1.0)",
-        "self.rng.beta(successes + 1.0, self.counts + 1.0)",
+        "        np.subtract(self.counts, successes, out=shapes[..., 1])\n",
+        "        shapes[..., 1] = self.counts\n",
         "Thompson samples Beta(s + 1, counts + 1), not Beta(s + 1, failures + 1)",
+    ),
+    Fault(
+        "thompson_shapes_swapped", "src/gossip_bandits/policies.py",
+        "        shapes[..., 0] = successes\n"
+        "        np.subtract(self.counts, successes, out=shapes[..., 1])\n",
+        "        shapes[..., 1] = successes\n"
+        "        np.subtract(self.counts, successes, out=shapes[..., 0])\n",
+        "Thompson samples Beta(f + 1, s + 1): the two shapes swap places",
+    ),
+    Fault(
+        "thompson_no_prior", "src/gossip_bandits/policies.py",
+        "        shapes += 1.0\n", "",
+        "Thompson samples Beta(s, f): the uniform prior's + 1 is dropped",
     ),
     Fault(
         "winner_lowest_priority", "src/gossip_bandits/env.py",

@@ -4,9 +4,11 @@ The digests were computed with the shared-stream engine: an episode draws
 from four substreams of its seed (``env-arms``, ``graph``,
 ``env-winners`` and one ``players`` stream for every player's draws), and
 each policy consumes the players' stream in one array call per draw
-kind.  Any engine that makes the same calls in the same order reproduces
-them byte for byte; a digest change means a seeded experiment's
-published numbers changed.
+kind.  Thompson's posterior is one ``standard_gamma`` call over every
+arm's pair of shapes, which draws the values ``Generator.beta`` did when
+the digests were computed, in the same order.  Any engine that draws the
+same values in the same order reproduces them byte for byte; a digest
+change means a seeded experiment's published numbers changed.
 """
 
 import hashlib

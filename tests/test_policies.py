@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from gossip_bandits import policies
 from gossip_bandits.config import ConfigError, ExperimentConfig
 from gossip_bandits.network import disseminate, stretch_turns
 from gossip_bandits.policies import (
+    INIT_ORDERS,
     AsympOptPolicy,
     EpsilonGreedyPolicy,
     ThompsonPolicy,
@@ -22,6 +24,7 @@ from oracles import (
     mix_by_dropping,
     random_simplex_points,
 )
+from support import simulate_episode
 
 MU_SPREAD = (0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.01)
 POLICIES = ["ucb1", "egreedy", "thompson", "asympopt", "random"]
@@ -283,6 +286,54 @@ class TestThompson:
         n = 10**4
         freq = (picks(skip_sweep(pol), n) == 0).mean()
         assert abs(freq - p) < 4 * np.sqrt(p * (1 - p) / n)
+
+    def test_posterior_draws_are_what_beta_draws(self, monkeypatch):
+        # over 3000 random tally matrices with every count >= 1, choose's
+        # posterior draws equal Generator.beta(s + 1, f + 1) on a twin
+        # generator, value for value, and both end in the same state.  About
+        # a fifth of the arms have count 1, so a or b is 1 and the gamma
+        # sampler's shape-1 branch runs; argmax is taken without tie draws
+        drawn = []
+
+        def recording(values, rng):
+            drawn.append(values)
+            return values.argmax(axis=1)
+
+        monkeypatch.setattr(policies, "argmax_rows", recording)
+        tally_rng = np.random.default_rng(40)
+        for n_players, n_arms in [(1, 2), (5, 10), (9, 10), (20, 25)]:
+            pol, tallies = episode("thompson", n_arms, n_players=n_players, seed=41)
+            skip_sweep(pol)
+            twin = np.random.default_rng(41)
+            for _ in range(750):
+                shape = (n_players, n_arms)
+                counts = np.where(tally_rng.random(shape) < 0.2, 1, tally_rng.integers(1, 10**4, size=shape))
+                successes = tally_rng.integers(0, counts + 1)
+                prime(tallies, counts, successes)
+                pol.choose()
+                assert np.array_equal(drawn[-1], twin.beta(successes + 1.0, counts - successes + 1.0))
+            assert pol.rng.bit_generator.state == twin.bit_generator.state, (n_players, n_arms)
+
+    @pytest.mark.parametrize("init_order", INIT_ORDERS)
+    @pytest.mark.parametrize("n_players", [5, 9])
+    def test_no_arm_reaches_choose_at_count_zero(self, monkeypatch, n_players, init_order):
+        # beta takes Jöhnk's branch, which the gamma draw does not follow, only
+        # for a = b = 1, an arm at count 0; the sweep and every player's own
+        # report leave none by the time choose runs, even with no gossip
+        smallest = []
+        unchecked = ThompsonPolicy.choose
+
+        def checked(policy):
+            smallest.append(policy.counts.min())
+            return unchecked(policy)
+
+        monkeypatch.setattr(ThompsonPolicy, "choose", checked)
+        cfg = ExperimentConfig(algorithm="thompson", means=MU_SPREAD, n_players=n_players,
+                               init_order=init_order, turns=300)
+        for alpha in (0.0, 0.5, 1.0):
+            simulate_episode(cfg, alpha, 43)
+        assert len(smallest) == 3 * (300 - len(MU_SPREAD))
+        assert min(smallest) >= 1
 
     def test_exact_beta_comparison(self):
         # symmetry and complement checks of the finite sum

@@ -122,26 +122,19 @@ class TestStreamContract:
             assert np.array_equal(tallies, np.einsum("tij,tjk->ik", reach, reports)), algorithm
 
     @pytest.mark.parametrize("algorithm", POLICY_NAMES)
-    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
-    @pytest.mark.parametrize("n_players, n_arms, turns", [(3, 5, 301), (20, 25, 700), (20, 25, 1250)])
-    def test_blocks_match_the_per_turn_reference(self, algorithm, alpha, n_players, n_arms, turns):
-        # 700 turns at N=20, S=25 cross a 609-turn block.  The runner's 32-turn
-        # stretches of the random policy are cut by both block ends of 1250
-        # turns, one turn and two turns after a stretch began
-        cfg = ExperimentConfig(algorithm=algorithm, n_players=n_players, turns=turns,
-                               means=tuple(np.linspace(0.95, 0.05, n_arms)))
-        engine = simulate_episode(cfg, alpha, 61)
-        for name, got, expected in zip(("choices", "realizations", "tallies"),
-                                       engine, reference_episode(cfg, alpha, 61)):
-            assert np.array_equal(got, expected), name
-
-    @pytest.mark.parametrize("algorithm", POLICY_NAMES)
-    @pytest.mark.parametrize("n_players, n_arms, turns", [(3, 5, 301), (20, 25, 1250), (5, 10, 7000)])
-    def test_every_stream_ends_where_the_per_turn_reference_ends(
-            self, monkeypatch, algorithm, n_players, n_arms, turns):
-        # nothing is drawn ahead of play: each of the four substreams ends in the
-        # state a loop drawing one turn at a time leaves it in; 7000 turns at
-        # N=5, S=10 cross a 6553-turn block
+    @pytest.mark.parametrize("n_players, n_arms, turns, alpha", [
+        *((n_players, n_arms, turns, alpha)
+          for n_players, n_arms, turns in [(3, 5, 301), (20, 25, 700), (20, 25, 1250)]
+          for alpha in (0.0, 0.5, 1.0)),
+        (5, 10, 7000, 0.5),
+    ])
+    def test_blocks_match_the_per_turn_reference(self, monkeypatch, algorithm, n_players, n_arms, turns, alpha):
+        # 700 turns at N=20, S=25 cross a 609-turn block, and 7000 turns at
+        # N=5, S=10 a 6553-turn one.  The runner's 32-turn stretches of the
+        # random policy are cut by both block ends of 1250 turns, one turn and
+        # two turns after a stretch began.  Nothing is drawn ahead of play:
+        # each of the four substreams also ends in the state the per-turn
+        # loop leaves it in
         def recorded(module):
             made = {}
 
@@ -155,8 +148,9 @@ class TestStreamContract:
         cfg = ExperimentConfig(algorithm=algorithm, n_players=n_players, turns=turns,
                                means=tuple(np.linspace(0.95, 0.05, n_arms)))
         engine, reference = recorded(runner), recorded(support)
-        simulate_episode(cfg, 0.5, 61)
-        reference_episode(cfg, 0.5, 61)
+        for name, got, expected in zip(("choices", "realizations", "tallies"),
+                                       simulate_episode(cfg, alpha, 61), reference_episode(cfg, alpha, 61)):
+            assert np.array_equal(got, expected), name
         assert sorted(engine) == sorted(reference) == [
             ("env-arms",), ("env-winners",), ("graph",), ("players",)]
         moved = [tags for tags, rng in engine.items()
