@@ -1,4 +1,5 @@
 import concurrent.futures
+import functools
 import json
 import tracemalloc
 
@@ -98,6 +99,47 @@ class TestRunEpisode:
         assert np.array_equal(record.regret_occupancy, again.regret_occupancy)
 
 
+# (n_players, n_arms, turns): the alphas each is played at.  700 turns at
+# N=20, S=25 cross a 609-turn block, and 7000 turns at N=5, S=10 a 6553-turn
+# one.  The runner's 32-turn stretches of the random policy are cut by both
+# block ends of 1250 turns, one turn and two turns after a stretch began
+PER_TURN_CASES = {
+    (3, 5, 301): (0.0, 0.5, 1.0),
+    (20, 25, 700): (0.0, 0.5, 1.0),
+    (20, 25, 1250): (0.0, 0.5, 1.0),
+    (5, 10, 7000): (0.5,),
+}
+
+
+@functools.cache
+def against_the_per_turn_reference(algorithm, n_players, n_arms, turns, alpha):
+    """Play one config once with the engine and once with the per-turn loop,
+    recording the substreams each makes, for both tests that compare them: the
+    arrays that differ, the tags of the substreams each side made, and the
+    substreams that end in different states."""
+    def recorded(module):
+        made = {}
+
+        def recording(seed, *tags):
+            made[tags] = substream(seed, *tags)
+            return made[tags]
+
+        patch.setattr(module, "substream", recording)
+        return made
+
+    cfg = ExperimentConfig(algorithm=algorithm, n_players=n_players, turns=turns,
+                           means=tuple(np.linspace(0.95, 0.05, n_arms)))
+    with pytest.MonkeyPatch.context() as patch:
+        engine, reference = recorded(runner), recorded(support)
+        differ = [name for name, got, expected in zip(("choices", "realizations", "tallies"),
+                                                      simulate_episode(cfg, alpha, 61),
+                                                      reference_episode(cfg, alpha, 61))
+                  if not np.array_equal(got, expected)]
+    moved = [tags for tags, rng in engine.items()
+             if rng.bit_generator.state != reference[tags].bit_generator.state]
+    return differ, (sorted(engine), sorted(reference)), moved
+
+
 class TestStreamContract:
     @pytest.mark.parametrize("seed", [3, 8])
     def test_realizations_and_graphs_do_not_depend_on_the_algorithm(self, seed):
@@ -123,39 +165,20 @@ class TestStreamContract:
 
     @pytest.mark.parametrize("algorithm", POLICY_NAMES)
     @pytest.mark.parametrize("n_players, n_arms, turns, alpha", [
-        *((n_players, n_arms, turns, alpha)
-          for n_players, n_arms, turns in [(3, 5, 301), (20, 25, 700), (20, 25, 1250)]
-          for alpha in (0.0, 0.5, 1.0)),
-        (5, 10, 7000, 0.5),
-    ])
-    def test_blocks_match_the_per_turn_reference(self, monkeypatch, algorithm, n_players, n_arms, turns, alpha):
-        # 700 turns at N=20, S=25 cross a 609-turn block, and 7000 turns at
-        # N=5, S=10 a 6553-turn one.  The runner's 32-turn stretches of the
-        # random policy are cut by both block ends of 1250 turns, one turn and
-        # two turns after a stretch began.  Nothing is drawn ahead of play:
-        # each of the four substreams also ends in the state the per-turn
-        # loop leaves it in
-        def recorded(module):
-            made = {}
+        (*config, alpha) for config, alphas in PER_TURN_CASES.items() for alpha in alphas])
+    def test_blocks_match_the_per_turn_reference(self, algorithm, n_players, n_arms, turns, alpha):
+        differ, _, _ = against_the_per_turn_reference(algorithm, n_players, n_arms, turns, alpha)
+        assert differ == []
 
-            def recording(seed, *tags):
-                made[tags] = substream(seed, *tags)
-                return made[tags]
-
-            monkeypatch.setattr(module, "substream", recording)
-            return made
-
-        cfg = ExperimentConfig(algorithm=algorithm, n_players=n_players, turns=turns,
-                               means=tuple(np.linspace(0.95, 0.05, n_arms)))
-        engine, reference = recorded(runner), recorded(support)
-        for name, got, expected in zip(("choices", "realizations", "tallies"),
-                                       simulate_episode(cfg, alpha, 61), reference_episode(cfg, alpha, 61)):
-            assert np.array_equal(got, expected), name
-        assert sorted(engine) == sorted(reference) == [
-            ("env-arms",), ("env-winners",), ("graph",), ("players",)]
-        moved = [tags for tags, rng in engine.items()
-                 if rng.bit_generator.state != reference[tags].bit_generator.state]
-        assert moved == []
+    @pytest.mark.parametrize("algorithm", POLICY_NAMES)
+    @pytest.mark.parametrize("n_players, n_arms, turns", list(PER_TURN_CASES))
+    def test_every_stream_ends_where_the_per_turn_reference_ends(self, algorithm, n_players, n_arms, turns):
+        # nothing is drawn ahead of play: each of the four substreams ends in the
+        # state the per-turn loop leaves it in
+        for alpha in PER_TURN_CASES[n_players, n_arms, turns]:
+            _, streams, moved = against_the_per_turn_reference(algorithm, n_players, n_arms, turns, alpha)
+            assert streams == 2 * ([("env-arms",), ("env-winners",), ("graph",), ("players",)],), alpha
+            assert moved == [], alpha
 
     def test_a_repetition_does_not_depend_on_how_many_run(self):
         # alpha index 1, repetition 1
