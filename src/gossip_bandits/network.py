@@ -3,23 +3,35 @@
 Every turn a fresh undirected graph connects each of the N(N-1)/2 player
 pairs independently with probability ``alpha``.  A turn's graph is held
 as its boolean reach matrix: the symmetric adjacency plus the identity,
-so a player always hears its own report.
+so a player always hears its own report.  The engine reads a reach
+matrix in sender rows: ``reach[j, i]`` is true when player j's report
+reaches player i.  The matrices it draws are symmetric, so the
+convention shows only on a one-way matrix built by hand.
+
+At ``alpha`` 0 or 1 a turn's uniforms decide no edge, since ``random()``
+lies in [0, 1).  ``sample_reach`` then sets the edges outright and jumps
+the graph stream over the uniforms it would have drawn.  PCG64 takes one
+64-bit output per float64 uniform and jumps ahead in O(log n) steps, so
+the stream ends in the state the draw leaves it in (O'Neill, "PCG: A
+Family of Simple Fast Space-Efficient Statistically Good Algorithms for
+Random Number Generation", 2014).
 
 Reports land in one shared (N, 2S) tally matrix: its left half counts
 every (arm) report a player has heard, its right half the successes among
-them.  A turn's delivery is the product ``reach @ reports``, where row j
+them.  A turn's delivery is the product ``reach.T @ reports``, where row j
 of ``reports`` is player j's one-hot arm followed by the same one-hot
 times the reward it received.  Duplicate reports (two neighbours on one
 arm) are kept, and a collision loser reports its 0.  ``disseminate``
 delivers a stretch of k turns at once, as one product of the (N, k·N)
-reach rows of all its turns with their (k·N, 2S) reports: the sum of the
-turns' products.  A stretch is at most ``STRETCH_BYTES`` of report rows.
+transpose of all its turns' sender rows, a view of the reach block, with
+their (k·N, 2S) reports: the sum of the turns' products.  A stretch is at
+most ``STRETCH_BYTES`` of report rows.
 
 The tallies are float64 whole-number counts, and so are a one-turn
 stretch's report rows, because NumPy computes a floating-point product
 through BLAS but an integer one in its generic loop, several times slower
-at N=20.  A longer stretch gathers its report rows from a float32 copy of
-the table, so that its product runs as the cheaper sgemm: every entry of
+at N=20.  A longer stretch takes its report rows from the float32 table,
+so that its product runs as the cheaper sgemm: every entry of
 that product is a whole count of at most k·N, which ``STRETCH_BYTES``
 bounds at 2**18 / (16·S) <= 2**13, far below float32's 2**24, and the
 product is added into the float64 tallies.  A one-turn stretch stays
@@ -68,9 +80,17 @@ def sample_reach(
 ) -> np.ndarray:
     """(turns, N, N) reach matrices of ``n_turns`` independent graphs.
 
-    Always N(N-1)/2 uniforms per turn, pairs in ``itertools.combinations``
+    Consumes N(N-1)/2 uniforms per turn, pairs in ``itertools.combinations``
     order, so the stream holds the same values whatever ``alpha`` is, and
     consecutive blocks of turns draw the same graphs as one draw of all.
+    At ``alpha`` 0 or 1 no uniform decides an edge, since ``random()``
+    lies in [0, 1): the edges are set to ``alpha == 1`` and the uniforms
+    are jumped over, not drawn.  The jump is exact: ``Generator.random``
+    takes one 64-bit output of its PCG64 bit generator per float64, and
+    ``advance`` moves PCG64 that many outputs ahead, so ``rng`` ends in
+    the state the draw would leave it in.  ``advance`` also drops a
+    buffered half of a 32-bit draw; the graph substream never holds one,
+    since it draws nothing but float64 uniforms.
     The reach block is one gather of ``_reach_columns`` from the block's
     edges, so no (turns, N, N) temporary is made.
     """
@@ -79,7 +99,11 @@ def sample_reach(
         raise ValueError(f"connectivity {alpha} outside [0, 1]")
     pairs = n_players * (n_players - 1) // 2
     edges = np.ones((n_turns, pairs + 1), dtype=bool)  # the last column is every player's own
-    np.less(rng.random((n_turns, pairs)), alpha, out=edges[:, :pairs])
+    if alpha == 0.0 or alpha == 1.0:
+        edges[:, :pairs] = alpha == 1.0
+        rng.bit_generator.advance(n_turns * pairs)
+    else:
+        np.less(rng.random((n_turns, pairs)), alpha, out=edges[:, :pairs])
     return edges[:, _reach_columns(n_players)]
 
 
@@ -102,17 +126,27 @@ def disseminate(
 ) -> None:
     """Add every (arm, reward) report of a stretch to the float64 tallies of all it reaches.
 
-    ``reach`` holds the stretch's (k, N, N) matrices, ``choices`` and
-    ``realized`` its (k, N) arms and rewards; ``realized`` may be 0/1
-    integers or ``env_step``'s booleans.  Row i of the (N, k·N) product
-    operand is receiver i's reach rows of every turn, side by side, in
-    the order of the (k·N, 2S) report rows.  A stretch of k > 1 turns is
-    added through a float32 product, exact while k·N stays below 2**24;
-    the runner's cap of ``stretch_turns`` turns keeps it at most 2**13.
+    ``reach`` holds the stretch's (k, N, N) matrices in sender rows:
+    ``reach[t, j, i]`` is true when player j's report of turn t reaches
+    player i.  ``choices`` and ``realized`` hold its (k, N) arms and
+    rewards; ``realized`` may be 0/1 integers or ``env_step``'s booleans.
+    The product's (N, k·N) operand is the transpose of the (k·N, N) sender
+    rows, a view in the order of the (k·N, 2S) report rows, so nothing is
+    copied into receiver order.  A stretch of k > 1 turns takes its report
+    rows in one ``np.take`` from the float32 table's flat (2S, 2S) rows,
+    row ``2·arm + reward``, and is added through a float32 product, exact
+    while k·N stays below 2**24; the runner's cap of ``stretch_turns``
+    turns keeps it at most 2**13.  A one-turn stretch indexes the float64
+    table by (arm, reward), which costs less than a take at k = 1.
     """
     n_players, width = tallies.shape
-    rows = _report_rows(width // 2) if len(choices) == 1 else _report_rows(width // 2, np.float32)
-    # the rewards index the row table, never mask it: booleans become 0/1
-    reports = rows[choices, realized.astype(np.intp, copy=False)]
+    if len(choices) == 1:
+        # the rewards index the row table, never mask it: booleans become 0/1
+        reports = _report_rows(width // 2)[choices[0], realized[0].astype(np.intp, copy=False)]
+        senders = reach[0]
+    else:
+        rows = _report_rows(width // 2, np.float32).reshape(width, width)
+        reports = np.take(rows, (2 * choices + realized).ravel(), axis=0)
+        senders = reach.reshape(-1, n_players)
     # np.dot, not @: for a boolean and a floating-point operand it is the cheaper call
-    tallies += np.dot(reach.transpose(1, 0, 2).reshape(n_players, -1), reports.reshape(-1, width))
+    tallies += np.dot(senders.T, reports)

@@ -36,7 +36,9 @@ for the arm realizations, ``graph`` for the reach matrices,
 draw of every player.  The realizations and the graphs therefore do not
 depend on the policy.  Nothing is drawn ahead of the turns that use it:
 every substream draws exactly the values, in the same order, and ends in
-exactly the state that a loop drawing one turn at a time would.  A
+exactly the state that a loop drawing one turn at a time would.  At
+alpha 0 or 1, where no uniform decides an edge, the ``graph`` substream
+is advanced over its uniforms, not drawn, and ends in the same state.  A
 stretch is played as one: one row sort finds its collided turns, which
 draw their priorities in turn order in one call, and its reports are
 added in one float32 product of whole counts of at most k·N <= 2**13,

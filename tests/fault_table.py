@@ -176,9 +176,24 @@ FAULTS = (
     ),
     Fault(
         "stretch_delivers_first_turn_only", "src/gossip_bandits/network.py",
-        "    tallies += np.dot(reach.transpose(1, 0, 2).reshape(n_players, -1), reports.reshape(-1, width))\n",
-        "    tallies += np.dot(reach[0], reports[0])\n",
+        "    tallies += np.dot(senders.T, reports)\n",
+        "    tallies += np.dot(reach[0].T, reports[:n_players])\n",
         "a stretch delivers only its first turn's reports",
+    ),
+    Fault(
+        "endpoint_stream_not_advanced", "src/gossip_bandits/network.py",
+        "        rng.bit_generator.advance(n_turns * pairs)\n", "",
+        "at alpha 0 or 1 the graph stream is not advanced over the uniforms it skips",
+    ),
+    Fault(
+        "endpoint_alpha_one_reaches_nobody", "src/gossip_bandits/network.py",
+        "        edges[:, :pairs] = alpha == 1.0\n", "        edges[:, :pairs] = False\n",
+        "at alpha 1 no pair is connected, as at alpha 0",
+    ),
+    Fault(
+        "one_turn_reads_receiver_rows", "src/gossip_bandits/network.py",
+        "        senders = reach[0]\n", "        senders = reach[0].T\n",
+        "a one-turn stretch reads its reach matrix in receiver rows, not sender rows",
     ),
     Fault(
         "priorities_for_every_stretch_row", "src/gossip_bandits/env.py",

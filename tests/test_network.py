@@ -8,12 +8,12 @@ from gossip_bandits.network import disseminate, sample_reach, stretch_turns
 
 
 def reference_tallies(reach, choices, realized, n_arms):
-    """Report-by-report delivery: every receiver tallies each sender it reaches."""
+    """Report-by-report delivery: every receiver tallies each sender whose row reaches it."""
     n = len(choices)
     tallies = np.zeros((n, 2 * n_arms), dtype=np.int64)
     for receiver in range(n):
         for sender in range(n):
-            for _ in range(int(reach[receiver, sender])):
+            for _ in range(int(reach[sender, receiver])):
                 tallies[receiver, choices[sender]] += 1
                 tallies[receiver, n_arms + choices[sender]] += realized[sender]
     return tallies
@@ -62,6 +62,22 @@ class TestSampleReach:
                 expected[t, a, b] = expected[t, b, a] = kept
             expected[t] |= np.eye(n, dtype=bool)
         assert np.array_equal(sample_reach(n, alpha, turns, np.random.default_rng(24)), expected)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    @pytest.mark.parametrize("n", [1, 5, 20])
+    def test_endpoint_alphas_leave_the_stream_where_drawing_would(self, alpha, n):
+        # no uniform decides an endpoint edge, so the stream jumps over them: the
+        # twin draws and thresholds them, and both must end in the same state
+        first, second = np.triu_indices(n, k=1)
+        jumped, drawn = np.random.default_rng(27), np.random.default_rng(27)
+        for turns in (1, 7, 0, 609, 2):
+            reach = sample_reach(n, alpha, turns, jumped)
+            expected = np.zeros((turns, n, n), dtype=bool)
+            expected[:, first, second] = expected[:, second, first] = drawn.random((turns, len(first))) < alpha
+            expected |= np.eye(n, dtype=bool)
+            assert np.array_equal(reach, expected)
+            assert jumped.bit_generator.state == drawn.bit_generator.state
+            assert jumped.random() == drawn.random()
 
 
 class TestDisseminate:
@@ -120,7 +136,8 @@ class TestDisseminate:
 class TestStretch:
     @pytest.mark.parametrize("n, n_arms, n_turns", [(5, 10, 7), (20, 25, 32), (3, 2, 1), (1, 3, 4)])
     def test_a_stretch_delivers_the_sum_of_its_turns(self, n, n_arms, n_turns):
-        # one-way reach matrices, so a receiver mixed up with a sender shows
+        # one-way reach matrices, read as sender rows, so a receiver mixed up with a
+        # sender shows, in the stretch branch and in the one-turn branch alike
         rng = np.random.default_rng(26)
         for _ in range(20):
             reach = (rng.random((n_turns, n, n)) < 0.4) | np.eye(n, dtype=bool)
@@ -134,6 +151,11 @@ class TestStretch:
             assert np.array_equal(stretch, turns)
             expected = sum(reference_tallies(r, c, w, n_arms) for r, c, w in zip(reach, choices, realized))
             assert np.array_equal(stretch, expected)
+            # the first turn twice is a stretch: both branches read its one-way matrix alike
+            once, twice = np.zeros((n, 2 * n_arms)), np.zeros((n, 2 * n_arms))
+            disseminate(once, reach[:1], choices[:1], realized[:1])
+            disseminate(twice, reach[[0, 0]], choices[[0, 0]], realized[[0, 0]])
+            assert np.array_equal(twice, 2 * once)
 
     @pytest.mark.parametrize("n, n_arms", [(1, 2), (2, 3), (20, 25)])
     def test_a_maximal_stretch_adds_exactly_onto_large_tallies(self, n, n_arms):

@@ -5,10 +5,13 @@
 would silently turn a traced layer absent, so the names are pinned here.
 """
 
+import inspect
 import os
 import subprocess
 import sys
 from collections import Counter
+
+import pytest
 
 import gossip_bandits
 from gossip_bandits.network import stretch_turns
@@ -91,3 +94,35 @@ def test_runner_calls_the_patched_names_at_run_time(monkeypatch):
         assert calls["env_step"] == calls["disseminate"] <= most_calls
         assert rows["env_step"] == rows["disseminate"] == config.turns
         assert longest["env_step"] == longest["disseminate"] == stretch_turns(config.n_players, config.n_arms)
+
+
+@pytest.mark.parametrize("entry", ["sweep_alpha", "regret_vs_turns"])
+def test_entry_points_play_each_episode_through_the_patched_names(monkeypatch, entry):
+    # the traced bench run takes one episode span per run_episode call, and reads
+    # its alpha as a float; its memory probe marks the heap at the first env_step
+    # and reads it again at build_run_record, so env_step must come first
+    runner = gossip_bandits.runner
+    signature = inspect.signature(runner.run_episode)
+    alphas, events = [], []
+
+    def recorded(name):
+        fn = getattr(runner, name)
+
+        def wrapper(*args, **kwargs):
+            if name == "run_episode":
+                alphas.append(signature.bind(*args, **kwargs).arguments["alpha"])
+            events.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("run_episode", "env_step", "build_run_record"):
+        monkeypatch.setattr(runner, name, recorded(name))
+    config = gossip_bandits.ExperimentConfig(alphas=(0, 0.5, 1), turns=40, repetitions=2)
+    getattr(gossip_bandits, entry)(config)
+    assert alphas == [alpha for alpha in config.alphas for _ in range(config.repetitions)]
+    assert all(isinstance(alpha, float) for alpha in alphas)
+    starts = [i for i, name in enumerate(events) if name == "run_episode"]
+    for start, end in zip(starts, starts[1:] + [len(events)]):
+        episode = events[start + 1:end]
+        assert episode.index("env_step") < episode.index("build_run_record")

@@ -161,7 +161,7 @@ class TestStreamContract:
             turn, player = np.indices(choices.shape)
             reports[turn, player, choices] = 1
             reports[turn, player, n_arms + choices] = realized
-            assert np.array_equal(tallies, np.einsum("tij,tjk->ik", reach, reports)), algorithm
+            assert np.array_equal(tallies, np.einsum("tji,tjk->ik", reach, reports)), algorithm
 
     @pytest.mark.parametrize("algorithm", POLICY_NAMES)
     @pytest.mark.parametrize("n_players, n_arms, turns, alpha", [
