@@ -133,7 +133,7 @@ def disseminate(
     The product's (N, k·N) operand is the transpose of the (k·N, N) sender
     rows, a view in the order of the (k·N, 2S) report rows, so nothing is
     copied into receiver order.  A stretch of k > 1 turns takes its report
-    rows in one ``np.take`` from the float32 table's flat (2S, 2S) rows,
+    rows with one ``np.take`` from the float32 table's flat (2S, 2S) rows,
     row ``2·arm + reward``, and is added through a float32 product, exact
     while k·N stays below 2**24; the runner's cap of ``stretch_turns``
     turns keeps it at most 2**13.  A one-turn stretch indexes the float64
@@ -142,11 +142,9 @@ def disseminate(
     n_players, width = tallies.shape
     if len(choices) == 1:
         # the rewards index the row table, never mask it: booleans become 0/1
-        reports = _report_rows(width // 2)[choices[0], realized[0].astype(np.intp, copy=False)]
-        senders = reach[0]
+        reports = _report_rows(width // 2)[choices, realized.astype(np.intp, copy=False)]
     else:
-        rows = _report_rows(width // 2, np.float32).reshape(width, width)
-        reports = np.take(rows, (2 * choices + realized).ravel(), axis=0)
-        senders = reach.reshape(-1, n_players)
+        flat = _report_rows(width // 2, np.float32).reshape(width, width)  # row 2·arm + reward
+        reports = np.take(flat, 2 * choices + realized, axis=0)
     # np.dot, not @: for a boolean and a floating-point operand it is the cheaper call
-    tallies += np.dot(senders.T, reports)
+    tallies += np.dot(reach.reshape(-1, n_players).T, reports.reshape(-1, width))

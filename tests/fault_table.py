@@ -176,8 +176,8 @@ FAULTS = (
     ),
     Fault(
         "stretch_delivers_first_turn_only", "src/gossip_bandits/network.py",
-        "    tallies += np.dot(senders.T, reports)\n",
-        "    tallies += np.dot(reach[0].T, reports[:n_players])\n",
+        "    tallies += np.dot(reach.reshape(-1, n_players).T, reports.reshape(-1, width))\n",
+        "    tallies += np.dot(reach[0].T, reports[0])\n",
         "a stretch delivers only its first turn's reports",
     ),
     Fault(
@@ -192,7 +192,9 @@ FAULTS = (
     ),
     Fault(
         "one_turn_reads_receiver_rows", "src/gossip_bandits/network.py",
-        "        senders = reach[0]\n", "        senders = reach[0].T\n",
+        "    tallies += np.dot(reach.reshape(-1, n_players).T, reports.reshape(-1, width))\n",
+        "    tallies += np.dot(reach[0] if len(choices) == 1 else reach.reshape(-1, n_players).T,\n"
+        "                      reports.reshape(-1, width))\n",
         "a one-turn stretch reads its reach matrix in receiver rows, not sender rows",
     ),
     Fault(
