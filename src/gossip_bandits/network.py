@@ -9,12 +9,15 @@ reaches player i.  The matrices it draws are symmetric, so the
 convention shows only on a one-way matrix built by hand.
 
 At ``alpha`` 0 or 1 a turn's uniforms decide no edge, since ``random()``
-lies in [0, 1).  ``sample_reach`` then sets the edges outright and jumps
-the graph stream over the uniforms it would have drawn.  PCG64 takes one
-64-bit output per float64 uniform and jumps ahead in O(log n) steps, so
-the stream ends in the state the draw leaves it in (O'Neill, "PCG: A
-Family of Simple Fast Space-Efficient Statistically Good Algorithms for
-Random Number Generation", 2014).
+lies in [0, 1): G(N, 0) is always empty and G(N, 1) always complete
+(Erdős & Rényi, "On random graphs I", 1959).  ``sample_reach`` then
+returns the one reach matrix, the identity or all True, broadcast over
+the turns as a read-only view with turn stride 0, and jumps the graph
+stream over the uniforms it would have drawn.  PCG64 takes one 64-bit
+output per float64 uniform and jumps ahead in O(log n) steps, so the
+stream ends in the state the draw leaves it in (O'Neill, "PCG: A Family
+of Simple Fast Space-Efficient Statistically Good Algorithms for Random
+Number Generation", 2014).
 
 Reports land in one shared (N, 2S) tally matrix: its left half counts
 every (arm) report a player has heard, its right half the successes among
@@ -23,9 +26,14 @@ of ``reports`` is player j's one-hot arm followed by the same one-hot
 times the reward it received.  Duplicate reports (two neighbours on one
 arm) are kept, and a collision loser reports its 0.  ``disseminate``
 delivers a stretch of k turns at once, as one product of the (N, k·N)
-transpose of all its turns' sender rows, a view of the reach block, with
-their (k·N, 2S) reports: the sum of the turns' products.  A stretch is at
-most ``STRETCH_BYTES`` of report rows.
+transpose of all its turns' (k·N, N) sender rows with their (k·N, 2S)
+reports: the sum of the turns' products.  A drawn block is gathered
+turn-fastest, so a stretch's (k·N, N) reshape is a copy; a one-turn
+slice reshapes to a strided view.  When one graph G holds for every turn
+of a stretch, a reach view of turn stride 0, the sum is
+Σₜ Gᵀ Rₜ = Gᵀ Σₜ Rₜ: the players' report rows are summed over the
+stretch and delivered in one (N, N) product.  A stretch is at most
+``STRETCH_BYTES`` of report rows.
 
 The tallies are float64 whole-number counts, and so are a one-turn
 stretch's report rows, because NumPy computes a floating-point product
@@ -34,7 +42,9 @@ at N=20.  A longer stretch takes its report rows from the float32 table,
 so that its product runs as the cheaper sgemm: every entry of
 that product is a whole count of at most k·N, which ``STRETCH_BYTES``
 bounds at 2**18 / (16·S) <= 2**13, far below float32's 2**24, and the
-product is added into the float64 tallies.  A one-turn stretch stays
+product is added into the float64 tallies.  A constant graph's summed
+report rows are counts of at most k, and its product's entries of at
+most k·N, so they are exact in float32 too.  A one-turn stretch stays
 float64, since the float32 result's cast into the tallies would cost each
 learning rule's turn more than the smaller product saves.  Every count is
 exact, since no tally of an episode comes near 2**53, so adding a stretch
@@ -84,26 +94,29 @@ def sample_reach(
     order, so the stream holds the same values whatever ``alpha`` is, and
     consecutive blocks of turns draw the same graphs as one draw of all.
     At ``alpha`` 0 or 1 no uniform decides an edge, since ``random()``
-    lies in [0, 1): the edges are set to ``alpha == 1`` and the uniforms
-    are jumped over, not drawn.  The jump is exact: ``Generator.random``
+    lies in [0, 1): every turn's matrix is the identity (0) or all True
+    (1), returned as one (N, N) matrix broadcast over the turns, a
+    read-only view with turn stride 0, and the uniforms are jumped over,
+    not drawn.  The jump is exact: ``Generator.random``
     takes one 64-bit output of its PCG64 bit generator per float64, and
     ``advance`` moves PCG64 that many outputs ahead, so ``rng`` ends in
     the state the draw would leave it in.  ``advance`` also drops a
     buffered half of a 32-bit draw; the graph substream never holds one,
     since it draws nothing but float64 uniforms.
-    The reach block is one gather of ``_reach_columns`` from the block's
-    edges, so no (turns, N, N) temporary is made.
+    A drawn reach block is one gather of ``_reach_columns`` from the
+    block's edges, so no (turns, N, N) temporary is made; the gather
+    leaves the block turn-fastest, strides (1, N·turns, turns).
     """
     # n_players comes from the validated config; run_episode takes alpha on its own
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"connectivity {alpha} outside [0, 1]")
     pairs = n_players * (n_players - 1) // 2
-    edges = np.ones((n_turns, pairs + 1), dtype=bool)  # the last column is every player's own
     if alpha == 0.0 or alpha == 1.0:
-        edges[:, :pairs] = alpha == 1.0
         rng.bit_generator.advance(n_turns * pairs)
-    else:
-        np.less(rng.random((n_turns, pairs)), alpha, out=edges[:, :pairs])
+        graph = np.ones((n_players, n_players), dtype=bool) if alpha == 1.0 else np.eye(n_players, dtype=bool)
+        return np.broadcast_to(graph, (n_turns, n_players, n_players))
+    edges = np.ones((n_turns, pairs + 1), dtype=bool)  # the last column is every player's own
+    np.less(rng.random((n_turns, pairs)), alpha, out=edges[:, :pairs])
     return edges[:, _reach_columns(n_players)]
 
 
@@ -131,13 +144,22 @@ def disseminate(
     player i.  ``choices`` and ``realized`` hold its (k, N) arms and
     rewards; ``realized`` may be 0/1 integers or ``env_step``'s booleans.
     The product's (N, k·N) operand is the transpose of the (k·N, N) sender
-    rows, a view in the order of the (k·N, 2S) report rows, so nothing is
-    copied into receiver order.  A stretch of k > 1 turns takes its report
-    rows with one ``np.take`` from the float32 table's flat (2S, 2S) rows,
-    row ``2·arm + reward``, and is added through a float32 product, exact
-    while k·N stays below 2**24; the runner's cap of ``stretch_turns``
-    turns keeps it at most 2**13.  A one-turn stretch indexes the float64
-    table by (arm, reward), which costs less than a take at k = 1.
+    rows, in the order of the (k·N, 2S) report rows.  For a drawn block
+    that reshape copies the stretch (the block is turn-fastest); a
+    one-turn slice, or one turn of a constant graph, reshapes to a view.
+    A stretch of k > 1 turns takes its report rows with one ``np.take``
+    from the float32 table's flat (2S, 2S) rows, row ``2·arm + reward``,
+    and is added through a float32 product, exact while k·N stays below
+    2**24; the runner's cap of ``stretch_turns`` turns keeps it at most
+    2**13.  When ``reach`` has turn stride 0, as ``sample_reach`` returns
+    at ``alpha`` 0 or 1, one graph G holds for every turn, and the
+    stretch is delivered as Gᵀ Σₜ Rₜ.  One ``np.bincount`` counts how
+    often each player sent each row of the flat table; those (N, 2S)
+    counts times the table are the players' summed report rows, entries
+    of at most k, and one (N, N) product delivers them, entries of at
+    most k·N, so both products are exact in float32.  A one-turn
+    stretch indexes the float64 table by (arm, reward), which costs less
+    than a take at k = 1.
     """
     n_players, width = tallies.shape
     if len(choices) == 1:
@@ -145,6 +167,13 @@ def disseminate(
         reports = _report_rows(width // 2)[choices, realized.astype(np.intp, copy=False)]
     else:
         flat = _report_rows(width // 2, np.float32).reshape(width, width)  # row 2·arm + reward
-        reports = np.take(flat, 2 * choices + realized, axis=0)
+        rows = 2 * choices + realized
+        if reach.strides[0] == 0:  # one graph for every turn: deliver the players' summed rows once
+            counts = np.bincount((rows + np.arange(0, n_players * width, width)).ravel(),
+                                 minlength=n_players * width)
+            reports = np.dot(counts.reshape(n_players, width).astype(np.float32), flat)
+            reach = reach[:1]
+        else:
+            reports = np.take(flat, rows, axis=0)
     # np.dot, not @: for a boolean and a floating-point operand it is the cheaper call
     tallies += np.dot(reach.reshape(-1, n_players).T, reports.reshape(-1, width))

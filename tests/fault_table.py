@@ -14,7 +14,9 @@ on to ``pytest -x`` over the other unit tests and then
 ``tests/test_acceptance.py``, whose Monte Carlo runs last, and is killed
 by the first test that fails there.  The golden digests are left out
 because they catch every change in output, so they would hide whether
-the behavioural tests still say what the engine means.  A fault
+the behavioural tests still say what the engine means, and so is
+``tests/test_fault_table.py``, which a planted copy fails by
+construction, since it checks that every snippet is in the source.  A fault
 *survives* when every test passes, and is *not planted* when its snippet
 is no longer in the source, which fails the script rather than passing
 silently.  The table is printed and appended to ``CHANGES.md`` as one
@@ -42,7 +44,7 @@ ENGINE_TESTS = ["test_env.py", "test_network.py", "test_policies.py", "test_runn
 TEST_RUNS = (
     ([f"tests/{name}" for name in ENGINE_TESTS], []),
     ([f"tests/{path.name}" for path in sorted((ROOT / "tests").glob("test_*.py"))
-      if path.name not in ("test_golden.py", "test_acceptance.py", *ENGINE_TESTS)]
+      if path.name not in ("test_golden.py", "test_acceptance.py", "test_fault_table.py", *ENGINE_TESTS)]
      + ["tests/test_acceptance.py"], ["-x"]),
 )
 
@@ -187,8 +189,24 @@ FAULTS = (
     ),
     Fault(
         "endpoint_alpha_one_reaches_nobody", "src/gossip_bandits/network.py",
-        "        edges[:, :pairs] = alpha == 1.0\n", "        edges[:, :pairs] = False\n",
+        "np.ones((n_players, n_players), dtype=bool) if alpha == 1.0 else np.eye(n_players, dtype=bool)",
+        "np.eye(n_players, dtype=bool)",
         "at alpha 1 no pair is connected, as at alpha 0",
+    ),
+    Fault(
+        "endpoint_alpha_zero_deaf", "src/gossip_bandits/network.py",
+        "else np.eye(n_players, dtype=bool)", "else np.zeros((n_players, n_players), dtype=bool)",
+        "at alpha 0 a player does not hear even its own report",
+    ),
+    Fault(
+        "constant_graph_first_turn_only", "src/gossip_bandits/network.py",
+        "np.bincount((rows + np.arange(", "np.bincount((rows[:1] + np.arange(",
+        "a constant-graph stretch counts only its first turn's reports",
+    ),
+    Fault(
+        "constant_graph_receiver_rows", "src/gossip_bandits/network.py",
+        "            reach = reach[:1]\n", "            reach = reach[:1].transpose(0, 2, 1)\n",
+        "a constant-graph stretch reads its graph in receiver rows, not sender rows",
     ),
     Fault(
         "one_turn_reads_receiver_rows", "src/gossip_bandits/network.py",

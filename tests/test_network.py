@@ -79,6 +79,19 @@ class TestSampleReach:
             assert jumped.bit_generator.state == drawn.bit_generator.state
             assert jumped.random() == drawn.random()
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    @pytest.mark.parametrize("n", [1, 5, 20])
+    def test_an_endpoint_block_is_one_read_only_graph(self, alpha, n, rng):
+        # every turn reads the same matrix: the block and the runner's slices of it
+        # are stride-0 views, and one turn reshapes to its (N, N) matrix uncopied
+        reach = sample_reach(n, alpha, 609, rng)
+        assert reach.strides[0] == 0 and not reach.flags.writeable
+        for t, end in ((0, 32), (100, 101), (577, 609)):
+            assert reach[t:end].strides[0] == 0
+        assert np.shares_memory(reach[5:6].reshape(-1, n), reach)
+        with pytest.raises(ValueError, match="read-only"):
+            reach[0, 0, 0] = not reach[0, 0, 0]
+
 
 class TestDisseminate:
     def test_no_edges_deliver_own_report_only(self):
@@ -178,3 +191,33 @@ class TestStretch:
             for n in {1, 2, 5, 20, n_arms // 2, n_arms - 1} - {0}:
                 if n < n_arms:
                     assert stretch_turns(n, n_arms) * n < 2**24
+
+
+class TestConstantGraph:
+    """A stretch whose turns share one graph, as a turn-stride-0 view, is delivered once."""
+
+    @staticmethod
+    def graphs(n):
+        one_way = np.triu(np.random.default_rng(28).random((n, n)) < 0.5) | np.eye(n, dtype=bool)
+        assert n == 1 or not np.array_equal(one_way, one_way.T)
+        return {"empty": np.eye(n, dtype=bool), "complete": np.ones((n, n), dtype=bool), "one_way": one_way}
+
+    @pytest.mark.parametrize("rewards", [bool, np.int64])
+    @pytest.mark.parametrize("k", [2, 7, "stretch"])
+    @pytest.mark.parametrize("n, n_arms", [(1, 3), (5, 10), (20, 25)])
+    def test_delivers_what_its_turns_deliver_one_by_one(self, n, n_arms, k, rewards):
+        # a one-way graph, read as sender rows, catches a transposed graph in the sum
+        k = stretch_turns(n, n_arms) if k == "stretch" else k
+        rng = np.random.default_rng(29)
+        for name, graph in self.graphs(n).items():
+            reach = np.broadcast_to(graph, (k, n, n))
+            choices = rng.integers(n_arms, size=(k, n))
+            realized = (rng.random((k, n)) < 0.5).astype(rewards)
+            stretch = np.zeros((n, 2 * n_arms))
+            disseminate(stretch, reach, choices, realized)
+            expected = sum(reference_tallies(graph, c, w, n_arms) for c, w in zip(choices, realized))
+            assert np.array_equal(stretch, expected), name
+            # the same turns as a drawn block's copy take the per-turn product
+            drawn = np.zeros((n, 2 * n_arms))
+            disseminate(drawn, np.ascontiguousarray(reach), choices, realized)
+            assert np.array_equal(drawn, expected), name
