@@ -14,7 +14,3 @@ from fault_table import FAULTS, ROOT
 def test_every_fault_snippet_occurs_once(fault):
     text = (ROOT / fault.path).read_text(encoding="utf-8")
     assert text.count(fault.old) == 1, f"{fault.name}: snippet found {text.count(fault.old)} times in {fault.path}"
-
-
-def test_fault_names_are_distinct():
-    assert len({fault.name for fault in FAULTS}) == len(FAULTS)
