@@ -61,16 +61,18 @@ def build_run_record(
     ``start`` holds the four totals, in field order, that the previous
     block ended on; zeros begin an episode.
     """
-    occupied = np.zeros(rewards.shape, dtype=bool)
-    occupied[np.arange(len(choices))[:, None], choices] = True
+    occupied = np.zeros(rewards.size, dtype=bool)
+    occupied[choices + np.arange(0, rewards.size, rewards.shape[1])[:, None]] = True  # keys turn·S + arm
+    occupied = occupied.reshape(rewards.shape)
     mu = np.asarray(means, dtype=float)
     best = optimal_per_turn_reward(means, n_players)
+    reward = (occupied * rewards).sum(axis=1)
     per_turn = (
         # einsum reads the mask as it is; ``occupied @ mu`` would copy it to float64
         best - np.einsum("ts,s->t", occupied, mu),
         best - mu[choices].sum(axis=1),
-        (occupied * rewards).sum(axis=1),
-        (~occupied * rewards).sum(axis=1),
+        reward,
+        rewards.sum(axis=1) - reward,  # what the unoccupied arms realized
     )
     return RunRecord(*map(_running_sum, per_turn, start))
 

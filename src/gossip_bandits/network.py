@@ -32,25 +32,31 @@ turn-fastest, so a stretch's (k·N, N) reshape is a copy; a one-turn
 slice reshapes to a strided view.  When one graph G holds for every turn
 of a stretch, a reach view of turn stride 0, the sum is
 Σₜ Gᵀ Rₜ = Gᵀ Σₜ Rₜ: the players' report rows are summed over the
-stretch and delivered in one (N, N) product.  A stretch is at most
-``STRETCH_BYTES`` of report rows.
+stretch and delivered in one (N, N) product.  ``stretch_turns`` sizes a
+block's stretches by what that path builds: a drawn block's by
+``STRETCH_BYTES`` of report rows, a constant graph's, which builds none,
+by ``STRETCH_BYTES`` of its turns' collision and index arrays.
 
 The tallies are float64 whole-number counts, and so are a one-turn
 stretch's report rows, because NumPy computes a floating-point product
-through BLAS but an integer one in its generic loop, several times slower
-at N=20.  A longer stretch takes its report rows from the float32 table,
-so that its product runs as the cheaper sgemm: every entry of
+through BLAS but an integer one in its generic loop, several times
+slower at N=20.  A longer stretch takes its report rows from the float32
+table, so that its product runs as the cheaper sgemm: every entry of
 that product is a whole count of at most k·N, which ``STRETCH_BYTES``
 bounds at 2**18 / (16·S) <= 2**13, far below float32's 2**24, and the
 product is added into the float64 tallies.  A constant graph's summed
 report rows are counts of at most k, and its product's entries of at
-most k·N, so they are exact in float32 too.  A one-turn stretch stays
-float64, since the float32 result's cast into the tallies would cost each
-learning rule's turn more than the smaller product saves.  Every count is
-exact, since no tally of an episode comes near 2**53, so adding a stretch
-in one sum gives the same tallies as adding its turns one by one.  The
-reach matrices stay boolean, one byte per entry, drawn a block of turns
-at a time; a float64 copy of a block's would take eight times as much.
+most k·N, which its cap bounds at 2**18 / 40 < 2**13; whatever the cap,
+a stretch never crosses a block and N < S, so k·N < block·S <= 2**17,
+as a block's arm uniforms fit in ``runner.BLOCK_BYTES``.  Both are exact
+in float32 too.  A one-turn
+stretch stays float64, since the float32 result's cast into the tallies
+would cost each learning rule's turn more than the smaller product
+saves.  Every count is exact, since no tally of an episode comes near
+2**53, so adding a stretch in one sum gives the same tallies as adding
+its turns one by one.  The reach matrices stay boolean, one byte per
+entry, drawn a block of turns at a time; a float64 copy of a block's
+would take eight times as much.
 """
 
 from __future__ import annotations
@@ -59,15 +65,32 @@ from functools import lru_cache
 
 import numpy as np
 
-# Bytes of float64 report rows one ``disseminate`` call adds up, about 256 KiB:
-# 32 turns at N=20, S=25.  It bounds a stretch of k > 1 turns at
-# k·N <= 2**18 / (16·S) <= 2**13 reports, so its float32 product is exact.
+# Bytes one stretch's per-turn arrays may take, about 256 KiB.  A drawn block's
+# stretch builds (N, 2S) float64 report rows per turn: 32 turns at N=20, S=25,
+# and k·N <= 2**18 / (16·S) <= 2**13 reports, so its float32 product is exact.
+# A constant graph's builds no report rows, only (S + 5N) int64 or float64
+# values per turn: 262 turns at N=20, S=25, and k·N <= 2**18 / 40 < 2**13.
 STRETCH_BYTES = 1 << 18
 
 
-def stretch_turns(n_players: int, n_arms: int) -> int:
-    """Turns in one stretch: ``STRETCH_BYTES`` of (N, 2S) float64 report rows, at least one."""
-    return max(1, STRETCH_BYTES // (16 * n_players * n_arms))
+def _one_graph(reach: np.ndarray) -> bool:
+    """Whether every turn of ``reach`` is one graph: a view of turn stride 0, as at ``alpha`` 0 or 1."""
+    return reach.strides[0] == 0
+
+
+def stretch_turns(reach: np.ndarray, n_arms: int) -> int:
+    """Turns in one stretch of the (turns, N, N) block ``reach``, at least one.
+
+    A drawn block's stretch holds ``STRETCH_BYTES`` of (N, 2S) float64
+    report rows.  A constant graph's stretch builds none: it holds
+    ``STRETCH_BYTES`` of what its turns do build, S float64 collision
+    maxima and 5N int64 or float64 values per turn (``env_step``'s keys,
+    sorted arms and priorities, the policy's arms and ``disseminate``'s
+    ``bincount`` indices).
+    """
+    n_players = reach.shape[-1]
+    per_turn = 8 * (n_arms + 5 * n_players) if _one_graph(reach) else 16 * n_players * n_arms
+    return max(1, STRETCH_BYTES // per_turn)
 
 
 @lru_cache(maxsize=None)
@@ -151,7 +174,8 @@ def disseminate(
     from the float32 table's flat (2S, 2S) rows, row ``2·arm + reward``,
     and is added through a float32 product, exact while k·N stays below
     2**24; the runner's cap of ``stretch_turns`` turns keeps it at most
-    2**13.  When ``reach`` has turn stride 0, as ``sample_reach`` returns
+    2**13 on either path, and a stretch within a block keeps it below
+    2**17.  When ``reach`` has turn stride 0, as ``sample_reach`` returns
     at ``alpha`` 0 or 1, one graph G holds for every turn, and the
     stretch is delivered as Gᵀ Σₜ Rₜ.  One ``np.bincount`` counts how
     often each player sent each row of the flat table; those (N, 2S)
@@ -168,7 +192,7 @@ def disseminate(
     else:
         flat = _report_rows(width // 2, np.float32).reshape(width, width)  # row 2·arm + reward
         rows = 2 * choices + realized
-        if reach.strides[0] == 0:  # one graph for every turn: deliver the players' summed rows once
+        if _one_graph(reach):  # deliver the players' summed rows once
             counts = np.bincount((rows + np.arange(0, n_players * width, width)).ravel(),
                                  minlength=n_players * width)
             reports = np.dot(counts.reshape(n_players, width).astype(np.float32), flat)

@@ -15,8 +15,11 @@ player's choices for a stretch of up to as many turns as the runner
 asks for: the sweep's turns, decided at construction, or the random
 policy's arms, drawn for just those turns, else the one turn its rule
 decides next.  The runner sizes every stretch: it never crosses a block
-and holds at most ``network.stretch_turns`` turns, ``STRETCH_BYTES`` of
-report rows.
+and holds at most ``network.stretch_turns`` turns of the block's reach.
+A drawn block's stretch holds ``STRETCH_BYTES`` of report rows, 32 turns
+at N=20, S=25.  At alpha 0 or 1 the block is one graph and its stretch
+builds no report rows, so it holds ``STRETCH_BYTES`` of the collision and
+index arrays its turns do build, 262 turns at N=20, S=25.
 ``env_step`` pays the stretch's realizations and ``disseminate`` adds
 every report of it to the tallies it reaches, one call each per stretch.
 ``episode_blocks`` yields each block's choices (turns, N) and
@@ -41,8 +44,9 @@ alpha 0 or 1, where no uniform decides an edge, the ``graph`` substream
 is advanced over its uniforms, not drawn, and ends in the same state.  A
 stretch is played as one: one row sort finds its collided turns, which
 draw their priorities in turn order in one call, and its reports are
-added in one float32 product of whole counts of at most k·N <= 2**13,
-exact below 2**24, into the float64 tallies, exact below 2**53.  Only the
+added in one float32 product of whole counts of at most k·N <= 2**13
+(below block·S <= 2**17 whatever the cap, since N < S), exact below
+2**24, into the float64 tallies, exact below 2**53.  Only the
 learning rules' own turns, which read the tallies, are played one at a
 time.  All players share one stream, so a player's choices depend on
 the other players' draws.  Each repetition's seed
@@ -121,7 +125,6 @@ def episode_blocks(
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Play the turns a block at a time; yield choices, realizations and the live tallies."""
     n_players, n_turns, block = config.n_players, config.turns, block_turns(config)
-    stretch = stretch_turns(n_players, config.n_arms)  # keeps disseminate's float32 product exact
     arm_rng, graph_rng = substream(seed, "env-arms"), substream(seed, "graph")
     winner_rng = substream(seed, "env-winners")
     tallies = np.zeros((n_players, 2 * config.n_arms), dtype=np.float64)
@@ -130,6 +133,7 @@ def episode_blocks(
         length = min(block, n_turns - first)
         rewards = draw_arm_rewards(config.means, length, arm_rng)
         reach = sample_reach(n_players, alpha, length, graph_rng)
+        stretch = stretch_turns(reach, config.n_arms)  # keeps disseminate's float32 product exact
         choices = np.empty((length, n_players), dtype=np.int64)
         t = 0
         while t < length:

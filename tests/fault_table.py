@@ -121,6 +121,18 @@ FAULTS = (
         "a block's carried totals are added after its cumsum",
     ),
     Fault(
+        "occupancy_keys_without_turn", "src/gossip_bandits/metrics.py",
+        "    occupied[choices + np.arange(0, rewards.size, rewards.shape[1])[:, None]] = True",
+        "    occupied[choices] = True",
+        "a block's occupancy mask marks every turn's arms in its first turn's row",
+    ),
+    Fault(
+        "loss_counts_occupied_arms", "src/gossip_bandits/metrics.py",
+        "        rewards.sum(axis=1) - reward,",
+        "        rewards.sum(axis=1),",
+        "loss counts the realizations of every arm, occupied ones too",
+    ),
+    Fault(
         "winner_lowest_index", "src/gossip_bandits/env.py",
         "        priority = winner_rng.random(drawn * n_players)\n",
         "        winner_rng.random(drawn * n_players)\n"
@@ -214,6 +226,12 @@ FAULTS = (
         "    tallies += np.dot(reach[0] if len(choices) == 1 else reach.reshape(-1, n_players).T,\n"
         "                      reports.reshape(-1, width))\n",
         "a one-turn stretch reads its reach matrix in receiver rows, not sender rows",
+    ),
+    Fault(
+        "constant_graph_drawn_cap", "src/gossip_bandits/network.py",
+        "    per_turn = 8 * (n_arms + 5 * n_players) if _one_graph(reach) else 16 * n_players * n_arms\n",
+        "    per_turn = 16 * n_players * n_arms\n",
+        "a constant-graph block is cut into stretches sized by report rows it never builds",
     ),
     Fault(
         "priorities_for_every_stretch_row", "src/gossip_bandits/env.py",

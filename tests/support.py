@@ -8,7 +8,7 @@ import numpy as np
 
 from gossip_bandits.env import draw_arm_rewards, env_step
 from gossip_bandits.metrics import RunRecord
-from gossip_bandits.network import disseminate
+from gossip_bandits.network import disseminate, stretch_turns
 from gossip_bandits.policies import make_policy
 from gossip_bandits.rng import substream
 from gossip_bandits.runner import _FIELD_TYPES, CSV_COLUMNS, AggregateRecord, episode_blocks
@@ -21,6 +21,17 @@ def simulate_episode(config, alpha: float, seed: int):
     """The engine's blocks joined: choices (turns, N), realizations (turns, S), final tallies (N, 2S)."""
     choices, rewards, tallies = zip(*episode_blocks(config, alpha, seed))
     return np.concatenate(choices), np.concatenate(rewards), tallies[-1]
+
+
+def stretch_cap(n_players: int, n_arms: int, alpha: float) -> int:
+    """The runner's longest stretch in a block of graphs drawn at ``alpha``.
+
+    At ``alpha`` 0 or 1 the block is one graph broadcast over its turns, turn
+    stride 0, as ``sample_reach`` returns it; otherwise its turns are stored
+    one after another.  The stand-in block stores one or two bytes whatever N is.
+    """
+    stored = 1 if alpha in (0.0, 1.0) else 2
+    return stretch_turns(np.broadcast_to(np.zeros((stored, 1, 1), dtype=bool), (2, n_players, n_players)), n_arms)
 
 
 def reference_episode(config, alpha: float, seed: int):

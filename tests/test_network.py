@@ -3,8 +3,11 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from gossip_bandits.config import ExperimentConfig
 from gossip_bandits.env import env_step
-from gossip_bandits.network import disseminate, sample_reach, stretch_turns
+from gossip_bandits.network import disseminate, sample_reach
+from gossip_bandits.runner import block_turns
+from support import stretch_cap
 
 
 def reference_tallies(reach, choices, realized, n_arms):
@@ -172,8 +175,8 @@ class TestStretch:
 
     @pytest.mark.parametrize("n, n_arms", [(1, 2), (2, 3), (20, 25)])
     def test_a_maximal_stretch_adds_exactly_onto_large_tallies(self, n, n_arms):
-        # the float32 product's largest entry: every report of the longest stretch on one arm, paid
-        n_turns = stretch_turns(n, n_arms)
+        # the float32 product's largest entry: every report of the longest drawn stretch on one arm, paid
+        n_turns = stretch_cap(n, n_arms, 0.5)
         reach = np.ones((n_turns, n, n), dtype=bool)
         choices = np.ones((n_turns, n), dtype=np.int64)
         realized = np.ones((n_turns, n), dtype=bool)
@@ -186,11 +189,13 @@ class TestStretch:
         assert (stretch[:, [1, n_arms + 1]] == 2.0**40 + n_turns * n).all()
 
     def test_a_stretch_product_is_exact_in_float32(self):
-        # every entry of a stretch's product is a count of at most k·N reports
+        # every entry of a stretch's product is a count of at most k·N reports,
+        # at the drawn cap and at the constant graph's alike
         for n_arms in (2, 3, 5, 10, 25, 100, 1000, 10**5):
             for n in {1, 2, 5, 20, n_arms // 2, n_arms - 1} - {0}:
                 if n < n_arms:
-                    assert stretch_turns(n, n_arms) * n < 2**24
+                    assert stretch_cap(n, n_arms, 0.5) * n < 2**24
+                    assert stretch_cap(n, n_arms, 1.0) * n < 2**24
 
 
 class TestConstantGraph:
@@ -203,11 +208,13 @@ class TestConstantGraph:
         return {"empty": np.eye(n, dtype=bool), "complete": np.ones((n, n), dtype=bool), "one_way": one_way}
 
     @pytest.mark.parametrize("rewards", [bool, np.int64])
-    @pytest.mark.parametrize("k", [2, 7, "stretch"])
+    @pytest.mark.parametrize("k", [2, 7, "drawn", "constant", "block"])
     @pytest.mark.parametrize("n, n_arms", [(1, 3), (5, 10), (20, 25)])
     def test_delivers_what_its_turns_deliver_one_by_one(self, n, n_arms, k, rewards):
-        # a one-way graph, read as sender rows, catches a transposed graph in the sum
-        k = stretch_turns(n, n_arms) if k == "stretch" else k
+        # a one-way graph, read as sender rows, catches a transposed graph in the sum;
+        # k runs up to the drawn and the constant cap and a whole block, the most any cap could allow
+        block = block_turns(ExperimentConfig(n_players=n, means=(0.5,) * n_arms))
+        k = {"drawn": stretch_cap(n, n_arms, 0.5), "constant": stretch_cap(n, n_arms, 1.0), "block": block}.get(k, k)
         rng = np.random.default_rng(29)
         for name, graph in self.graphs(n).items():
             reach = np.broadcast_to(graph, (k, n, n))

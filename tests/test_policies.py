@@ -6,7 +6,7 @@ import pytest
 
 from gossip_bandits import policies
 from gossip_bandits.config import ConfigError, ExperimentConfig
-from gossip_bandits.network import disseminate, stretch_turns
+from gossip_bandits.network import disseminate
 from gossip_bandits.policies import (
     INIT_ORDERS,
     AsympOptPolicy,
@@ -24,7 +24,7 @@ from oracles import (
     mix_by_dropping,
     random_simplex_points,
 )
-from support import simulate_episode
+from support import simulate_episode, stretch_cap
 
 MU_SPREAD = (0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.01)
 POLICIES = ["ucb1", "egreedy", "thompson", "asympopt", "random"]
@@ -516,10 +516,10 @@ class TestUniformRandom:
     @pytest.mark.parametrize("n_players, n_arms", [(1, 2), (5, 10), (20, 25)])
     @pytest.mark.parametrize("longest", [7, None])
     def test_select_draws_what_one_call_per_turn_draws(self, n_players, n_arms, longest):
-        # mixed limits of 1 to 7 turns, or to the runner's longest stretch: every
-        # turn's row is the twin generator's per-turn draw, and after each
-        # stretch both streams stand in the same state
-        longest = longest or stretch_turns(n_players, n_arms)
+        # mixed limits of 1 to 7 turns, or to the runner's longest stretch of either
+        # kind of block: every turn's row is the twin generator's per-turn draw, and
+        # after each stretch both streams stand in the same state
+        longest = longest or max(stretch_cap(n_players, n_arms, alpha) for alpha in (0.5, 1.0))
         pol, _ = episode("random", n_arms, n_players=n_players, seed=53)
         twin = np.random.default_rng(53)
         for limit in np.random.default_rng(54).integers(1, longest + 1, size=8).tolist():

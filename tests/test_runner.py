@@ -198,18 +198,19 @@ class TestBlocks:
         monkeypatch.setattr(runner, "BLOCK_BYTES", turns * 8 * (cfg.n_arms + pairs))
         assert runner.block_turns(cfg) == turns
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])  # 0 and 1 cut constant-graph stretches
     @pytest.mark.parametrize("algorithm", POLICY_NAMES)
-    def test_block_length_does_not_change_results(self, monkeypatch, algorithm):
+    def test_block_length_does_not_change_results(self, monkeypatch, algorithm, alpha):
         cfg = small_config(algorithm=algorithm, n_players=3, means=(0.9, 0.6, 0.5, 0.3, 0.1))
         assert runner.block_turns(cfg) >= cfg.turns
-        record = run_episode(cfg, 0.5, 21, self.CHECKPOINTS)
-        _, _, tallies = simulate_episode(cfg, 0.5, 21)
+        record = run_episode(cfg, alpha, 21, self.CHECKPOINTS)
+        _, _, tallies = simulate_episode(cfg, alpha, 21)
         for turns in (1, 3, 7, cfg.turns, 1000):  # 3 cuts the five-turn sweep
             self.set_block_turns(monkeypatch, cfg, turns)
-            again = run_episode(cfg, 0.5, 21, self.CHECKPOINTS)
+            again = run_episode(cfg, alpha, 21, self.CHECKPOINTS)
             for name, series, other in zip(SERIES, record, again):
                 assert np.array_equal(series, other), (turns, name)
-            assert np.array_equal(simulate_episode(cfg, 0.5, 21)[2], tallies), turns
+            assert np.array_equal(simulate_episode(cfg, alpha, 21)[2], tallies), turns
 
     @pytest.mark.parametrize("checkpoints", [(0,), (41,), (5, 41)])
     def test_rejects_checkpoints_outside_the_episode(self, checkpoints):
