@@ -38,7 +38,13 @@ def draw_arm_rewards(means: Sequence[float], n_turns: int, rng: np.random.Genera
 
 
 def env_step(choices: np.ndarray, arm_rewards: np.ndarray, winner_rng: np.random.Generator) -> np.ndarray:
-    """Each player's (k, N) rewards for a stretch: choices (k, N), realizations (k, S).
+    """Each player's (k, N) boolean rewards for a stretch of k >= 1 turns.
+
+    ``choices`` holds the stretch's (k, N) integer arms and ``arm_rewards``
+    its (k, S) boolean realizations.  Any layout of either is accepted,
+    C- or Fortran-ordered, transposed or strided; the result is a new
+    array and neither input is written.  The payout mask is applied in
+    the result's logical order, whatever layout it takes from ``choices``.
 
     Only on a turn with a collision, every player draws a priority, and a
     player is paid when its priority is at least the highest on its arm
@@ -79,6 +85,5 @@ def env_step(choices: np.ndarray, arm_rewards: np.ndarray, winner_rng: np.random
             priority[np.repeat(collided, n_players)] = spread
         top = np.zeros(arm_rewards.size)  # priorities are >= 0
         np.maximum.at(top, keys, priority)
-        paid = realized.ravel()  # a view: the turns' rows side by side, like the keys
-        paid &= priority >= top[keys]
+        realized &= (priority >= top[keys]).reshape(realized.shape)
     return realized

@@ -60,6 +60,12 @@ def build_run_record(
     shortfall of the occupied arms' means against the top-N baseline.
     ``start`` holds the four totals, in field order, that the previous
     block ended on; zeros begin an episode.
+
+    ``choices`` holds the block's (turns, N) integer arms and ``rewards``
+    its (turns, S) boolean or 0/1 realizations, in any layout: C- or
+    Fortran-ordered, transposed or strided.  Neither is written.  The
+    record's series are (turns,) arrays, the regrets float64 and reward
+    and loss integer.
     """
     occupied = np.zeros(rewards.size, dtype=bool)
     occupied[choices + np.arange(0, rewards.size, rewards.shape[1])[:, None]] = True  # keys turn·S + arm

@@ -52,6 +52,10 @@ def argmax_rows(values: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     is the answer and nothing is drawn.  Only when some row has several
     maxima, one uniform per entry ranks the entries equal to their row's
     maximum, and each row takes its best-ranked one.
+
+    ``values`` is a (rows, S) real array in any layout: C- or
+    Fortran-ordered, transposed or strided.  It is not written.  The
+    result is a (rows,) array of integer indices.
     """
     best = values.argmax(axis=1)
     # the reversed rows' argmax is S - 1 minus the last maximum's index

@@ -6,10 +6,9 @@ realizations (turns, S) and graph reach matrices (turns, N, N), each from
 its own substream of the episode seed, which carries on from the previous
 block.  A block is ``BLOCK_BYTES`` of float64 uniforms, arm and graph
 draws together, rounded down to whole turns.  The players share one
-(N, 2S) tally matrix for the whole episode.  The tallies are float64
-whole-number counts, so that delivering a turn is a BLAS product; they
-are exact below 2**53, far above any count an episode reaches, and the
-reach matrices stay boolean.  There are no per-player objects: one
+(N, 2S) tally matrix for the whole episode, of float64 whole-number
+counts, so that delivering a turn is a BLAS product (see ``network``);
+the reach matrices stay boolean.  There are no per-player objects: one
 policy, built once per episode, reads the whole matrix and returns every
 player's choices for a stretch of up to as many turns as the runner
 asks for: the sweep's turns, decided at construction, or the random
@@ -44,21 +43,18 @@ alpha 0 or 1, where no uniform decides an edge, the ``graph`` substream
 is advanced over its uniforms, not drawn, and ends in the same state.  A
 stretch is played as one: one row sort finds its collided turns, which
 draw their priorities in turn order in one call, and its reports are
-added in one float32 product of whole counts of at most k·N <= 2**13
-(below block·S <= 2**17 whatever the cap, since N < S), exact below
-2**24, into the float64 tallies, exact below 2**53.  Only the
-learning rules' own turns, which read the tallies, are played one at a
-time.  All players share one stream, so a player's choices depend on
-the other players' draws.  Each repetition's seed
-comes from (``base_seed``, alpha index, repetition), so an episode does
-not depend on ``repetitions`` either, and a config with a given
-``base_seed`` writes byte-identical CSV and JSON whatever ``n_jobs`` is,
-because serial and pooled sweeps run the same seeded episodes and
-aggregate them in task order.  Nor does output depend on the block
-length: blocks draw the same uniforms as one whole-episode draw, every
-per-turn reduction is row-wise, and each running sum takes the carry as
-its first addend.  CSV and JSON digests are pinned by
-``tests/test_golden.py``.
+added to the tallies in one product.  Only the learning rules' own
+turns, which read the tallies, are played one at a time.  All players
+share one stream, so a player's choices depend on the other players'
+draws.  Each repetition's seed comes from (``base_seed``, alpha index,
+repetition), so an episode does not depend on ``repetitions`` either,
+and a config with a given ``base_seed`` writes byte-identical CSV and
+JSON whatever ``n_jobs`` is, because serial and pooled sweeps run the
+same seeded episodes and aggregate them in task order.  Nor does output
+depend on the block length: blocks draw the same uniforms as one
+whole-episode draw, every per-turn reduction is row-wise, and each
+running sum takes the carry as its first addend.  CSV and JSON digests
+are pinned by ``tests/test_golden.py``.
 """
 
 from __future__ import annotations
@@ -133,7 +129,7 @@ def episode_blocks(
         length = min(block, n_turns - first)
         rewards = draw_arm_rewards(config.means, length, arm_rng)
         reach = sample_reach(n_players, alpha, length, graph_rng)
-        stretch = stretch_turns(reach, config.n_arms)  # keeps disseminate's float32 product exact
+        stretch = stretch_turns(reach, config.n_arms)  # bounds a stretch's working set
         choices = np.empty((length, n_players), dtype=np.int64)
         t = 0
         while t < length:

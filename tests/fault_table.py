@@ -81,17 +81,15 @@ FAULTS = (
         "winner_lowest_priority", "src/gossip_bandits/env.py",
         "        top = np.zeros(arm_rewards.size)  # priorities are >= 0\n"
         "        np.maximum.at(top, keys, priority)\n"
-        "        paid = realized.ravel()  # a view: the turns' rows side by side, like the keys\n"
-        "        paid &= priority >= top[keys]\n",
+        "        realized &= (priority >= top[keys]).reshape(realized.shape)\n",
         "        top = np.ones(arm_rewards.size)\n"
         "        np.minimum.at(top, keys, priority)\n"
-        "        paid = realized.ravel()\n"
-        "        paid &= priority <= top[keys]\n",
+        "        realized &= (priority <= top[keys]).reshape(realized.shape)\n",
         "a collision goes to the lowest priority on the arm",
     ),
     Fault(
         "loser_keeps_realization", "src/gossip_bandits/env.py",
-        "        paid &= priority >= top[keys]\n", "",
+        "        realized &= (priority >= top[keys]).reshape(realized.shape)\n", "",
         "every player on a collided arm receives its realization",
     ),
     Fault(
@@ -141,15 +139,14 @@ FAULTS = (
     ),
     Fault(
         "no_self_report", "src/gossip_bandits/network.py",
-        "    edges = np.ones((n_turns, pairs + 1), dtype=bool)  # the last column is every player's own\n",
-        "    edges = np.zeros((n_turns, pairs + 1), dtype=bool)\n",
+        "    reach[:, range(n_players), range(n_players)] = True  # every player hears its own report\n", "",
         "a player does not hear its own report",
     ),
     Fault(
         "one_way_edges", "src/gossip_bandits/network.py",
-        "    columns[first, second] = columns[second, first] = np.arange(len(first))\n",
-        "    columns[first, second] = np.arange(len(first))\n",
-        "a pair's edge sets only its reach entry above the diagonal; the one below always reaches",
+        "    reach[:, first, second] = reach[:, second, first] = rng.random((n_turns, pairs)) < alpha\n",
+        "    reach[:, first, second] = rng.random((n_turns, pairs)) < alpha\n",
+        "a pair's edge sets only its reach entry above the diagonal; the one below never reaches",
     ),
     Fault(
         "sweep_skipped", "src/gossip_bandits/policies.py",
@@ -212,12 +209,13 @@ FAULTS = (
     ),
     Fault(
         "constant_graph_first_turn_only", "src/gossip_bandits/network.py",
-        "np.bincount((rows + np.arange(", "np.bincount((rows[:1] + np.arange(",
+        "        sent = 2 * choices + realized + np.arange(",
+        "        sent = (2 * choices + realized)[:1] + np.arange(",
         "a constant-graph stretch counts only its first turn's reports",
     ),
     Fault(
         "constant_graph_receiver_rows", "src/gossip_bandits/network.py",
-        "            reach = reach[:1]\n", "            reach = reach[:1].transpose(0, 2, 1)\n",
+        "        reach = reach[:1]\n", "        reach = reach[:1].transpose(0, 2, 1)\n",
         "a constant-graph stretch reads its graph in receiver rows, not sender rows",
     ),
     Fault(
@@ -252,6 +250,13 @@ FAULTS = (
         "        ranked = np.sort(choices, axis=1)  # a turn's repeated arms sit side by side\n",
         "        ranked = np.sort(choices, axis=0)\n",
         "a stretch sorts its arms down the turns, not along each turn, to find collisions",
+    ),
+    Fault(
+        "paid_mask_on_a_copy", "src/gossip_bandits/env.py",
+        "        realized &= (priority >= top[keys]).reshape(realized.shape)\n",
+        "        paid = realized.ravel()\n"
+        "        paid &= priority >= top[keys]\n",
+        "the payout mask lands on ravel's copy of rewards that are not C-ordered: every collider is paid",
     ),
 )
 

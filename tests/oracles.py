@@ -137,3 +137,20 @@ def argmax_rows_by_mask(values: np.ndarray, rng: np.random.Generator) -> np.ndar
     if tied.sum() == len(tied):
         return tied.argmax(axis=1)
     return np.where(tied, rng.random(tied.shape), -1.0).argmax(axis=1)
+
+
+def reference_tallies(reach, choices, realized, n_arms: int) -> np.ndarray:
+    """One turn's report-by-report delivery, the reference for ``network.disseminate``.
+
+    Every receiver tallies each sender whose row of the (N, N) sender-row
+    ``reach`` reaches it, once per unit of the entry: the sender's arm,
+    and in the right half its reward.
+    """
+    n = len(choices)
+    tallies = np.zeros((n, 2 * n_arms), dtype=np.int64)
+    for receiver in range(n):
+        for sender in range(n):
+            for _ in range(int(reach[sender, receiver])):
+                tallies[receiver, choices[sender]] += 1
+                tallies[receiver, n_arms + choices[sender]] += realized[sender]
+    return tallies

@@ -34,6 +34,29 @@ def stretch_cap(n_players: int, n_arms: int, alpha: float) -> int:
     return stretch_turns(np.broadcast_to(np.zeros((stored, 1, 1), dtype=bool), (2, n_players, n_players)), n_arms)
 
 
+LAYOUTS = ("C", "F", "transposed", "strided")
+
+
+def layouts(values) -> dict[str, np.ndarray]:
+    """The values of ``values`` in each of ``LAYOUTS``, keyed by name.
+
+    C- and Fortran-ordered copies; a transposed view, a C-ordered copy with
+    the first axis moved last and moved back, so the first axis runs
+    fastest; and a strided view of every other entry of each axis of a
+    larger array.
+    """
+    values = np.asarray(values)
+    spread = np.zeros(tuple(2 * length for length in values.shape), dtype=values.dtype)
+    strided = spread[(slice(None, None, 2),) * values.ndim]
+    strided[...] = values
+    return {
+        "C": np.ascontiguousarray(values),
+        "F": np.asfortranarray(values),
+        "transposed": np.moveaxis(np.ascontiguousarray(np.moveaxis(values, 0, -1)), -1, 0),
+        "strided": strided,
+    }
+
+
 def reference_episode(config, alpha: float, seed: int):
     """``simulate_episode``'s arrays from a per-turn loop on the episode's plain substreams.
 

@@ -4,6 +4,7 @@ import pytest
 from gossip_bandits.env import draw_arm_rewards, env_step
 from gossip_bandits.rng import substream
 from oracles import pairwise_env_step
+from support import LAYOUTS, layouts
 
 MU_SPREAD = (0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.01)
 
@@ -164,6 +165,22 @@ class TestMatchesPairwiseReference:
     def test_players_tied_at_the_top_are_all_paid(self):
         # every priority is 0.0: no player on arm 1 has a strictly higher one than another
         assert step([1, 1, 0, 1], [1, 1], LevelDraws(0, levels=1)) == [1, 1, 1, 1]
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("n_turns", [1, 40])
+    def test_any_layout_pays_what_the_pairwise_reference_pays(self, n_turns, layout):
+        # five players on three arms collide on every turn: a payout mask applied to a
+        # copy of the rewards, not to them, would pay every collided player
+        data = np.random.default_rng(94)
+        choices = data.integers(3, size=(n_turns, 5))
+        rewards = data.random((n_turns, 3)) < 0.7
+        fast, reference = np.random.default_rng(95), np.random.default_rng(95)
+        given = layouts(choices)[layout], layouts(rewards)[layout]
+        paid = env_step(*given, fast)
+        expected = [pairwise_env_step(c, r, reference) for c, r in zip(choices, rewards)]
+        assert paid.shape == choices.shape and np.array_equal(paid, expected)
+        assert fast.bit_generator.state == reference.bit_generator.state
+        assert np.array_equal(given[0], choices) and np.array_equal(given[1], rewards)
 
 
 class TestStretch:

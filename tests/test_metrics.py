@@ -5,7 +5,7 @@ import pytest
 
 from gossip_bandits.metrics import build_run_record, optimal_per_turn_reward
 from oracles import best_subset_reward
-from support import SERIES, build_random_history, make_history, occupancy_indicator, per_turn_terms
+from support import LAYOUTS, SERIES, build_random_history, layouts, make_history, occupancy_indicator, per_turn_terms
 
 MU_SPREAD = (0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.01)
 MU_CLUSTERED = (0.7, 0.68, 0.66, 0.64, 0.62, 0.4, 0.38, 0.36, 0.34, 0.32)
@@ -145,6 +145,17 @@ class TestHistoryAndRunRecord:
         record, choices, rewards, _ = random_record(150, seed=64)
         expected = np.cumsum(per_turn_terms(choices, rewards, MU_SPREAD)[series])
         assert np.allclose(getattr(record, series), expected, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_any_layout_decomposes_into_per_turn_terms(self, layout):
+        # every layout gives the C-ordered record bit for bit
+        record, choices, rewards, _ = random_record(150, seed=64)
+        given = layouts(choices)[layout], layouts(rewards)[layout]
+        terms = per_turn_terms(choices, rewards, MU_SPREAD)
+        for name, series, expected in zip(SERIES, build_run_record(*given, MU_SPREAD, 5), record):
+            assert series.dtype == expected.dtype and np.array_equal(series, expected), name
+            assert np.allclose(series, np.cumsum(terms[name]), rtol=0, atol=1e-9), name
+        assert np.array_equal(given[0], choices) and np.array_equal(given[1], rewards)
 
     @pytest.mark.parametrize("cuts", [(1,), (7, 8, 100), (1000, 4096, 4097), tuple(range(1, 5000))])
     def test_blocks_with_carried_totals_equal_one_pass(self, cuts):

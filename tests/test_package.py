@@ -78,8 +78,8 @@ def test_runner_calls_the_patched_names_at_run_time(monkeypatch):
     assert calls["env_step"] == calls["disseminate"]
     assert rows["env_step"] == rows["disseminate"] == config.turns
     assert calls["build_run_record"] >= 1
-    # the runner alone sizes a stretch, and caps it by the block's reach, which keeps
-    # disseminate's float32 product exact: at alpha 1 the random policy's turns take the
+    # the runner alone sizes a stretch, and caps it by the block's reach, which bounds
+    # the stretch's working set: at alpha 1 the random policy's turns take the
     # constant graph's cap, and at alpha 0.5 they and a 30-turn sweep longer than one
     # 27-turn stretch take the drawn cap
     dense = gossip_bandits.ExperimentConfig(algorithm="random", n_players=20, means=(0.5,) * 25,

@@ -24,7 +24,7 @@ from oracles import (
     mix_by_dropping,
     random_simplex_points,
 )
-from support import simulate_episode, stretch_cap
+from support import LAYOUTS, layouts, simulate_episode, stretch_cap
 
 MU_SPREAD = (0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.01)
 POLICIES = ["ucb1", "egreedy", "thompson", "asympopt", "random"]
@@ -170,6 +170,18 @@ class TestArgmaxRandomTie:
         for _ in range(50):
             assert np.array_equal(argmax_rows(values, fast), argmax_rows_by_mask(values, reference))
             assert fast.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("levels", [None, 3])
+    def test_any_layout_matches_the_mask_reference(self, levels, layout):
+        # values on a few levels tie within rows and draw; continuous ones do not
+        data = np.random.default_rng(37)
+        values = data.random((20, 25)) if levels is None else data.integers(levels, size=(20, 25)) / levels
+        fast, reference = np.random.default_rng(38), np.random.default_rng(38)
+        given = layouts(values)[layout]
+        assert np.array_equal(argmax_rows(given, fast), argmax_rows_by_mask(values, reference))
+        assert fast.bit_generator.state == reference.bit_generator.state
+        assert np.array_equal(given, values)
 
 
 class TestUcb1:
