@@ -102,11 +102,7 @@ class ExperimentConfig:
 
     def echo(self) -> dict:
         """JSON-safe dict of every knob, embedded in outputs for re-runs."""
-        out = dataclasses.asdict(self)
-        for key, value in out.items():
-            if isinstance(value, tuple):
-                out[key] = list(value)
-        return out
+        return dataclasses.asdict(self)  # json writes its tuples as arrays
 
 
 def _is_int(value) -> bool:

@@ -63,9 +63,9 @@ def env_step(choices: np.ndarray, arm_rewards: np.ndarray, winner_rng: np.random
 
     The collided turns of a longer stretch are the rows of ``np.sort(choices,
     axis=1)`` with two equal neighbours, found without a Python loop.  A
-    learning rule's own turns come one per stretch, so a one-turn stretch
-    skips what is known for it: its keys are its arms, and a ``set`` of
-    them shorter than N is its collision.
+    learning rule's turns, its sweep's included, come one per stretch, so
+    a one-turn stretch skips what is known for it: its keys are its arms,
+    and a ``set`` of them shorter than N is its collision.
     """
     n_turns, n_players = choices.shape
     if n_turns == 1:

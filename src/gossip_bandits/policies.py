@@ -9,11 +9,12 @@ and its neighbours' reports counted alike.  It never writes the tallies.
 They are float64 whole-number counts, float so that the network layer
 delivers a turn with a BLAS product over its boolean reach matrix, and
 exact below 2**53, so every rule reads the same numbers as from integers.
-``select(limit)`` returns a stretch of up to ``limit`` turns, a (k, N)
-array: the sweep's rows, or the random policy's ``limit`` turns, else the
-one turn the algorithm's own step ``choose()`` decides, working on all
-rows at once.  The runner sets ``limit``; a policy draws nothing for a
-turn it does not return.
+``select(limit)`` returns a stretch of turns, a (k, N) array.  A
+learning rule returns one turn: the sweep's next row, else the one its
+own step ``choose()`` decides, working on all rows at once.  Only the
+random baseline returns ``limit`` turns, since its arms read no tally.
+The runner sets ``limit``; a policy draws nothing for a turn it does not
+return.
 
 All players draw from one generator, the episode's ``players``
 substream, and every draw of a turn is one array call over the rows:
@@ -26,8 +27,7 @@ same values in the same order, since the sweep leaves no arm at count 0
 reproducible from its seed alone, but a player's choices depend on the
 draws of the others.  The annealed ε is one shared value: every player
 selects once per turn, so all of theirs are equal at every turn.  It
-decays once per turn of a stretch, by one multiplication each, so it
-holds the same float as when the turns are selected one at a time.
+decays once per ``select`` call, that is once per turn.
 """
 
 from __future__ import annotations
@@ -115,8 +115,7 @@ class Policy:
     per player, drawn at construction.  Reports heard during the sweep
     still reach the tallies; they just don't redirect it.  ``sweep`` holds
     the sweep's turns not yet played, a (turns, N) array in play order.
-    ``select(limit)`` plays them, up to ``limit`` at a time, before it
-    calls ``choose()``.
+    ``select`` plays them one at a time before it calls ``choose()``.
     """
 
     sweeps_first = True
@@ -132,21 +131,18 @@ class Policy:
             order = np.tile(np.arange(n_arms), (len(tallies), 1))
             if config.init_order == "random":
                 order = rng.permuted(order, axis=1)
-            self.sweep = np.ascontiguousarray(order.T)
+            self.sweep = order.T
 
     def select(self, limit: int) -> np.ndarray:
-        """A stretch of up to ``limit`` turns' choices, (k, N); ε decays once per turn.
+        """One turn's choices, (1, N), whatever ``limit`` is; ε decays once per call.
 
-        The sweep's turns come first, as many as ``limit`` allows; only
-        when none is left does ``choose()`` decide the next turn.
+        The sweep's rows come first; only when none is left does
+        ``choose()`` decide the turn.
         """
-        decided = self.sweep
-        if len(decided):
-            arms, self.sweep = decided[:limit], decided[limit:]
-            for _ in range(len(arms)):
-                self.epsilon *= self.config.decay
-            return arms
-        arms = self.choose()
+        if len(self.sweep):
+            arms, self.sweep = self.sweep[:1], self.sweep[1:]
+        else:
+            arms = self.choose()
         self.epsilon *= self.config.decay
         return arms
 

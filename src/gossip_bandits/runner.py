@@ -10,17 +10,15 @@ draws together, rounded down to whole turns.  The players share one
 counts, so that delivering a turn is a BLAS product (see ``network``);
 the reach matrices stay boolean.  There are no per-player objects: one
 policy, built once per episode, reads the whole matrix and returns every
-player's choices for a stretch of up to as many turns as the runner
-asks for: the sweep's turns, decided at construction, or the random
-policy's arms, drawn for just those turns, else the one turn its rule
-decides next.  The runner sizes every stretch: it never crosses a block
-and holds at most ``network.stretch_turns`` turns of the block's reach.
-A drawn block's stretch holds ``STRETCH_BYTES`` of report rows, 32 turns
-at N=20, S=25.  At alpha 0 or 1 the block is one graph and its stretch
-builds no report rows, so it holds ``STRETCH_BYTES`` of the collision and
-index arrays its turns do build, 262 turns at N=20, S=25.
-``env_step`` pays the stretch's realizations and ``disseminate`` adds
-every report of it to the tallies it reaches, one call each per stretch.
+player's choices for a stretch of turns.  A learning rule's stretch is
+one turn: its sweep's next row, else its rule's choice.  Only the random
+policy, whose arms read no tally, returns as many turns as the runner
+asks for, drawn for just those turns.  The runner sizes every stretch:
+it never crosses a block and holds at most ``network.stretch_turns``
+turns of the block's reach, a cap sized by what the block's delivery
+path builds.  ``env_step`` pays the stretch's realizations and
+``disseminate`` adds every report of it to the tallies it reaches, one
+call each per stretch.
 ``episode_blocks`` yields each block's choices (turns, N) and
 realizations (turns, S) with the live tallies (N, 2S).  The rewards the
 players received go from ``env_step`` straight to ``disseminate`` and
@@ -40,11 +38,10 @@ depend on the policy.  Nothing is drawn ahead of the turns that use it:
 every substream draws exactly the values, in the same order, and ends in
 exactly the state that a loop drawing one turn at a time would.  At
 alpha 0 or 1, where no uniform decides an edge, the ``graph`` substream
-is advanced over its uniforms, not drawn, and ends in the same state.  A
-stretch is played as one: one row sort finds its collided turns, which
-draw their priorities in turn order in one call, and its reports are
-added to the tallies in one product.  Only the learning rules' own
-turns, which read the tallies, are played one at a time.  All players
+is advanced over its uniforms, not drawn, and ends in the same state.  The
+random policy's stretch is played as one: one row sort finds its
+collided turns, which draw their priorities in turn order in one call,
+and its reports are added to the tallies in one product.  All players
 share one stream, so a player's choices depend on the other players'
 draws.  Each repetition's seed comes from (``base_seed``, alpha index,
 repetition), so an episode does not depend on ``repetitions`` either,
@@ -162,23 +159,13 @@ def run_episode(
     return RunRecord(*values)
 
 
-def _episode_checkpoints(args: tuple) -> np.ndarray:
-    """Worker: run one episode, return its (series, n_checkpoints) ``RunRecord`` values.
-
-    Module-level so process pools can pickle it.
-    """
-    config, alpha_index, repetition, checkpoints = args
-    seed = episode_seed(config.base_seed, alpha_index, repetition)
-    return np.asarray(run_episode(config, config.alphas[alpha_index], seed, checkpoints))
-
-
 def _episode_rows(config: ExperimentConfig, checkpoints: Sequence[int], n_jobs: int) -> np.ndarray:
     """Every episode's checkpoint values, (alphas, repetitions, series, checkpoints)."""
     if not _is_int(n_jobs) or n_jobs < 1:
         raise ConfigError(f"jobs must be a positive integer, got {n_jobs!r}")
     tasks = [
-        (config, alpha_index, repetition, tuple(checkpoints))
-        for alpha_index in range(len(config.alphas))
+        (config, alpha, episode_seed(config.base_seed, alpha_index, repetition), tuple(checkpoints))
+        for alpha_index, alpha in enumerate(config.alphas)
         for repetition in range(config.repetitions)
     ]
     workers = min(int(n_jobs), os.cpu_count() or 1, len(tasks))
@@ -187,9 +174,9 @@ def _episode_rows(config: ExperimentConfig, checkpoints: Sequence[int], n_jobs: 
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_episode_checkpoints, tasks, chunksize=1))
+            results = list(pool.map(run_episode, *zip(*tasks), chunksize=1))
     else:
-        results = [_episode_checkpoints(task) for task in tasks]
+        results = [run_episode(*task) for task in tasks]
     # map keeps task order
     return np.reshape(results, (len(config.alphas), config.repetitions, len(RunRecord._fields), -1))
 

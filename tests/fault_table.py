@@ -150,15 +150,15 @@ FAULTS = (
     ),
     Fault(
         "sweep_skipped", "src/gossip_bandits/policies.py",
-        "            self.sweep = np.ascontiguousarray(order.T)\n", "            self.sweep = order.T[:0]\n",
+        "            self.sweep = order.T\n", "            self.sweep = order.T[:0]\n",
         "the pull-each-arm-once sweep is skipped",
     ),
     Fault(
         "epsilon_decays_on_choose_only", "src/gossip_bandits/policies.py",
-        "            for _ in range(len(arms)):\n"
-        "                self.epsilon *= self.config.decay\n"
-        "            return arms\n",
-        "            return arms\n",
+        "            arms = self.choose()\n"
+        "        self.epsilon *= self.config.decay\n",
+        "            arms = self.choose()\n"
+        "            self.epsilon *= self.config.decay\n",
         "epsilon decays only on turns after the sweep",
     ),
     Fault(
@@ -177,13 +177,6 @@ FAULTS = (
         "self.rng.integers(self.n_arms, size=(limit, len(self.counts)))",
         "self.rng.integers(self.n_arms, size=(len(self.counts), limit)).T",
         "the random policy draws its turns (N, turns) and transposes them",
-    ),
-    Fault(
-        "epsilon_decays_once_per_stretch", "src/gossip_bandits/policies.py",
-        "            for _ in range(len(arms)):\n"
-        "                self.epsilon *= self.config.decay\n",
-        "            self.epsilon *= self.config.decay\n",
-        "epsilon decays once per stretch of decided turns, not once per turn",
     ),
     Fault(
         "stretch_delivers_first_turn_only", "src/gossip_bandits/network.py",

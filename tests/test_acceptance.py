@@ -222,3 +222,50 @@ def test_criterion_9_determinism_and_parallel_equivalence(tmp_path):
     )
     parallel_ok = sweep_alpha(cfg, n_jobs=1) == sweep_alpha(cfg, n_jobs=3)
     report(9, bytes_ok and parallel_ok, "re-run byte-identical; serial == concurrent aggregates")
+
+
+def test_criterion_10_payouts_conserve_reward():
+    # what env_step paid reaches the tallies as successes: one winner per
+    # occupied arm takes its realization, so the paid total is the reward; at
+    # alpha 0 each player hears only itself, at alpha 1 every player hears all
+    policies = ("ucb1", "egreedy", "thompson", "asympopt", "random")
+    alphas, reps, turns = (0.0, 1.0), 3, 400
+    broken = []
+    for algorithm in policies:
+        cfg = ExperimentConfig(
+            algorithm=algorithm, means=MU_SPREAD, alphas=alphas,
+            turns=turns, repetitions=reps, base_seed=108,
+        )
+        n_players, n_arms = cfg.n_players, cfg.n_arms
+        for alpha_index, alpha in enumerate(alphas):
+            for r in range(reps):
+                choices, rewards, tallies = simulate_episode(cfg, alpha, episode_seed(108, alpha_index, r))
+                reward = build_run_record(choices, rewards, cfg.means, n_players).reward[-1]
+                counts, successes = tallies[:, :n_arms].sum(axis=1), tallies[:, n_arms:].sum(axis=1)
+                if alpha == 0.0:
+                    ok = successes.sum() == reward and (counts == turns).all()
+                else:
+                    ok = (successes == reward).all() and (counts == n_players * turns).all()
+                if not ok:
+                    broken.append(f"{algorithm} a={alpha:g} rep {r}")
+    total = len(policies) * len(alphas) * reps
+    report(10, not broken, f"successes equal the reward and counts the pulls exactly on "
+                           f"{total - len(broken)} of {total} episodes; broken: {broken}")
+
+
+def test_criterion_11_collision_winner_is_fair():
+    # at alpha 0 a tally row holds only its own player's payouts; players 0 and
+    # N-1 pull alike, so only a biased collision winner moves their difference
+    reps = 20
+    cfg = ExperimentConfig(
+        algorithm="random", means=MU_SPREAD, alphas=(0.0,),
+        turns=2000, repetitions=reps, base_seed=107,
+    )
+    n_arms = cfg.n_arms
+    diffs = np.empty(reps)
+    for r in range(reps):
+        successes = simulate_episode(cfg, 0.0, episode_seed(107, 0, r))[2][:, n_arms:].sum(axis=1)
+        diffs[r] = successes[0] - successes[-1]
+    se = diffs.std(ddof=1) / math.sqrt(reps)
+    z = diffs.mean() / se
+    report(11, abs(z) < 4, f"player 0 minus player N-1 payouts {diffs.mean():.1f} = {z:.2f} SE (|z| < 4)")

@@ -80,22 +80,22 @@ def test_runner_calls_the_patched_names_at_run_time(monkeypatch):
     assert calls["build_run_record"] >= 1
     # the runner alone sizes a stretch, and caps it by the block's reach, which bounds
     # the stretch's working set: at alpha 1 the random policy's turns take the
-    # constant graph's cap, and at alpha 0.5 they and a 30-turn sweep longer than one
-    # 27-turn stretch take the drawn cap
+    # constant graph's cap, and at alpha 0.5 the drawn cap; a learning rule plays
+    # one turn per call, its 30-turn sweep included
     dense = gossip_bandits.ExperimentConfig(algorithm="random", n_players=20, means=(0.5,) * 25,
                                              turns=1000, repetitions=1)
     wide = gossip_bandits.ExperimentConfig(algorithm="egreedy", n_players=20, means=(0.5,) * 30,
                                            turns=100, repetitions=1)
-    assert (stretch_cap(20, 25, 1.0), stretch_cap(20, 25, 0.5), stretch_cap(20, 30, 0.5)) == (262, 32, 27)
-    for config, alpha, most_calls in ((dense, 1.0, 5), (dense, 0.5, dense.turns // 10),
-                                      (wide, 0.5, 2 + wide.turns - 30)):
+    assert (stretch_cap(20, 25, 1.0), stretch_cap(20, 25, 0.5)) == (262, 32)
+    for config, alpha, most_calls, most_turns in ((dense, 1.0, 5, 262), (dense, 0.5, dense.turns // 10, 32),
+                                                  (wide, 0.5, wide.turns, 1)):
         calls.clear()
         rows.clear()
         longest.clear()
         runner.run_episode(config, alpha, 1, (config.turns,))
         assert calls["env_step"] == calls["disseminate"] <= most_calls
         assert rows["env_step"] == rows["disseminate"] == config.turns
-        assert longest["env_step"] == longest["disseminate"] == stretch_cap(config.n_players, config.n_arms, alpha)
+        assert longest["env_step"] == longest["disseminate"] == most_turns
 
 
 @pytest.mark.parametrize("entry", ["sweep_alpha", "regret_vs_turns"])

@@ -541,25 +541,26 @@ class TestUniformRandom:
 
 
 class TestStretches:
-    def test_the_sweep_is_served_up_to_the_limit(self):
+    def test_the_sweep_is_served_one_row_per_select(self):
         pol, _ = episode("egreedy", 10, n_players=3)
-        assert pol.select(4).tolist() == [[0] * 3, [1] * 3, [2] * 3, [3] * 3]
-        assert len(pol.sweep) == 6
-        assert pol.select(100).tolist() == [[arm] * 3 for arm in range(4, 10)]
+        for arm, limit in enumerate((4, 1, 100, 7, 2, 1, 50, 3, 9, 1)):
+            assert pol.select(limit).tolist() == [[arm] * 3], limit
+            assert len(pol.sweep) == 9 - arm
         # nothing left decided: one turn of the rule itself
         assert pol.select(100).shape == (1, 3)
 
     @pytest.mark.parametrize("name", POLICIES)
     def test_stretches_select_what_single_turns_do(self, name):
-        # ε decays once per turn of a stretch, by one multiplication each;
-        # every turn's own reports reach both twins before either chooses again
+        # a learning rule returns one turn whatever the limit, and ε decays once
+        # per select; every turn's own reports reach both twins before either
+        # chooses again
         limits = np.random.default_rng(8).integers(1, 40, size=60)
         fields = dict(n_players=3, seed=5, init_order="random", epsilon0=1.0, decay=0.9)
         (stretched, stretched_tallies), (single, single_tallies) = (episode(name, 6, **fields) for _ in range(2))
         rows = np.arange(3)
         for limit in limits.tolist():
             arms = stretched.select(limit)
-            assert 1 <= len(arms) <= limit
+            assert len(arms) == (limit if name == "random" else 1)
             for row in arms:
                 assert np.array_equal(row, single.select(1)[0])
                 for tallies in (stretched_tallies, single_tallies):

@@ -221,10 +221,9 @@ class TestBlocks:
         def peak(turns):
             cfg = ExperimentConfig(algorithm="random", means=SPREAD_MEANS, n_players=5,
                                    alphas=(0.5,), turns=turns, repetitions=1)
-            task = (cfg, 0, 0, runner.default_checkpoints(turns))
             tracemalloc.start()
             try:
-                runner._episode_checkpoints(task)
+                run_episode(cfg, 0.5, episode_seed(cfg.base_seed, 0, 0), runner.default_checkpoints(turns))
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -293,8 +292,8 @@ class TestAggregation:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(runner.os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
