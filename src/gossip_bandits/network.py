@@ -19,23 +19,24 @@ stream ends in the state the draw leaves it in (O'Neill, "PCG: A Family
 of Simple Fast Space-Efficient Statistically Good Algorithms for Random
 Number Generation", 2014).
 
-Reports land in one shared (N, 2S) tally matrix: its left half counts
-every (arm) report a player has heard, its right half the successes among
-them.  A turn's delivery is the product ``reach.T @ reports``, where row j
-of ``reports`` is player j's one-hot arm followed by the same one-hot
-times the reward it received.  Duplicate reports (two neighbours on one
-arm) are kept, and a collision loser reports its 0.  ``disseminate``
-delivers a stretch of k turns at once, as one product of the (N, k·N)
-transpose of all its turns' (k·N, N) sender rows with their (k·N, 2S)
-reports: the sum of the turns' products.  A drawn block is C-ordered, so
-a stretch's sender rows are a view of it.  When one graph G holds for
-every turn of a stretch, a reach view of turn stride 0, the sum is
-Σₜ Gᵀ Rₜ = Gᵀ Σₜ Rₜ: the players' report rows are summed over the
-stretch and delivered in one (N, N) product.  ``stretch_turns`` bounds
-a stretch's working set by what its path builds: a drawn block's
-stretch by ``STRETCH_BYTES`` of report rows, a constant graph's, which
-builds none, by ``STRETCH_BYTES`` of its turns' collision and index
-arrays.
+Reports land in one shared (N, 3S) tally matrix of three halves, S
+columns each: the first counts every (arm) report a player has heard,
+the second the successes among them and the third the failures.  A
+turn's delivery is the product ``reach.T @ reports``, where row j of
+``reports`` is player j's one-hot arm followed by the same one-hot
+times the reward it received and times one minus it.  Duplicate reports
+(two neighbours on one arm) are kept, and a collision loser reports its
+0.  ``disseminate`` delivers a stretch of k turns at once, as one
+product of the (N, k·N) transpose of all its turns' (k·N, N) sender rows
+with their (k·N, 3S) reports: the sum of the turns' products.  A drawn
+block is C-ordered, so a stretch's sender rows are a view of it.  When
+one graph G holds for every turn of a stretch, a reach view of turn
+stride 0, the sum is Σₜ Gᵀ Rₜ = Gᵀ Σₜ Rₜ: the players' report rows are
+summed over the stretch and delivered in one (N, N) product.
+``stretch_turns`` bounds a stretch's working set by what its path
+builds: a drawn block's stretch by ``STRETCH_BYTES`` of report rows, a
+constant graph's, which builds none, by ``STRETCH_BYTES`` of its turns'
+collision and index arrays.
 
 The tallies, the report rows and every product are float64 whole-number
 counts, exact below 2**53, far above any count an episode reaches, so
@@ -54,7 +55,7 @@ from functools import lru_cache
 import numpy as np
 
 # Bytes one stretch's per-turn arrays may take, about 256 KiB: a drawn block's
-# (N, 2S) float64 report rows, 32 turns at N=20, S=25, or a constant graph's
+# (N, 3S) float64 report rows, 21 turns at N=20, S=25, or a constant graph's
 # (S + 5N) int64 or float64 collision and index values, 262 turns.
 STRETCH_BYTES = 1 << 18
 
@@ -67,7 +68,7 @@ def _one_graph(reach: np.ndarray) -> bool:
 def stretch_turns(reach: np.ndarray, n_arms: int) -> int:
     """Turns in one stretch of the (turns, N, N) block ``reach``, at least one.
 
-    A drawn block's stretch holds ``STRETCH_BYTES`` of (N, 2S) float64
+    A drawn block's stretch holds ``STRETCH_BYTES`` of (N, 3S) float64
     report rows.  A constant graph's stretch builds none: it holds
     ``STRETCH_BYTES`` of what its turns do build, S float64 collision
     maxima and 5N int64 or float64 values per turn (``env_step``'s keys,
@@ -75,7 +76,7 @@ def stretch_turns(reach: np.ndarray, n_arms: int) -> int:
     ``bincount`` indices).
     """
     n_players = reach.shape[-1]
-    per_turn = 8 * (n_arms + 5 * n_players) if _one_graph(reach) else 16 * n_players * n_arms
+    per_turn = 8 * (n_arms + 5 * n_players) if _one_graph(reach) else 24 * n_players * n_arms
     return max(1, STRETCH_BYTES // per_turn)
 
 
@@ -97,8 +98,9 @@ def sample_reach(
     the state the draw would leave it in.  ``advance`` also drops a
     buffered half of a 32-bit draw; the graph substream never holds one,
     since it draws nothing but float64 uniforms.
-    A drawn block is a new C-ordered bool array: each turn's edges are
-    scattered to its pairs above the diagonal and their mirror images.
+    A drawn block is a new C-ordered bool array, gathered from each turn's
+    edges and a column of True, every player's own report, through the
+    cached table ``_pair_columns``.
     """
     # n_players comes from the validated config; run_episode takes alpha on its own
     if not 0.0 <= alpha <= 1.0:
@@ -108,20 +110,34 @@ def sample_reach(
         rng.bit_generator.advance(n_turns * pairs)
         graph = np.ones((n_players, n_players), dtype=bool) if alpha == 1.0 else np.eye(n_players, dtype=bool)
         return np.broadcast_to(graph, (n_turns, n_players, n_players))
+    edges = np.ones((n_turns, pairs + 1), dtype=bool)  # the last column stays True for every self-report
+    edges[:, :pairs] = rng.random((n_turns, pairs)) < alpha
+    return np.take(edges, _pair_columns(n_players), axis=1)
+
+
+@lru_cache(maxsize=None)
+def _pair_columns(n_players: int) -> np.ndarray:
+    """Read-only (N, N) table: entry (i, j) is the column of pair {i, j} among a turn's edges.
+
+    Pairs are numbered in ``itertools.combinations`` order, and the
+    diagonal reads column N(N-1)/2, one past the last pair.
+    """
+    pairs = n_players * (n_players - 1) // 2
+    columns = np.full((n_players, n_players), pairs, dtype=np.intp)
     first, second = np.triu_indices(n_players, k=1)
-    reach = np.zeros((n_turns, n_players, n_players), dtype=bool)
-    reach[:, first, second] = reach[:, second, first] = rng.random((n_turns, pairs)) < alpha
-    reach[:, range(n_players), range(n_players)] = True  # every player hears its own report
-    return reach
+    columns[first, second] = columns[second, first] = np.arange(pairs)
+    columns.flags.writeable = False
+    return columns
 
 
 @lru_cache(maxsize=None)
 def _report_rows(n_arms: int) -> np.ndarray:
-    """(arm, reward) -> one float64 report row: one-hot arm, then one-hot times reward."""
-    rows = np.zeros((n_arms, 2, 2 * n_arms))
+    """(arm, reward) -> one float64 report row: one-hot arm, then times reward, then times 1 - reward."""
+    rows = np.zeros((n_arms, 2, 3 * n_arms))
     arms = np.arange(n_arms)
     rows[arms, :, arms] = 1
     rows[arms, 1, n_arms + arms] = 1
+    rows[arms, 0, 2 * n_arms + arms] = 1
     rows.flags.writeable = False
     return rows
 
@@ -134,7 +150,8 @@ def disseminate(
 ) -> None:
     """Add every (arm, reward) report of a stretch to the tallies of all it reaches.
 
-    ``tallies`` is the (N, 2S) float64 matrix, added to in place.
+    ``tallies`` is the (N, 3S) float64 matrix, added to in place: a
+    report adds one to its arm's count and to its success or its failure.
     ``reach`` holds the stretch's (k, N, N) boolean or 0/1 matrices in
     sender rows: ``reach[t, j, i]`` is true when player j's report of turn
     t reaches player i.  ``choices`` holds its (k, N) integer arms and
@@ -142,23 +159,24 @@ def disseminate(
     booleans, which are converted to integers once: a reward indexes the
     report-row table and never masks it.  Any layout is accepted, strided
     and transposed views included; the reshapes to (k·N, N) sender rows
-    and (k·N, 2S) report rows copy an operand that is not C-ordered.
+    and (k·N, 3S) report rows copy an operand that is not C-ordered.
     When ``reach`` has turn stride 0, as ``sample_reach`` returns at
     ``alpha`` 0 or 1, and k > 1, one graph G holds for every turn and the
     stretch is delivered as Gᵀ Σₜ Rₜ: one ``np.bincount`` counts how
     often each player sent each row ``2·arm + reward`` of the table's
-    flat (2S, 2S) view, and those (N, 2S) counts times the table are the
+    flat (2S, 3S) view, and those (N, 2S) counts times the table are the
     players' summed report rows.  Every other stretch, a one-turn one
-    included, takes its (k, N, 2S) report rows from the table by
+    included, takes its (k, N, 3S) report rows from the table by
     (arm, reward), which costs less than a ``bincount`` at k = 1.
     """
     n_players, width = tallies.shape
-    table = _report_rows(width // 2)
+    table = _report_rows(width // 3)
+    kinds = 2 * len(table)  # the table's (arm, reward) rows
     realized = realized.astype(np.intp, copy=False)  # the rewards index the row table, never mask it
     if len(choices) > 1 and _one_graph(reach):  # deliver the players' summed rows once
-        sent = 2 * choices + realized + np.arange(0, n_players * width, width)
-        counts = np.bincount(sent.ravel(), minlength=n_players * width)
-        reports = np.dot(counts.reshape(n_players, width), table.reshape(width, width))
+        sent = 2 * choices + realized + np.arange(0, n_players * kinds, kinds)
+        counts = np.bincount(sent.ravel(), minlength=n_players * kinds)
+        reports = np.dot(counts.reshape(n_players, kinds), table.reshape(kinds, width))
         reach = reach[:1]
     else:
         reports = table[choices, realized]

@@ -2,10 +2,11 @@
 
 All N players run the same algorithm, so an episode builds one policy
 from its validated ``ExperimentConfig``, the only place the knobs are
-checked, and reads them from it.  It reads the shared (N, 2S) tally matrix
+checked, and reads them from it.  It reads the shared (N, 3S) tally matrix
 that the network layer writes: row p holds how many reports of each arm
-player p has heard, then how many of them were successes, its own pulls
-and its neighbours' reports counted alike.  It never writes the tallies.
+player p has heard, then how many of them were successes, then how many
+failures, its own pulls and its neighbours' reports counted alike.  It
+never writes the tallies.
 They are float64 whole-number counts, float so that the network layer
 delivers a turn with a BLAS product over its boolean reach matrix, and
 exact below 2**53, so every rule reads the same numbers as from integers.
@@ -109,10 +110,11 @@ def mix_probabilities(mu: np.ndarray, n_players: int) -> np.ndarray:
 class Policy:
     """Every player's selection for one episode, from the shared tallies.
 
-    ``counts`` and ``successes`` are the (N, S) halves of the tally
-    matrix.  A policy that sweeps first pulls each arm once before its own
-    rule: in arm order, or with ``init_order="random"`` in a permutation
-    per player, drawn at construction.  Reports heard during the sweep
+    ``counts`` and ``successes`` are the first two (N, S) halves of the
+    tally matrix; only Thompson reads the third, the failures.  A policy
+    that sweeps first pulls each arm once before its own rule: in arm
+    order, or with ``init_order="random"`` in a permutation per player,
+    drawn at construction.  Reports heard during the sweep
     still reach the tallies; they just don't redirect it.  ``sweep`` holds
     the sweep's turns not yet played, a (turns, N) array in play order.
     ``select`` plays them one at a time before it calls ``choose()``.
@@ -124,7 +126,7 @@ class Policy:
         self.config = config
         self.epsilon = config.epsilon0
         self.n_arms = n_arms = config.n_arms
-        self.counts, self.successes = tallies[:, :n_arms], tallies[:, n_arms:]
+        self.counts, self.successes = tallies[:, :n_arms], tallies[:, n_arms:2 * n_arms]
         self.rng = rng
         self.sweep = np.empty((0, len(tallies)), dtype=np.int64)  # sweep turns not yet played
         if self.sweeps_first:
@@ -196,17 +198,21 @@ class ThompsonPolicy(Policy):
     branch, Jöhnk's, only when a = b = 1, that is for an arm with count 0,
     and none reaches ``choose``: the sweep pulls every arm once, and a
     player always hears its own report.
+
+    ``outcomes`` is an (N, S, 2) view of the tallies' success and failure
+    halves, each arm's pair side by side in the order ``standard_gamma``
+    draws them, so the shapes are one add away.
     """
 
     def __init__(self, config: ExperimentConfig, tallies: np.ndarray, rng: np.random.Generator):
         super().__init__(config, tallies, rng)
-        self.shapes = np.empty((len(tallies), self.n_arms, 2))  # (successes + 1, failures + 1) per arm
+        n_players, n_arms = len(tallies), self.n_arms
+        # copy=False: a copy would not follow the live tallies
+        self.outcomes = tallies[:, n_arms:].reshape(n_players, 2, n_arms, copy=False).transpose(0, 2, 1)
+        self.shapes = np.empty((n_players, n_arms, 2))  # (successes + 1, failures + 1) per arm
 
     def choose(self) -> np.ndarray:
-        shapes, successes = self.shapes, self.successes
-        shapes[..., 0] = successes
-        np.subtract(self.counts, successes, out=shapes[..., 1])
-        shapes += 1.0
+        shapes = np.add(self.outcomes, 1.0, out=self.shapes)
         gamma = self.rng.standard_gamma(shapes)
         ga, gb = gamma[..., 0], gamma[..., 1]
         return argmax_rows(ga / (ga + gb), self.rng)[None]

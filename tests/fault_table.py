@@ -60,21 +60,19 @@ class Fault(NamedTuple):
 FAULTS = (
     Fault(
         "thompson_posterior", "src/gossip_bandits/policies.py",
-        "        np.subtract(self.counts, successes, out=shapes[..., 1])\n",
-        "        shapes[..., 1] = self.counts\n",
+        "tallies[:, n_arms:].reshape(n_players, 2, n_arms, copy=False).transpose(0, 2, 1)",
+        "tallies[:, :2 * n_arms].reshape(n_players, 2, n_arms, copy=False)[:, ::-1].transpose(0, 2, 1)",
         "Thompson samples Beta(s + 1, counts + 1), not Beta(s + 1, failures + 1)",
     ),
     Fault(
         "thompson_shapes_swapped", "src/gossip_bandits/policies.py",
-        "        shapes[..., 0] = successes\n"
-        "        np.subtract(self.counts, successes, out=shapes[..., 1])\n",
-        "        shapes[..., 1] = successes\n"
-        "        np.subtract(self.counts, successes, out=shapes[..., 0])\n",
+        "tallies[:, n_arms:].reshape(n_players, 2, n_arms, copy=False).transpose(0, 2, 1)",
+        "tallies[:, n_arms:].reshape(n_players, 2, n_arms, copy=False)[:, ::-1].transpose(0, 2, 1)",
         "Thompson samples Beta(f + 1, s + 1): the two shapes swap places",
     ),
     Fault(
         "thompson_no_prior", "src/gossip_bandits/policies.py",
-        "        shapes += 1.0\n", "",
+        "np.add(self.outcomes, 1.0, out=self.shapes)", "np.add(self.outcomes, 0.0, out=self.shapes)",
         "Thompson samples Beta(s, f): the uniform prior's + 1 is dropped",
     ),
     Fault(
@@ -139,14 +137,15 @@ FAULTS = (
     ),
     Fault(
         "no_self_report", "src/gossip_bandits/network.py",
-        "    reach[:, range(n_players), range(n_players)] = True  # every player hears its own report\n", "",
+        "    edges = np.ones((n_turns, pairs + 1), dtype=bool)  # the last column stays True for every self-report\n",
+        "    edges = np.zeros((n_turns, pairs + 1), dtype=bool)\n",
         "a player does not hear its own report",
     ),
     Fault(
         "one_way_edges", "src/gossip_bandits/network.py",
-        "    reach[:, first, second] = reach[:, second, first] = rng.random((n_turns, pairs)) < alpha\n",
-        "    reach[:, first, second] = rng.random((n_turns, pairs)) < alpha\n",
-        "a pair's edge sets only its reach entry above the diagonal; the one below never reaches",
+        "    columns[first, second] = columns[second, first] = np.arange(pairs)\n",
+        "    columns[first, second] = np.arange(pairs)\n",
+        "a pair's edge sets only its reach entry above the diagonal; the one below reads the self-report column",
     ),
     Fault(
         "sweep_skipped", "src/gossip_bandits/policies.py",
@@ -220,8 +219,8 @@ FAULTS = (
     ),
     Fault(
         "constant_graph_drawn_cap", "src/gossip_bandits/network.py",
-        "    per_turn = 8 * (n_arms + 5 * n_players) if _one_graph(reach) else 16 * n_players * n_arms\n",
-        "    per_turn = 16 * n_players * n_arms\n",
+        "    per_turn = 8 * (n_arms + 5 * n_players) if _one_graph(reach) else 24 * n_players * n_arms\n",
+        "    per_turn = 24 * n_players * n_arms\n",
         "a constant-graph block is cut into stretches sized by report rows it never builds",
     ),
     Fault(

@@ -143,14 +143,17 @@ def reference_tallies(reach, choices, realized, n_arms: int) -> np.ndarray:
     """One turn's report-by-report delivery, the reference for ``network.disseminate``.
 
     Every receiver tallies each sender whose row of the (N, N) sender-row
-    ``reach`` reaches it, once per unit of the entry: the sender's arm,
-    and in the right half its reward.
+    ``reach`` reaches it, once per unit of the entry: the sender's arm in
+    the count half, its reward in the success half and one minus it in the
+    failure half.
     """
     n = len(choices)
-    tallies = np.zeros((n, 2 * n_arms), dtype=np.int64)
+    tallies = np.zeros((n, 3 * n_arms), dtype=np.int64)
     for receiver in range(n):
         for sender in range(n):
+            won = int(realized[sender])
             for _ in range(int(reach[sender, receiver])):
                 tallies[receiver, choices[sender]] += 1
-                tallies[receiver, n_arms + choices[sender]] += realized[sender]
+                tallies[receiver, n_arms + choices[sender]] += won
+                tallies[receiver, 2 * n_arms + choices[sender]] += 1 - won
     return tallies

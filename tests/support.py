@@ -18,7 +18,7 @@ SERIES = RunRecord._fields
 
 
 def simulate_episode(config, alpha: float, seed: int):
-    """The engine's blocks joined: choices (turns, N), realizations (turns, S), final tallies (N, 2S)."""
+    """The engine's blocks joined: choices (turns, N), realizations (turns, S), final tallies (N, 3S)."""
     choices, rewards, tallies = zip(*episode_blocks(config, alpha, seed))
     return np.concatenate(choices), np.concatenate(rewards), tallies[-1]
 
@@ -28,7 +28,8 @@ def stretch_cap(n_players: int, n_arms: int, alpha: float) -> int:
 
     At ``alpha`` 0 or 1 the block is one graph broadcast over its turns, turn
     stride 0, as ``sample_reach`` returns it; otherwise its turns are stored
-    one after another.  The stand-in block stores one or two bytes whatever N is.
+    one after another, and a stretch is capped by its (N, 3S) float64 report
+    rows.  The stand-in block stores one or two bytes whatever N is.
     """
     stored = 1 if alpha in (0.0, 1.0) else 2
     return stretch_turns(np.broadcast_to(np.zeros((stored, 1, 1), dtype=bool), (2, n_players, n_players)), n_arms)
@@ -70,7 +71,7 @@ def reference_episode(config, alpha: float, seed: int):
     arm_rng, graph_rng, winner_rng, players = (
         substream(seed, tag) for tag in ("env-arms", "graph", "env-winners", "players"))
     first, second = np.triu_indices(n_players, k=1)
-    tallies = np.zeros((n_players, 2 * n_arms), dtype=np.float64)
+    tallies = np.zeros((n_players, 3 * n_arms), dtype=np.float64)
     policy = make_policy(config, tallies, players)
     choices = np.empty((turns, n_players), dtype=np.int64)
     rewards = np.empty((turns, n_arms), dtype=bool)

@@ -241,7 +241,7 @@ def test_criterion_10_payouts_conserve_reward():
             for r in range(reps):
                 choices, rewards, tallies = simulate_episode(cfg, alpha, episode_seed(108, alpha_index, r))
                 reward = build_run_record(choices, rewards, cfg.means, n_players).reward[-1]
-                counts, successes = tallies[:, :n_arms].sum(axis=1), tallies[:, n_arms:].sum(axis=1)
+                counts, successes = tallies[:, :n_arms].sum(axis=1), tallies[:, n_arms:2 * n_arms].sum(axis=1)
                 if alpha == 0.0:
                     ok = successes.sum() == reward and (counts == turns).all()
                 else:
@@ -264,8 +264,26 @@ def test_criterion_11_collision_winner_is_fair():
     n_arms = cfg.n_arms
     diffs = np.empty(reps)
     for r in range(reps):
-        successes = simulate_episode(cfg, 0.0, episode_seed(107, 0, r))[2][:, n_arms:].sum(axis=1)
+        successes = simulate_episode(cfg, 0.0, episode_seed(107, 0, r))[2][:, n_arms:2 * n_arms].sum(axis=1)
         diffs[r] = successes[0] - successes[-1]
     se = diffs.std(ddof=1) / math.sqrt(reps)
     z = diffs.mean() / se
     report(11, abs(z) < 4, f"player 0 minus player N-1 payouts {diffs.mean():.1f} = {z:.2f} SE (|z| < 4)")
+
+
+def test_criterion_12_single_player_thompson_regret():
+    # one player hears only itself, so its regret rests on its own Beta(s + 1, f + 1)
+    # posterior alone; the band is the median episode regret of 60 calibration
+    # batches (base seeds 2030-2089, same config) +-3 of their standard deviations,
+    # fixed before base seed 109 first ran
+    reps, turns = 30, 2000
+    centre, spread = 33.33, 1.49
+    cfg = ExperimentConfig(
+        algorithm="thompson", means=MU_SPREAD, n_players=1, alphas=(0.0,),
+        turns=turns, repetitions=reps, base_seed=109,
+    )
+    regret = runner._episode_rows(cfg, (turns,), n_jobs=1)[0][:, 0, 0]
+    median = float(np.median(regret))
+    low, high = centre - 3 * spread, centre + 3 * spread
+    report(12, low <= median <= high,
+           f"N=1 median regret {median:.2f} after {turns} turns in [{low:.2f}, {high:.2f}] (mean {regret.mean():.2f})")

@@ -12,7 +12,7 @@ from support import LAYOUTS, layouts, stretch_cap
 
 
 def deliver(reach, choices, realized, n_arms):
-    tallies = np.zeros((len(choices), 2 * n_arms), dtype=np.float64)
+    tallies = np.zeros((len(choices), 3 * n_arms), dtype=np.float64)
     disseminate(tallies, np.asarray(reach)[None], np.asarray(choices)[None], np.asarray(realized)[None])
     return tallies
 
@@ -97,27 +97,28 @@ class TestDisseminate:
     def test_no_edges_deliver_own_report_only(self):
         tallies = deliver(np.eye(3, dtype=np.int64), [0, 1, 2], [1, 0, 1], n_arms=3)
         assert np.array_equal(tallies[:, :3], np.eye(3))
-        assert np.array_equal(tallies[:, 3:], np.diag([1, 0, 1]))
+        assert np.array_equal(tallies[:, 3:6], np.diag([1, 0, 1]))
+        assert np.array_equal(tallies[:, 6:], np.diag([0, 1, 0]))
 
     def test_complete_graph_delivers_everything_to_everyone(self):
         tallies = deliver(np.ones((5, 5), dtype=np.int64), [0, 1, 2, 3, 4], [1] * 5, n_arms=5)
-        assert (tallies == 1).all()
+        assert (tallies[:, :10] == 1).all() and (tallies[:, 10:] == 0).all()
 
     def test_hand_traced_single_edge(self):
         # players 0,1 on arm 2 (0 won), player 2 alone on arm 4 (reward 0);
-        # the edge 0-1 makes both hear two reports on arm 2, one a success
+        # the edge 0-1 makes both hear two reports on arm 2, one a success and one a failure
         reach = np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]])
         tallies = deliver(reach, [2, 2, 4], [1, 0, 0], n_arms=5)
-        assert tallies[0].tolist() == [0, 0, 2, 0, 0] + [0, 0, 1, 0, 0]
-        assert tallies[1].tolist() == [0, 0, 2, 0, 0] + [0, 0, 1, 0, 0]
-        assert tallies[2].tolist() == [0, 0, 0, 0, 1] + [0, 0, 0, 0, 0]
+        assert tallies[0].tolist() == [0, 0, 2, 0, 0] + [0, 0, 1, 0, 0] + [0, 0, 1, 0, 0]
+        assert tallies[1].tolist() == [0, 0, 2, 0, 0] + [0, 0, 1, 0, 0] + [0, 0, 1, 0, 0]
+        assert tallies[2].tolist() == [0, 0, 0, 0, 1] + [0, 0, 0, 0, 0] + [0, 0, 0, 0, 1]
 
     def test_accumulates_across_turns(self):
-        tallies = np.zeros((2, 4), dtype=np.float64)
+        tallies = np.zeros((2, 6), dtype=np.float64)
         reach = np.ones((2, 2), dtype=np.int64)
         disseminate(tallies, reach[None], np.array([0, 1])[None], np.array([1, 0])[None])
         disseminate(tallies, reach[None], np.array([0, 0])[None], np.array([0, 1])[None])
-        assert tallies.tolist() == [[3, 1, 2, 0]] * 2
+        assert tallies.tolist() == [[3, 1, 2, 0, 1, 1]] * 2
 
     def test_matches_report_by_report_reference(self):
         rng = np.random.default_rng(22)
@@ -131,19 +132,19 @@ class TestDisseminate:
             assert np.array_equal(tallies, reference_tallies(reach, choices, realized, n_arms))
             # one report per (receiver, sender) pair the reach matrix links
             assert tallies[:, :n_arms].sum() == n + 2 * int(np.triu(reach, 1).sum())
-            # a tally's successes never exceed its count
-            assert (tallies[:, n_arms:] <= tallies[:, :n_arms]).all()
+            # a tally's successes and failures add up to its count
+            assert np.array_equal(tallies[:, n_arms:2 * n_arms] + tallies[:, 2 * n_arms:], tallies[:, :n_arms])
 
     def test_collision_losers_report_zero(self):
         # the arm paid 1 but only the winner's report carries it
         realized = env_step(np.zeros(3, dtype=np.int64)[None], np.ones(2, dtype=bool)[None], np.random.default_rng(23))[0]
         tallies = deliver(np.ones((3, 3), dtype=np.int64), [0, 0, 0], realized, n_arms=2)
-        assert tallies.tolist() == [[3, 0, 1, 0]] * 3
+        assert tallies.tolist() == [[3, 0, 1, 0, 2, 0]] * 3
 
     def test_boolean_rewards_count_as_rewards(self):
         # env_step's booleans; with two players a mask would fit the reward axis
         tallies = deliver(np.ones((2, 2), dtype=bool), [0, 1], [True, False], n_arms=3)
-        assert tallies.tolist() == [[1, 1, 0, 1, 0, 0]] * 2
+        assert tallies.tolist() == [[1, 1, 0, 1, 0, 0, 0, 1, 0]] * 2
 
     @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("graph", ["drawn", "constant"])
@@ -159,7 +160,7 @@ class TestDisseminate:
         if graph == "constant":
             one_way = np.broadcast_to(one_way[0], one_way.shape)
         reach = one_way if graph == "constant" else layouts(one_way)[layout]
-        tallies = np.zeros((n, 2 * n_arms))
+        tallies = np.zeros((n, 3 * n_arms))
         disseminate(tallies, reach, layouts(choices)[layout], layouts(realized)[layout])
         expected = sum(reference_tallies(r, c, w, n_arms) for r, c, w in zip(one_way, choices, realized))
         assert np.array_equal(tallies, expected)
@@ -175,16 +176,16 @@ class TestStretch:
             reach = (rng.random((n_turns, n, n)) < 0.4) | np.eye(n, dtype=bool)
             choices = rng.integers(n_arms, size=(n_turns, n))
             realized = rng.random((n_turns, n)) < 0.5
-            stretch = np.zeros((n, 2 * n_arms))
+            stretch = np.zeros((n, 3 * n_arms))
             disseminate(stretch, reach, choices, realized)
-            turns = np.zeros((n, 2 * n_arms))
+            turns = np.zeros((n, 3 * n_arms))
             for t in range(n_turns):
                 disseminate(turns, reach[t][None], choices[t][None], realized[t][None])
             assert np.array_equal(stretch, turns)
             expected = sum(reference_tallies(r, c, w, n_arms) for r, c, w in zip(reach, choices, realized))
             assert np.array_equal(stretch, expected)
             # the first turn twice is a stretch: both branches read its one-way matrix alike
-            once, twice = np.zeros((n, 2 * n_arms)), np.zeros((n, 2 * n_arms))
+            once, twice = np.zeros((n, 3 * n_arms)), np.zeros((n, 3 * n_arms))
             disseminate(once, reach[:1], choices[:1], realized[:1])
             disseminate(twice, reach[[0, 0]], choices[[0, 0]], realized[[0, 0]])
             assert np.array_equal(twice, 2 * once)
@@ -196,9 +197,9 @@ class TestStretch:
         reach = np.ones((n_turns, n, n), dtype=bool)
         choices = np.ones((n_turns, n), dtype=np.int64)
         realized = np.ones((n_turns, n), dtype=bool)
-        stretch = np.full((n, 2 * n_arms), 2.0**40)
+        stretch = np.full((n, 3 * n_arms), 2.0**40)
         disseminate(stretch, reach, choices, realized)
-        turns = np.full((n, 2 * n_arms), 2.0**40)
+        turns = np.full((n, 3 * n_arms), 2.0**40)
         for t in range(n_turns):
             disseminate(turns, reach[t][None], choices[t][None], realized[t][None])
         assert np.array_equal(stretch, turns)
@@ -227,11 +228,11 @@ class TestConstantGraph:
             reach = np.broadcast_to(graph, (k, n, n))
             choices = rng.integers(n_arms, size=(k, n))
             realized = (rng.random((k, n)) < 0.5).astype(rewards)
-            stretch = np.zeros((n, 2 * n_arms))
+            stretch = np.zeros((n, 3 * n_arms))
             disseminate(stretch, reach, choices, realized)
             expected = sum(reference_tallies(graph, c, w, n_arms) for c, w in zip(choices, realized))
             assert np.array_equal(stretch, expected), name
             # the same turns as a drawn block's copy take the per-turn product
-            drawn = np.zeros((n, 2 * n_arms))
+            drawn = np.zeros((n, 3 * n_arms))
             disseminate(drawn, np.ascontiguousarray(reach), choices, realized)
             assert np.array_equal(drawn, expected), name

@@ -86,8 +86,8 @@ def test_runner_calls_the_patched_names_at_run_time(monkeypatch):
                                              turns=1000, repetitions=1)
     wide = gossip_bandits.ExperimentConfig(algorithm="egreedy", n_players=20, means=(0.5,) * 30,
                                            turns=100, repetitions=1)
-    assert (stretch_cap(20, 25, 1.0), stretch_cap(20, 25, 0.5)) == (262, 32)
-    for config, alpha, most_calls, most_turns in ((dense, 1.0, 5, 262), (dense, 0.5, dense.turns // 10, 32),
+    assert (stretch_cap(20, 25, 1.0), stretch_cap(20, 25, 0.5)) == (262, 21)
+    for config, alpha, most_calls, most_turns in ((dense, 1.0, 5, 262), (dense, 0.5, dense.turns // 10, 21),
                                                   (wide, 0.5, wide.turns, 1)):
         calls.clear()
         rows.clear()

@@ -33,15 +33,24 @@ POLICIES = ["ucb1", "egreedy", "thompson", "asympopt", "random"]
 def episode(name, n_arms, n_players=1, seed=0, **fields):
     """An episode policy over a fresh tally matrix; the players draw from one generator."""
     cfg = ExperimentConfig(algorithm=name, means=(0.5,) * n_arms, n_players=n_players, **fields)
-    tallies = np.zeros((n_players, 2 * n_arms), dtype=np.float64)
+    tallies = np.zeros((n_players, 3 * n_arms), dtype=np.float64)
     return make_policy(cfg, tallies, np.random.default_rng(seed)), tallies
 
 
 def prime(tallies, counts, successes):
-    """Load every player's tally row directly; a flat list is copied to each row."""
-    n_arms = tallies.shape[1] // 2
+    """Load every player's tally row directly, failures = counts - successes; a flat list is copied to each row."""
+    n_arms = tallies.shape[1] // 3
     tallies[:, :n_arms] = counts
-    tallies[:, n_arms:] = successes
+    tallies[:, n_arms:2 * n_arms] = successes
+    tallies[:, 2 * n_arms:] = np.subtract(counts, successes)
+
+
+def report_own(tallies, arms):
+    """Add each player's own report of ``arms``, a success on odd arms, to its tally row."""
+    n_arms, rows, won = tallies.shape[1] // 3, np.arange(len(tallies)), arms % 2
+    tallies[rows, arms] += 1
+    tallies[rows, n_arms + arms] += won
+    tallies[rows, 2 * n_arms + arms] += 1 - won
 
 
 def prob_beta_exceeds(a, b, c, d):
@@ -78,7 +87,7 @@ class TestSharedTallies:
             assert (tallies - before)[:, :4].sum() == 9
             assert np.shares_memory(policy.counts, tallies)
             assert np.array_equal(policy.counts, tallies[:, :4])
-            assert np.array_equal(policy.successes, tallies[:, 4:])
+            assert np.array_equal(policy.successes, tallies[:, 4:8])
         snapshot = tallies.copy()
         policy.select(1)[0]
         assert np.array_equal(tallies, snapshot)
@@ -94,17 +103,15 @@ class TestSharedTallies:
         for dtype in (np.int64, np.float64):
             cfg = ExperimentConfig(algorithm=name, means=(0.5,) * 4, n_players=3,
                                    init_order=init_order, epsilon0=0.5, decay=0.99)
-            tallies = np.zeros((3, 8), dtype=dtype)
+            tallies = np.zeros((3, 12), dtype=dtype)
             prime(tallies, counts, successes)
             policy = make_policy(cfg, tallies, np.random.default_rng(41))
-            rows = np.arange(3)
             chosen = []
             for _ in range(200):
                 arms = policy.select(1)[0]
                 chosen.append(arms)
                 # each player's own report, the same whole numbers in either dtype
-                tallies[rows, arms] += 1
-                tallies[rows, 4 + arms] += arms % 2
+                report_own(tallies, arms)
             runs.append(np.array(chosen))
         assert np.array_equal(*runs)
 
@@ -213,7 +220,7 @@ class TestUcb1:
         # each row's bonus uses its own total: row 1 prefers its least-pulled arm
         pol, tallies = episode("ucb1", 3, n_players=2)
         prime(tallies, counts=[[1, 1, 1], [4, 1, 2]], successes=[[1, 0, 0], [3, 0, 1]])
-        counts, successes = tallies[:, :3], tallies[:, 3:]
+        counts, successes = tallies[:, :3], tallies[:, 3:6]
         expected = [
             int(np.argmax(s / c + np.sqrt(2.0 * np.log(c.sum()) / c)))
             for c, s in zip(counts, successes)
@@ -557,15 +564,13 @@ class TestStretches:
         limits = np.random.default_rng(8).integers(1, 40, size=60)
         fields = dict(n_players=3, seed=5, init_order="random", epsilon0=1.0, decay=0.9)
         (stretched, stretched_tallies), (single, single_tallies) = (episode(name, 6, **fields) for _ in range(2))
-        rows = np.arange(3)
         for limit in limits.tolist():
             arms = stretched.select(limit)
             assert len(arms) == (limit if name == "random" else 1)
             for row in arms:
                 assert np.array_equal(row, single.select(1)[0])
                 for tallies in (stretched_tallies, single_tallies):
-                    tallies[rows, row] += 1
-                    tallies[rows, 6 + row] += row % 2
+                    report_own(tallies, row)
             assert stretched.epsilon == single.epsilon
 
     def test_the_random_policy_draws_exactly_the_turns_asked(self):
@@ -578,7 +583,7 @@ class TestStretches:
 
 def drive(policy, tallies, turns=200):
     """Choices of ``turns`` selections under reports that do not depend on them."""
-    n_players, n_arms = tallies.shape[0], tallies.shape[1] // 2
+    n_players, n_arms = tallies.shape[0], tallies.shape[1] // 3
     obs_rng = np.random.default_rng(777)
     chosen = []
     for _ in range(turns):

@@ -62,7 +62,8 @@ class TestRunEpisode:
             own = np.bincount(choices[:, p], minlength=4)
             assert np.array_equal(tallies[p, :4], own)
             own_wins = np.bincount(choices[:, p], realized[:, p], 4)
-            assert np.array_equal(tallies[p, 4:], own_wins)
+            assert np.array_equal(tallies[p, 4:8], own_wins)
+            assert np.array_equal(tallies[p, 8:], own - own_wins)
 
     def test_full_communication_counts_everyones_pulls(self):
         cfg = ExperimentConfig(algorithm="thompson", turns=100, repetitions=1, alphas=(1.0,))
@@ -71,7 +72,18 @@ class TestRunEpisode:
         everyone = np.bincount(choices.ravel(), minlength=10)
         for row in tallies:
             assert np.array_equal(row[:10], everyone)
-            assert row[10:].sum() == realized.sum()
+            assert row[10:20].sum() == realized.sum()
+            assert np.array_equal(row[10:20] + row[20:], everyone)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("algorithm", POLICY_NAMES)
+    def test_counts_are_successes_plus_failures(self, algorithm, alpha):
+        # every delivered report lands in its count and in exactly one of the other two halves
+        cfg = small_config(algorithm=algorithm, n_players=3, turns=300)
+        n_arms = cfg.n_arms
+        tallies = simulate_episode(cfg, alpha, 17)[2]
+        assert tallies.shape == (3, 3 * n_arms)
+        assert np.array_equal(tallies[:, :n_arms], tallies[:, n_arms:2 * n_arms] + tallies[:, 2 * n_arms:])
 
     def test_identical_inputs_reproduce_bitwise(self):
         cfg = small_config(algorithm="egreedy")
@@ -101,8 +113,10 @@ class TestRunEpisode:
 
 # (n_players, n_arms, turns): the alphas each is played at.  700 turns at
 # N=20, S=25 cross a 609-turn block, and 7000 turns at N=5, S=10 a 6553-turn
-# one.  The runner's 32-turn stretches of the random policy are cut by both
-# block ends of 1250 turns, one turn and two turns after a stretch began
+# one.  The random policy's 262-turn stretches on a constant graph are cut by
+# both block ends of 1250 turns, 85 turns after a stretch began; its 21-turn
+# drawn stretches fill a 609-turn block exactly, and the 6553-turn block cuts
+# a 218-turn drawn stretch at N=5, S=10 13 turns after it began
 PER_TURN_CASES = {
     (3, 5, 301): (0.0, 0.5, 1.0),
     (20, 25, 700): (0.0, 0.5, 1.0),
@@ -157,10 +171,11 @@ class TestStreamContract:
             first = rewards if first is None else first
             assert np.array_equal(rewards, first), algorithm
             assert tallies.dtype == np.float64, algorithm
-            reports = np.zeros((turns, n_players, 2 * n_arms), dtype=np.int64)
+            reports = np.zeros((turns, n_players, 3 * n_arms), dtype=np.int64)
             turn, player = np.indices(choices.shape)
             reports[turn, player, choices] = 1
             reports[turn, player, n_arms + choices] = realized
+            reports[turn, player, 2 * n_arms + choices] = 1 - realized
             assert np.array_equal(tallies, np.einsum("tji,tjk->ik", reach, reports)), algorithm
 
     @pytest.mark.parametrize("algorithm", POLICY_NAMES)
