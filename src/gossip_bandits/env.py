@@ -4,19 +4,18 @@ The arms are the config's mean vector; nothing here re-checks it.
 ``draw_arm_rewards`` draws the realizations of a block of turns as one
 (turns, arms) boolean matrix: every arm is realized every turn, pulled or
 not.  Consecutive blocks drawn from one generator hold the same values as
-one draw of the whole episode.  ``env_step`` then pays a stretch of turns'
-rows to the players.  A player alone on an arm receives its realization;
-when several players chose the same arm, one uniformly drawn winner
-receives it and the losers get 0.  Random priorities decide, one uniform
-per player on a turn with a collision: each (turn, arm)'s highest
-priority is found once, in one vector over the stretch's flat keys
-``turn * S + arm``, and a player is paid when its own priority reaches
-its key's.  A stretch of several turns finds its collided turns with one
-sort of each turn's arms, where a repeated arm sits next to its twin; a
-one-turn stretch, the learning rules' turn, tests its arms with one
-``set``, which is cheaper than the sort at small N.  The environment never
-tells a player whether it collided; a loser's zero is indistinguishable
-from a true zero draw.
+one draw of the whole episode.  ``env_step`` then pays one turn's row, or
+a stretch of turns' rows, to the players.  A player alone on an arm
+receives its realization; when several players chose the same arm, one
+uniformly drawn winner receives it and the losers get 0.  Random
+priorities decide, one uniform per player on a turn with a collision:
+each (turn, arm)'s highest priority is found once, in one vector over
+the stretch's flat keys ``turn * S + arm`` (a row's keys are its arms),
+and a player is paid when its own priority reaches its key's.  A stretch finds its collided turns with one sort of each
+turn's arms, where a repeated arm sits next to its twin; a row turn, the
+learning rules' turn, tests its arms with one ``set``, which is cheaper
+than the sort at small N.  The environment never tells a player whether
+it collided; a loser's zero is indistinguishable from a true zero draw.
 """
 
 from __future__ import annotations
@@ -38,13 +37,15 @@ def draw_arm_rewards(means: Sequence[float], n_turns: int, rng: np.random.Genera
 
 
 def env_step(choices: np.ndarray, arm_rewards: np.ndarray, winner_rng: np.random.Generator) -> np.ndarray:
-    """Each player's (k, N) boolean rewards for a stretch of k >= 1 turns.
+    """Each player's boolean rewards for a row turn, (N,), or a stretch of k >= 1 turns, (k, N).
 
-    ``choices`` holds the stretch's (k, N) integer arms and ``arm_rewards``
-    its (k, S) boolean realizations.  Any layout of either is accepted,
-    C- or Fortran-ordered, transposed or strided; the result is a new
-    array and neither input is written.  The payout mask is applied in
-    the result's logical order, whatever layout it takes from ``choices``.
+    ``choices`` holds a row turn's (N,) integer arms and ``arm_rewards``
+    its (S,) boolean realizations, or a stretch's (k, N) arms and (k, S)
+    realizations.  Any layout of either is accepted, C- or
+    Fortran-ordered, transposed or strided; the result is a new array of
+    the shape of ``choices`` and neither input is written.  The payout
+    mask is applied in the result's logical order, whatever layout it
+    takes from ``choices``.
 
     Only on a turn with a collision, every player draws a priority, and a
     player is paid when its priority is at least the highest on its arm
@@ -61,16 +62,17 @@ def env_step(choices: np.ndarray, arm_rewards: np.ndarray, winner_rng: np.random
     not depend on the collision pattern; the runner passes the episode's
     ``env-winners`` substream.
 
-    The collided turns of a longer stretch are the rows of ``np.sort(choices,
+    The collided turns of a stretch are the rows of ``np.sort(choices,
     axis=1)`` with two equal neighbours, found without a Python loop.  A
-    learning rule's turns, its sweep's included, come one per stretch, so
-    a one-turn stretch skips what is known for it: its keys are its arms,
-    and a ``set`` of them shorter than N is its collision.
+    learning rule's turns, its sweep's included, come as rows, and a row
+    skips what is known for it: its keys are its arms, and a ``set`` of
+    them shorter than N is its collision.  A row and a stretch share the
+    collision tail.
     """
-    n_turns, n_players = choices.shape
-    if n_turns == 1:
-        keys = choices  # a one-turn stretch's keys are its arms
-        drawn = len(set(choices.ravel().tolist())) < n_players  # a repeated arm is its collision
+    n_players = choices.shape[-1]
+    if choices.ndim == 1:
+        keys = choices  # a row turn's keys are its arms
+        drawn = len(set(choices.tolist())) < n_players  # a repeated arm is its collision
     else:
         keys = choices + np.arange(0, arm_rewards.size, arm_rewards.shape[1])[:, None]
         ranked = np.sort(choices, axis=1)  # a turn's repeated arms sit side by side
@@ -80,7 +82,7 @@ def env_step(choices: np.ndarray, arm_rewards: np.ndarray, winner_rng: np.random
     if drawn:
         keys = keys.ravel()
         priority = winner_rng.random(drawn * n_players)
-        if drawn < n_turns:
+        if len(priority) < len(keys):  # some turn of the stretch has no collision
             priority, spread = np.zeros(len(keys)), priority
             priority[np.repeat(collided, n_players)] = spread
         top = np.zeros(arm_rewards.size)  # priorities are >= 0

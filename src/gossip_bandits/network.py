@@ -26,11 +26,13 @@ turn's delivery is the product ``reach.T @ reports``, where row j of
 ``reports`` is player j's one-hot arm followed by the same one-hot
 times the reward it received and times one minus it.  Duplicate reports
 (two neighbours on one arm) are kept, and a collision loser reports its
-0.  ``disseminate`` delivers a stretch of k turns at once, as one
-product of the (N, k·N) transpose of all its turns' (k·N, N) sender rows
-with their (k·N, 3S) reports: the sum of the turns' products.  A drawn
-block is C-ordered, so a stretch's sender rows are a view of it.  When
-one graph G holds for every turn of a stretch, a reach view of turn
+0.  ``disseminate`` delivers a row turn, a learning rule's, as one
+product of its (N, N) reach's transpose with its (N, 3S) reports, and a
+stretch of k turns, the random policy's, at once, as one product of the
+(N, k·N) transpose of all its turns' (k·N, N) sender rows with their
+(k·N, 3S) reports: the sum of the turns' products.  A drawn block is
+C-ordered, so a row's reach and a stretch's sender rows are views of it.
+When one graph G holds for every turn of a stretch, a reach view of turn
 stride 0, the sum is Σₜ Gᵀ Rₜ = Gᵀ Σₜ Rₜ: the players' report rows are
 summed over the stretch and delivered in one (N, N) product.
 ``stretch_turns`` bounds a stretch's working set by what its path
@@ -148,32 +150,34 @@ def disseminate(
     choices: np.ndarray,
     realized: np.ndarray,
 ) -> None:
-    """Add every (arm, reward) report of a stretch to the tallies of all it reaches.
+    """Add every (arm, reward) report of a row turn or a stretch to the tallies of all it reaches.
 
     ``tallies`` is the (N, 3S) float64 matrix, added to in place: a
     report adds one to its arm's count and to its success or its failure.
-    ``reach`` holds the stretch's (k, N, N) boolean or 0/1 matrices in
-    sender rows: ``reach[t, j, i]`` is true when player j's report of turn
-    t reaches player i.  ``choices`` holds its (k, N) integer arms and
-    ``realized`` its (k, N) rewards, 0/1 integers or ``env_step``'s
-    booleans, which are converted to integers once: a reward indexes the
+    A row turn gives its (N, N) boolean or 0/1 reach matrix, its (N,)
+    integer arms and its (N,) rewards; a stretch of k turns its (k, N, N)
+    matrices, (k, N) arms and (k, N) rewards.  Reach is read in sender
+    rows: ``reach[..., j, i]`` is true when player j's report reaches
+    player i.  The rewards are 0/1 integers or ``env_step``'s booleans,
+    which are converted to integers once: a reward indexes the
     report-row table and never masks it.  Any layout is accepted, strided
     and transposed views included; the reshapes to (k·N, N) sender rows
     and (k·N, 3S) report rows copy an operand that is not C-ordered.
-    When ``reach`` has turn stride 0, as ``sample_reach`` returns at
-    ``alpha`` 0 or 1, and k > 1, one graph G holds for every turn and the
+    When a stretch's ``reach`` has turn stride 0, as ``sample_reach``
+    returns at ``alpha`` 0 or 1, one graph G holds for every turn and the
     stretch is delivered as Gᵀ Σₜ Rₜ: one ``np.bincount`` counts how
     often each player sent each row ``2·arm + reward`` of the table's
     flat (2S, 3S) view, and those (N, 2S) counts times the table are the
-    players' summed report rows.  Every other stretch, a one-turn one
-    included, takes its (k, N, 3S) report rows from the table by
-    (arm, reward), which costs less than a ``bincount`` at k = 1.
+    players' summed report rows.  Every other stretch, and every row
+    turn whatever the strides of its (N, N) reach, takes its report rows
+    from the table by (arm, reward), which costs less than a ``bincount``
+    for one turn.
     """
     n_players, width = tallies.shape
     table = _report_rows(width // 3)
     kinds = 2 * len(table)  # the table's (arm, reward) rows
     realized = realized.astype(np.intp, copy=False)  # the rewards index the row table, never mask it
-    if len(choices) > 1 and _one_graph(reach):  # deliver the players' summed rows once
+    if choices.ndim == 2 and _one_graph(reach):  # deliver the players' summed rows once
         sent = 2 * choices + realized + np.arange(0, n_players * kinds, kinds)
         counts = np.bincount(sent.ravel(), minlength=n_players * kinds)
         reports = np.dot(counts.reshape(n_players, kinds), table.reshape(kinds, width))

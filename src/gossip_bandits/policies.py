@@ -10,12 +10,12 @@ never writes the tallies.
 They are float64 whole-number counts, float so that the network layer
 delivers a turn with a BLAS product over its boolean reach matrix, and
 exact below 2**53, so every rule reads the same numbers as from integers.
-``select(limit)`` returns a stretch of turns, a (k, N) array.  A
-learning rule returns one turn: the sweep's next row, else the one its
-own step ``choose()`` decides, working on all rows at once.  Only the
-random baseline returns ``limit`` turns, since its arms read no tally.
-The runner sets ``limit``; a policy draws nothing for a turn it does not
-return.
+A learning rule's ``select()`` returns one turn as a row, the (N,) arms:
+the sweep's next row, else the one its own step ``choose()`` decides,
+working on every player's tally row at once.  Only the random baseline's
+``select(limit)`` returns a stretch of turns, a (k, N) array of
+``limit`` rows, since its arms read no tally.  The runner sets
+``limit``; a policy draws nothing for a turn it does not return.
 
 All players draw from one generator, the episode's ``players``
 substream, and every draw of a turn is one array call over the rows:
@@ -135,21 +135,21 @@ class Policy:
                 order = rng.permuted(order, axis=1)
             self.sweep = order.T
 
-    def select(self, limit: int) -> np.ndarray:
-        """One turn's choices, (1, N), whatever ``limit`` is; ε decays once per call.
+    def select(self) -> np.ndarray:
+        """One turn's choices, the (N,) arms; ε decays once per call.
 
         The sweep's rows come first; only when none is left does
         ``choose()`` decide the turn.
         """
         if len(self.sweep):
-            arms, self.sweep = self.sweep[:1], self.sweep[1:]
+            arms, self.sweep = self.sweep[0], self.sweep[1:]
         else:
             arms = self.choose()
         self.epsilon *= self.config.decay
         return arms
 
     def choose(self) -> np.ndarray:
-        """The algorithm's own step after the sweep: one turn's choices, (1, N)."""
+        """The algorithm's own step after the sweep: one turn's choices, (N,)."""
         raise NotImplementedError
 
     def explore(self, arms: np.ndarray) -> np.ndarray:
@@ -172,7 +172,7 @@ class Ucb1Policy(Policy):
         counts = self.counts
         total = counts.sum(axis=1, keepdims=True)
         index = self.successes / counts + np.sqrt(2.0 * np.log(total) / counts)
-        return argmax_rows(index, self.rng)[None]
+        return argmax_rows(index, self.rng)
 
 
 class EpsilonGreedyPolicy(Policy):
@@ -181,7 +181,7 @@ class EpsilonGreedyPolicy(Policy):
     def choose(self) -> np.ndarray:
         # unseen arms read mean 0: their successes are 0 too
         means = self.successes / np.maximum(self.counts, 1)
-        return self.explore(argmax_rows(means, self.rng))[None]
+        return self.explore(argmax_rows(means, self.rng))
 
 
 class ThompsonPolicy(Policy):
@@ -215,7 +215,7 @@ class ThompsonPolicy(Policy):
         shapes = np.add(self.outcomes, 1.0, out=self.shapes)
         gamma = self.rng.standard_gamma(shapes)
         ga, gb = gamma[..., 0], gamma[..., 1]
-        return argmax_rows(ga / (ga + gb), self.rng)[None]
+        return argmax_rows(ga / (ga + gb), self.rng)
 
 
 class AsympOptPolicy(Policy):
@@ -240,14 +240,15 @@ class AsympOptPolicy(Policy):
         # cdf never decreases along a row, so the masses at or below the draw
         # are a prefix, and that first index equals their count
         draw = self.rng.random(len(cdf)) * cdf[:, -1]
-        return self.explore((cdf > draw[:, None]).argmax(axis=1))[None]
+        return self.explore((cdf > draw[:, None]).argmax(axis=1))
 
 
 class UniformRandomPolicy(Policy):
     """Calibration baseline: every turn an independent uniform arm per player.
 
-    The arms do not depend on the tallies, so ``select(limit)`` draws all
-    ``limit`` turns in one ``integers(S, size=(limit, N))`` call: one call
+    The arms do not depend on the tallies, so it is the one policy played
+    in stretches: ``select(limit)`` draws a (limit, N) stretch of turns in
+    one ``integers(S, size=(limit, N))`` call: one call
     per turn cost about 9.5 µs (NumPy 2.4.6), nearly all of it call
     overhead.  The rows are the per-turn draws, in order, and the stream
     ends where one call per turn leaves it: NumPy draws each bounded

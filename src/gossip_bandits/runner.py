@@ -11,15 +11,19 @@ counts: each row's reports per arm, then its successes, then its
 failures.  Delivering a turn is a BLAS product (see ``network``); the
 reach matrices stay boolean.  There are no per-player objects: one
 policy, built once per episode, reads the whole matrix and returns every
-player's choices for a stretch of turns.  A learning rule's stretch is
-one turn: its sweep's next row, else its rule's choice.  Only the random
-policy, whose arms read no tally, returns as many turns as the runner
-asks for, drawn for just those turns.  The runner sizes every stretch:
-it never crosses a block and holds at most ``network.stretch_turns``
-turns of the block's reach, a cap sized by what the block's delivery
-path builds.  ``env_step`` pays the stretch's realizations and
+player's choices.  A learning rule plays one turn at a time, as a row:
+its ``select()`` returns the (N,) arms, its sweep's next row or its
+rule's choice, and the turn's realizations, reach matrix and arms go to
+``env_step`` and ``disseminate`` as rows too, one call each per turn.
+Only the random policy, whose arms read no tally, is played in
+stretches of turns: it returns as many (k, N) turns as the runner asks
+for, drawn for just those turns.  The runner sizes every stretch: it
+never crosses a block and holds at most ``network.stretch_turns`` turns
+of the block's reach, a cap sized by what the block's delivery path
+builds.  ``env_step`` pays the stretch's realizations and
 ``disseminate`` adds every report of it to the tallies it reaches, one
-call each per stretch.
+call each per stretch.  The runner picks the loop from the policy it
+built.
 ``episode_blocks`` yields each block's choices (turns, N) and
 realizations (turns, S) with the live tallies (N, 3S).  The rewards the
 players received go from ``env_step`` straight to ``disseminate`` and
@@ -71,7 +75,7 @@ from .config import ConfigError, ExperimentConfig, _is_int
 from .env import draw_arm_rewards, env_step
 from .metrics import RunRecord, build_run_record
 from .network import disseminate, sample_reach, stretch_turns
-from .policies import make_policy
+from .policies import UniformRandomPolicy, make_policy
 from .rng import derive_seed, substream
 
 
@@ -127,15 +131,20 @@ def episode_blocks(
         length = min(block, n_turns - first)
         rewards = draw_arm_rewards(config.means, length, arm_rng)
         reach = sample_reach(n_players, alpha, length, graph_rng)
-        stretch = stretch_turns(reach, config.n_arms)  # bounds a stretch's working set
         choices = np.empty((length, n_players), dtype=np.int64)
-        t = 0
-        while t < length:
-            chosen = policy.select(min(length - t, stretch))
-            end = t + len(chosen)
-            choices[t:end] = chosen
-            disseminate(tallies, reach[t:end], chosen, env_step(chosen, rewards[t:end], winner_rng))
-            t = end
+        if isinstance(policy, UniformRandomPolicy):  # its arms read no tally: whole stretches
+            stretch = stretch_turns(reach, config.n_arms)  # bounds a stretch's working set
+            t = 0
+            while t < length:
+                chosen = policy.select(min(length - t, stretch))
+                end = t + len(chosen)
+                choices[t:end] = chosen
+                disseminate(tallies, reach[t:end], chosen, env_step(chosen, rewards[t:end], winner_rng))
+                t = end
+        else:
+            for t in range(length):  # a learning rule plays its turns as rows
+                arms = choices[t] = policy.select()
+                disseminate(tallies, reach[t], arms, env_step(arms, rewards[t], winner_rng))
         yield choices, rewards, tallies
         del choices, rewards, reach  # gone before the next block is drawn
 

@@ -21,7 +21,8 @@ construction, since it checks that every snippet is in the source.  A fault
 is no longer in the source, which fails the script rather than passing
 silently.  The table is printed and appended to ``CHANGES.md`` as one
 line, where a test with several failing cases appears once, as
-``test`` ×cases.
+``test`` ×cases, and each fault in ``UNIT_LEVEL`` is marked unit-level
+by design: no acceptance criterion is meant to see it.
 
 The file name does not match pytest's ``test_*.py`` pattern, so Tier-1
 never collects it: each fault costs a full run of the suite.
@@ -92,7 +93,7 @@ FAULTS = (
     ),
     Fault(
         "priorities_every_turn", "src/gossip_bandits/env.py",
-        "        drawn = len(set(choices.ravel().tolist())) < n_players  # a repeated arm is its collision\n"
+        "        drawn = len(set(choices.tolist())) < n_players  # a repeated arm is its collision\n"
         "    else:\n"
         "        keys = choices + np.arange(0, arm_rewards.size, arm_rewards.shape[1])[:, None]\n"
         "        ranked = np.sort(choices, axis=1)  # a turn's repeated arms sit side by side\n"
@@ -101,7 +102,7 @@ FAULTS = (
         "        drawn = 1\n"
         "    else:\n"
         "        keys = choices + np.arange(0, arm_rewards.size, arm_rewards.shape[1])[:, None]\n"
-        "        drawn = n_turns\n",
+        "        drawn = len(choices)\n",
         "the priorities are drawn on every turn, with or without a collision",
     ),
     Fault(
@@ -213,9 +214,9 @@ FAULTS = (
     Fault(
         "one_turn_reads_receiver_rows", "src/gossip_bandits/network.py",
         "    tallies += np.dot(reach.reshape(-1, n_players).T, reports.reshape(-1, width))\n",
-        "    tallies += np.dot(reach[0] if len(choices) == 1 else reach.reshape(-1, n_players).T,\n"
+        "    tallies += np.dot(reach if choices.ndim == 1 else reach.reshape(-1, n_players).T,\n"
         "                      reports.reshape(-1, width))\n",
-        "a one-turn stretch reads its reach matrix in receiver rows, not sender rows",
+        "a row turn reads its reach matrix in receiver rows, not sender rows",
     ),
     Fault(
         "constant_graph_drawn_cap", "src/gossip_bandits/network.py",
@@ -226,8 +227,8 @@ FAULTS = (
     Fault(
         "priorities_for_every_stretch_row", "src/gossip_bandits/env.py",
         "        priority = winner_rng.random(drawn * n_players)\n"
-        "        if drawn < n_turns:\n",
-        "        priority = winner_rng.random(n_turns * n_players)\n"
+        "        if len(priority) < len(keys):  # some turn of the stretch has no collision\n",
+        "        priority = winner_rng.random(len(keys))\n"
         "        if False:\n",
         "a stretch with a collision draws priorities for every one of its turns",
     ),
@@ -251,6 +252,12 @@ FAULTS = (
         "the payout mask lands on ravel's copy of rewards that are not C-ordered: every collider is paid",
     ),
 )
+
+# Behavioural faults that only unit tests can see, by design: a tie broken
+# towards the first arm and an ε that skips the sweep's decays change no
+# statistic an acceptance criterion can resolve at its bounds, so the
+# engine's unit tests are their only killers.
+UNIT_LEVEL = ("argmax_first_tie", "epsilon_decays_on_choose_only")
 
 
 def plant(fault: Fault, copy: Path) -> None:
@@ -299,11 +306,10 @@ def main() -> int:
     rows = []
     for fault in FAULTS:
         ids = killers(fault)
-        rows.append((fault, ids))
-        print(f"| `{fault.name}` | {fault.what} | {credit(ids) if ids else 'SURVIVED'} |", flush=True)
-    summary = "; ".join(
-        f"`{fault.name}` killed by {credit(ids)}" if ids else f"`{fault.name}` SURVIVED" for fault, ids in rows
-    )
+        label = f"`{fault.name}`" + (" (unit-level by design)" if fault.name in UNIT_LEVEL else "")
+        rows.append((label, ids))
+        print(f"| {label} | {fault.what} | {credit(ids) if ids else 'SURVIVED'} |", flush=True)
+    summary = "; ".join(f"{label} killed by {credit(ids)}" if ids else f"{label} SURVIVED" for label, ids in rows)
     with open(ROOT / "CHANGES.md", "a", encoding="utf-8") as changes:
         changes.write(f"- Fault table (`python3 tests/fault_table.py`, golden digests left out): {summary}.\n")
     return 1 if not all(ids for _, ids in rows) else 0

@@ -9,7 +9,7 @@ import numpy as np
 from gossip_bandits.env import draw_arm_rewards, env_step
 from gossip_bandits.metrics import RunRecord
 from gossip_bandits.network import disseminate, stretch_turns
-from gossip_bandits.policies import make_policy
+from gossip_bandits.policies import UniformRandomPolicy, make_policy
 from gossip_bandits.rng import substream
 from gossip_bandits.runner import _FIELD_TYPES, CSV_COLUMNS, AggregateRecord, episode_blocks
 from oracles import best_subset_reward
@@ -58,14 +58,20 @@ def layouts(values) -> dict[str, np.ndarray]:
     }
 
 
+def select_turn(policy) -> np.ndarray:
+    """One turn's (N,) arms: a learning rule's ``select()`` row, or the random policy's one-turn stretch."""
+    return policy.select(1)[0] if isinstance(policy, UniformRandomPolicy) else policy.select()
+
+
 def reference_episode(config, alpha: float, seed: int):
     """``simulate_episode``'s arrays from a per-turn loop on the episode's plain substreams.
 
     Every turn draws its realizations, its graph (a ``random(N(N-1)/2)`` in
     pair order) and ``env_step``'s priorities straight from the generators,
-    one call each, takes one turn of every policy's ``select(1)``, and
-    plays the rules of ``episode_blocks``; nothing is drawn per block or
-    per stretch.
+    one call each, takes one turn of every policy (``select_turn``), and
+    plays it through ``env_step`` and ``disseminate`` as a one-turn (1, N)
+    stretch, whichever loop ``episode_blocks`` plays; nothing is drawn per
+    block or per stretch.
     """
     n_players, n_arms, turns = config.n_players, config.n_arms, config.turns
     arm_rng, graph_rng, winner_rng, players = (
@@ -79,7 +85,7 @@ def reference_episode(config, alpha: float, seed: int):
         rewards[t] = arm_rng.random(n_arms) < np.asarray(config.means)
         reach = np.eye(n_players, dtype=bool)
         reach[first, second] = reach[second, first] = graph_rng.random(len(first)) < alpha
-        choices[t] = policy.select(1)[0]
+        choices[t] = select_turn(policy)
         disseminate(tallies, reach[None], choices[t][None], env_step(choices[t][None], rewards[t][None], winner_rng))
     return choices, rewards, tallies
 

@@ -139,13 +139,21 @@ class TestMatchesPairwiseReference:
             used = int(data.integers(1, n_arms + 1))
             yield data.integers(used, size=n_players), data.random(n_arms) < 0.5
 
+    @staticmethod
+    def step(choices, arm_rewards, winner_rng, shape):
+        """``env_step`` on one turn, given as a row or as a one-turn (1, N) stretch."""
+        if shape == "row":
+            return env_step(choices, arm_rewards, winner_rng)
+        return env_step(choices[None], arm_rewards[None], winner_rng)[0]
+
+    @pytest.mark.parametrize("shape", ["row", "stretch"])
     @pytest.mark.parametrize("n_players", [1, 2, 5, 9, 20])
-    def test_random_turns_pay_and_draw_alike(self, n_players):
+    def test_random_turns_pay_and_draw_alike(self, n_players, shape):
         fast, reference = np.random.default_rng(81), np.random.default_rng(81)
         drew = 0
         for choices, arm_rewards in self.turns(80 + n_players, n_players, 500):
             before = fast.bit_generator.state
-            paid = env_step(choices[None], arm_rewards[None], fast)[0]
+            paid = self.step(choices, arm_rewards, fast, shape)
             expected = pairwise_env_step(choices, arm_rewards, reference)
             assert paid.dtype == expected.dtype and np.array_equal(paid, expected)
             assert fast.bit_generator.state == reference.bit_generator.state
@@ -154,11 +162,12 @@ class TestMatchesPairwiseReference:
         assert (drew > 0) == (n_players > 1)
         assert drew < 500 or n_players > 5
 
+    @pytest.mark.parametrize("shape", ["row", "stretch"])
     @pytest.mark.parametrize("n_players", [2, 5, 9, 20])
-    def test_exactly_tied_priorities_pay_alike(self, n_players):
+    def test_exactly_tied_priorities_pay_alike(self, n_players, shape):
         fast, reference = LevelDraws(82, levels=3), LevelDraws(82, levels=3)
         for choices, arm_rewards in self.turns(90 + n_players, n_players, 300):
-            paid = env_step(choices[None], arm_rewards[None], fast)[0]
+            paid = self.step(choices, arm_rewards, fast, shape)
             assert np.array_equal(paid, pairwise_env_step(choices, arm_rewards, reference))
             assert fast.rng.bit_generator.state == reference.rng.bit_generator.state
 
@@ -167,24 +176,29 @@ class TestMatchesPairwiseReference:
         assert step([1, 1, 0, 1], [1, 1], LevelDraws(0, levels=1)) == [1, 1, 1, 1]
 
     @pytest.mark.parametrize("layout", LAYOUTS)
-    @pytest.mark.parametrize("n_turns", [1, 40])
+    @pytest.mark.parametrize("n_turns", [None, 1, 40])
     def test_any_layout_pays_what_the_pairwise_reference_pays(self, n_turns, layout):
         # five players on three arms collide on every turn: a payout mask applied to a
-        # copy of the rewards, not to them, would pay every collided player
+        # copy of the rewards, not to them, would pay every collided player; n_turns
+        # None is a row turn, the first row of a two-turn block in the layout, so the
+        # row of a Fortran-ordered or strided block is strided
         data = np.random.default_rng(94)
-        choices = data.integers(3, size=(n_turns, 5))
-        rewards = data.random((n_turns, 3)) < 0.7
+        choices = data.integers(3, size=(n_turns or 2, 5))
+        rewards = data.random((n_turns or 2, 3)) < 0.7
         fast, reference = np.random.default_rng(95), np.random.default_rng(95)
         given = layouts(choices)[layout], layouts(rewards)[layout]
+        if n_turns is None:
+            choices, rewards, given = choices[0], rewards[0], (given[0][0], given[1][0])
         paid = env_step(*given, fast)
-        expected = [pairwise_env_step(c, r, reference) for c, r in zip(choices, rewards)]
+        turns = zip(choices[None], rewards[None]) if n_turns is None else zip(choices, rewards)
+        expected = np.reshape([pairwise_env_step(c, r, reference) for c, r in turns], choices.shape)
         assert paid.shape == choices.shape and np.array_equal(paid, expected)
         assert fast.bit_generator.state == reference.bit_generator.state
         assert np.array_equal(given[0], choices) and np.array_equal(given[1], rewards)
 
 
 class TestStretch:
-    """A (k, N) stretch against k one-turn calls on a twin priority stream."""
+    """A (k, N) stretch against its k row turns on a twin priority stream."""
 
     @staticmethod
     def stretches(seed, n_players, n_arms, longest, count):
@@ -207,7 +221,7 @@ class TestStretch:
         seen = set()
         for choices, rewards in self.stretches(90 + n_players, n_players, n_arms, longest, 300):
             paid = env_step(choices, rewards, fast)
-            expected = [env_step(c[None], r[None], twin)[0] for c, r in zip(choices, rewards)]
+            expected = [env_step(c, r, twin) for c, r in zip(choices, rewards)]
             assert paid.shape == choices.shape and paid.dtype == bool
             assert np.array_equal(paid, expected)
             # both streams end in the same state

@@ -12,8 +12,9 @@ from support import LAYOUTS, layouts, stretch_cap
 
 
 def deliver(reach, choices, realized, n_arms):
+    """The tallies one row turn delivers: a learning rule's (N, N) reach, (N,) arms and (N,) rewards."""
     tallies = np.zeros((len(choices), 3 * n_arms), dtype=np.float64)
-    disseminate(tallies, np.asarray(reach)[None], np.asarray(choices)[None], np.asarray(realized)[None])
+    disseminate(tallies, np.asarray(reach), np.asarray(choices), np.asarray(realized))
     return tallies
 
 
@@ -116,8 +117,8 @@ class TestDisseminate:
     def test_accumulates_across_turns(self):
         tallies = np.zeros((2, 6), dtype=np.float64)
         reach = np.ones((2, 2), dtype=np.int64)
-        disseminate(tallies, reach[None], np.array([0, 1])[None], np.array([1, 0])[None])
-        disseminate(tallies, reach[None], np.array([0, 0])[None], np.array([0, 1])[None])
+        disseminate(tallies, reach, np.array([0, 1]), np.array([1, 0]))
+        disseminate(tallies, reach, np.array([0, 0]), np.array([0, 1]))
         assert tallies.tolist() == [[3, 1, 2, 0, 1, 1]] * 2
 
     def test_matches_report_by_report_reference(self):
@@ -148,20 +149,32 @@ class TestDisseminate:
 
     @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("graph", ["drawn", "constant"])
-    @pytest.mark.parametrize("n_turns", [1, 7])
+    @pytest.mark.parametrize("n_turns", [None, 1, 7])
     def test_any_layout_delivers_what_the_reference_delivers(self, n_turns, graph, layout):
         # one-way matrices, so a sender read as a receiver shows; a constant graph keeps
-        # its turn stride 0 and only the stretch's arms and rewards change layout
+        # its turn stride 0 and only the stretch's arms and rewards change layout.
+        # n_turns None is a row turn, the first row of a two-turn block in the layout,
+        # so a Fortran-ordered or strided block's row is strided; its constant graph
+        # is one sender row broadcast over the senders, an (N, N) reach of stride 0
+        # that a row delivers by the gather, not by a stretch's summed rows
         rng = np.random.default_rng(30)
         n, n_arms = 5, 4
-        one_way = (rng.random((n_turns, n, n)) < 0.4) | np.eye(n, dtype=bool)
-        choices = rng.integers(n_arms, size=(n_turns, n))
-        realized = rng.random((n_turns, n)) < 0.5
+        one_way = (rng.random((n_turns or 2, n, n)) < 0.4) | np.eye(n, dtype=bool)
+        choices = rng.integers(n_arms, size=(n_turns or 2, n))
+        realized = rng.random((n_turns or 2, n)) < 0.5
         if graph == "constant":
             one_way = np.broadcast_to(one_way[0], one_way.shape)
         reach = one_way if graph == "constant" else layouts(one_way)[layout]
+        given = reach, layouts(choices)[layout], layouts(realized)[layout]
+        if n_turns is None:
+            one_way, choices, realized = one_way[:1], choices[:1], realized[:1]
+            given = tuple(values[0] for values in given)
+            if graph == "constant":
+                one_way = np.broadcast_to(one_way[0, 0], one_way.shape)
+                given = (one_way[0], *given[1:])
+                assert given[0].strides[0] == 0
         tallies = np.zeros((n, 3 * n_arms))
-        disseminate(tallies, reach, layouts(choices)[layout], layouts(realized)[layout])
+        disseminate(tallies, *given)
         expected = sum(reference_tallies(r, c, w, n_arms) for r, c, w in zip(one_way, choices, realized))
         assert np.array_equal(tallies, expected)
 
@@ -170,7 +183,7 @@ class TestStretch:
     @pytest.mark.parametrize("n, n_arms, n_turns", [(5, 10, 7), (20, 25, 32), (3, 2, 1), (1, 3, 4)])
     def test_a_stretch_delivers_the_sum_of_its_turns(self, n, n_arms, n_turns):
         # one-way reach matrices, read as sender rows, so a receiver mixed up with a
-        # sender shows, in the stretch branch and in the one-turn branch alike
+        # sender shows, in a stretch and in a row turn alike
         rng = np.random.default_rng(26)
         for _ in range(20):
             reach = (rng.random((n_turns, n, n)) < 0.4) | np.eye(n, dtype=bool)
@@ -180,13 +193,13 @@ class TestStretch:
             disseminate(stretch, reach, choices, realized)
             turns = np.zeros((n, 3 * n_arms))
             for t in range(n_turns):
-                disseminate(turns, reach[t][None], choices[t][None], realized[t][None])
+                disseminate(turns, reach[t], choices[t], realized[t])
             assert np.array_equal(stretch, turns)
             expected = sum(reference_tallies(r, c, w, n_arms) for r, c, w in zip(reach, choices, realized))
             assert np.array_equal(stretch, expected)
-            # the first turn twice is a stretch: both branches read its one-way matrix alike
+            # the first turn twice is a stretch: it and the row read its one-way matrix alike
             once, twice = np.zeros((n, 3 * n_arms)), np.zeros((n, 3 * n_arms))
-            disseminate(once, reach[:1], choices[:1], realized[:1])
+            disseminate(once, reach[0], choices[0], realized[0])
             disseminate(twice, reach[[0, 0]], choices[[0, 0]], realized[[0, 0]])
             assert np.array_equal(twice, 2 * once)
 
@@ -201,7 +214,7 @@ class TestStretch:
         disseminate(stretch, reach, choices, realized)
         turns = np.full((n, 3 * n_arms), 2.0**40)
         for t in range(n_turns):
-            disseminate(turns, reach[t][None], choices[t][None], realized[t][None])
+            disseminate(turns, reach[t], choices[t], realized[t])
         assert np.array_equal(stretch, turns)
         assert (stretch[:, [1, n_arms + 1]] == 2.0**40 + n_turns * n).all()
 

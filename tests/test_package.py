@@ -9,8 +9,9 @@ import inspect
 import os
 import subprocess
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 
+import numpy as np
 import pytest
 
 import gossip_bandits
@@ -51,10 +52,10 @@ def test_runner_exposes_the_layers_looked_up_by_name():
 
 def test_runner_calls_the_patched_names_at_run_time(monkeypatch):
     # the traced bench run wraps the policy, counts env_step and disseminate
-    # per stretch, and its memory probe reads the heap at build_run_record: a
+    # per call, and its memory probe reads the heap at build_run_record: a
     # call that bypassed the module globals would drop its layer from the trace
     runner = gossip_bandits.runner
-    calls, rows, longest = Counter(), Counter(), Counter()
+    calls, rows, longest, ranks = Counter(), Counter(), Counter(), defaultdict(set)
 
     def counted(name):
         fn = getattr(runner, name)
@@ -62,9 +63,11 @@ def test_runner_calls_the_patched_names_at_run_time(monkeypatch):
         def wrapper(*args, **kwargs):
             calls[name] += 1
             if name in ("env_step", "disseminate"):
-                turns = len(args[0] if name == "env_step" else args[2])  # the stretch's choices
+                chosen = args[0] if name == "env_step" else args[2]  # the turn's or the stretch's arms
+                turns = 1 if chosen.ndim == 1 else len(chosen)  # a row is one turn
                 rows[name] += turns
                 longest[name] = max(longest[name], turns)
+                ranks[name].add(tuple(arg.ndim for arg in args if isinstance(arg, np.ndarray)))
             return fn(*args, **kwargs)
 
         return wrapper
@@ -74,28 +77,34 @@ def test_runner_calls_the_patched_names_at_run_time(monkeypatch):
     config = gossip_bandits.ExperimentConfig(turns=50, repetitions=1)
     runner.run_episode(config, 0.5, 1, (50,))
     assert calls["make_policy"] == 1
-    # every turn is played once: the stretches' rows add up to the horizon
+    # every turn is played once: the calls' turns add up to the horizon
     assert calls["env_step"] == calls["disseminate"]
     assert rows["env_step"] == rows["disseminate"] == config.turns
     assert calls["build_run_record"] >= 1
     # the runner alone sizes a stretch, and caps it by the block's reach, which bounds
     # the stretch's working set: at alpha 1 the random policy's turns take the
     # constant graph's cap, and at alpha 0.5 the drawn cap; a learning rule plays
-    # one turn per call, its 30-turn sweep included
+    # one turn per call, its 30-turn sweep included, and hands the kernels rows:
+    # its (N,) arms, (S,) realizations, (N, N) reach and (N,) rewards
     dense = gossip_bandits.ExperimentConfig(algorithm="random", n_players=20, means=(0.5,) * 25,
                                              turns=1000, repetitions=1)
     wide = gossip_bandits.ExperimentConfig(algorithm="egreedy", n_players=20, means=(0.5,) * 30,
                                            turns=100, repetitions=1)
     assert (stretch_cap(20, 25, 1.0), stretch_cap(20, 25, 0.5)) == (262, 21)
-    for config, alpha, most_calls, most_turns in ((dense, 1.0, 5, 262), (dense, 0.5, dense.turns // 10, 21),
-                                                  (wide, 0.5, wide.turns, 1)):
+    stretch_ranks = {"env_step": {(2, 2)}, "disseminate": {(2, 3, 2, 2)}}
+    row_ranks = {"env_step": {(1, 1)}, "disseminate": {(2, 2, 1, 1)}}
+    for config, alpha, most_calls, most_turns, kernel_ranks in (
+            (dense, 1.0, 5, 262, stretch_ranks), (dense, 0.5, dense.turns // 10, 21, stretch_ranks),
+            (wide, 0.5, wide.turns, 1, row_ranks), (wide, 1.0, wide.turns, 1, row_ranks)):
         calls.clear()
         rows.clear()
         longest.clear()
+        ranks.clear()
         runner.run_episode(config, alpha, 1, (config.turns,))
         assert calls["env_step"] == calls["disseminate"] <= most_calls
         assert rows["env_step"] == rows["disseminate"] == config.turns
         assert longest["env_step"] == longest["disseminate"] == most_turns
+        assert ranks == kernel_ranks, (config.algorithm, alpha)
 
 
 @pytest.mark.parametrize("entry", ["sweep_alpha", "regret_vs_turns"])

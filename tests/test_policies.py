@@ -24,7 +24,7 @@ from oracles import (
     mix_by_dropping,
     random_simplex_points,
 )
-from support import LAYOUTS, layouts, simulate_episode, stretch_cap
+from support import LAYOUTS, layouts, select_turn, simulate_episode, stretch_cap
 
 MU_SPREAD = (0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.01)
 POLICIES = ["ucb1", "egreedy", "thompson", "asympopt", "random"]
@@ -72,7 +72,7 @@ def skip_sweep(policy):
 
 def picks(policy, turns):
     """(turns, players) choices of ``turns`` selections."""
-    return np.array([policy.select(1)[0] for _ in range(turns)])
+    return np.array([select_turn(policy) for _ in range(turns)])
 
 
 class TestSharedTallies:
@@ -81,7 +81,7 @@ class TestSharedTallies:
         policy, tallies = episode(name, 4, n_players=3)
         reach = np.ones((3, 3), dtype=bool)
         for _ in range(20):
-            choices = np.array(policy.select(1)[0])
+            choices = np.array(select_turn(policy))
             before = tallies.copy()
             disseminate(tallies, reach[None], choices[None], (choices % 2)[None])
             assert (tallies - before)[:, :4].sum() == 9
@@ -89,7 +89,7 @@ class TestSharedTallies:
             assert np.array_equal(policy.counts, tallies[:, :4])
             assert np.array_equal(policy.successes, tallies[:, 4:8])
         snapshot = tallies.copy()
-        policy.select(1)[0]
+        select_turn(policy)
         assert np.array_equal(tallies, snapshot)
 
     @pytest.mark.parametrize("name", POLICIES)
@@ -108,7 +108,7 @@ class TestSharedTallies:
             policy = make_policy(cfg, tallies, np.random.default_rng(41))
             chosen = []
             for _ in range(200):
-                arms = policy.select(1)[0]
+                arms = select_turn(policy)
                 chosen.append(arms)
                 # each player's own report, the same whole numbers in either dtype
                 report_own(tallies, arms)
@@ -194,9 +194,9 @@ class TestArgmaxRandomTie:
 class TestUcb1:
     def test_init_phase_sweeps_arms_in_order(self):
         pol, _ = episode("ucb1", 10, n_players=3)
-        assert [pol.select(1)[0].tolist() for _ in range(4)] == [[0, 0, 0], [1, 1, 1], [2, 2, 2], [3, 3, 3]]
+        assert [pol.select().tolist() for _ in range(4)] == [[0, 0, 0], [1, 1, 1], [2, 2, 2], [3, 3, 3]]
         assert len(pol.sweep) == 6
-        assert pol.select(1)[0].tolist() == [4, 4, 4]
+        assert pol.select().tolist() == [4, 4, 4]
         assert len(pol.sweep) == 5
 
     def test_random_init_order_is_a_permutation(self):
@@ -216,7 +216,7 @@ class TestUcb1:
         assert bonus == pytest.approx(1.1774100225154747)
         pol, tallies = episode("ucb1", 2)
         prime(tallies, counts=[1, 1], successes=[1, 0])
-        assert skip_sweep(pol).select(1)[0].tolist() == [0]
+        assert skip_sweep(pol).select().tolist() == [0]
         # each row's bonus uses its own total: row 1 prefers its least-pulled arm
         pol, tallies = episode("ucb1", 3, n_players=2)
         prime(tallies, counts=[[1, 1, 1], [4, 1, 2]], successes=[[1, 0, 0], [3, 0, 1]])
@@ -225,7 +225,7 @@ class TestUcb1:
             int(np.argmax(s / c + np.sqrt(2.0 * np.log(c.sum()) / c)))
             for c, s in zip(counts, successes)
         ]
-        assert skip_sweep(pol).select(1)[0].tolist() == expected == [0, 1]
+        assert skip_sweep(pol).select().tolist() == expected == [0, 1]
 
     def test_symmetric_tie_selects_uniformly(self):
         pol, tallies = episode("ucb1", 3, n_players=2, seed=34)
@@ -242,12 +242,12 @@ class TestEpsilonGreedy:
     def test_pure_greedy(self):
         pol, tallies = episode("egreedy", 3, n_players=2, epsilon0=0.0)
         prime(tallies, counts=[10, 10, 10], successes=[[1, 9, 3], [5, 1, 3]])
-        assert all(skip_sweep(pol).select(1)[0].tolist() == [1, 0] for _ in range(100))
+        assert all(skip_sweep(pol).select().tolist() == [1, 0] for _ in range(100))
 
     def test_unseen_arms_read_mean_zero(self):
         pol, tallies = episode("egreedy", 3, epsilon0=0.0)
         prime(tallies, counts=[4, 0, 0], successes=[1, 0, 0])
-        assert all(skip_sweep(pol).select(1)[0].tolist() == [0] for _ in range(100))
+        assert all(skip_sweep(pol).select().tolist() == [0] for _ in range(100))
 
     def test_pure_exploration_is_uniform(self):
         pol, _ = episode("egreedy", 5, n_players=2, seed=35, epsilon0=1.0, decay=0.9999999)
@@ -260,12 +260,12 @@ class TestEpsilonGreedy:
     def test_decay_is_geometric_in_selections(self):
         pol, _ = episode("egreedy", 4, n_players=2, seed=2, epsilon0=1.0, decay=0.9)
         for _ in range(3):
-            pol.select(1)[0]
+            pol.select()
         assert pol.epsilon == 1.0 * 0.9 * 0.9 * 0.9  # 0.729 up to float repr
 
         expected = pol.epsilon
         for _ in range(37):
-            pol.select(1)[0]
+            pol.select()
             expected *= 0.9
         assert pol.epsilon == expected
 
@@ -505,7 +505,7 @@ class TestAsympOpt:
             counts = data.integers(30, size=(n_players, n_arms))
             prime(tallies, counts, data.binomial(counts, data.random(n_arms)))
             replay = copy.deepcopy(pol.rng)
-            chosen = pol.select(1)[0]
+            chosen = pol.select()
             means = np.maximum(pol.successes / np.maximum(pol.counts, 1), pol.config.mean_floor)
             mix = mix_probabilities(means, n_players)
             cdf = mix.cumsum(axis=1)
@@ -518,7 +518,7 @@ class TestAsympOpt:
         pol, _ = episode("asympopt", 5, n_players=2, seed=47, epsilon0=1.0, decay=0.995)
         expected = 1.0
         for _ in range(25):
-            pol.select(1)[0]
+            pol.select()
             expected *= 0.995
         assert pol.epsilon == expected
 
@@ -550,25 +550,25 @@ class TestUniformRandom:
 class TestStretches:
     def test_the_sweep_is_served_one_row_per_select(self):
         pol, _ = episode("egreedy", 10, n_players=3)
-        for arm, limit in enumerate((4, 1, 100, 7, 2, 1, 50, 3, 9, 1)):
-            assert pol.select(limit).tolist() == [[arm] * 3], limit
+        for arm in range(10):
+            assert pol.select().tolist() == [arm] * 3, arm
             assert len(pol.sweep) == 9 - arm
-        # nothing left decided: one turn of the rule itself
-        assert pol.select(100).shape == (1, 3)
+        # nothing left decided: one turn of the rule itself, a row
+        assert pol.select().shape == (3,)
 
     @pytest.mark.parametrize("name", POLICIES)
     def test_stretches_select_what_single_turns_do(self, name):
-        # a learning rule returns one turn whatever the limit, and ε decays once
-        # per select; every turn's own reports reach both twins before either
-        # chooses again
+        # the random policy returns the limit's turns, a learning rule one row
+        # with no limit, and ε decays once per select; every turn's own reports
+        # reach both twins before either chooses again
         limits = np.random.default_rng(8).integers(1, 40, size=60)
         fields = dict(n_players=3, seed=5, init_order="random", epsilon0=1.0, decay=0.9)
         (stretched, stretched_tallies), (single, single_tallies) = (episode(name, 6, **fields) for _ in range(2))
         for limit in limits.tolist():
-            arms = stretched.select(limit)
-            assert len(arms) == (limit if name == "random" else 1)
+            arms = stretched.select(limit) if name == "random" else stretched.select()[None]
+            assert arms.shape == (limit if name == "random" else 1, 3)
             for row in arms:
-                assert np.array_equal(row, single.select(1)[0])
+                assert np.array_equal(row, select_turn(single))
                 for tallies in (stretched_tallies, single_tallies):
                     report_own(tallies, row)
             assert stretched.epsilon == single.epsilon
@@ -587,7 +587,7 @@ def drive(policy, tallies, turns=200):
     obs_rng = np.random.default_rng(777)
     chosen = []
     for _ in range(turns):
-        chosen.append(policy.select(1)[0])
+        chosen.append(select_turn(policy))
         disseminate(tallies, np.ones((n_players, n_players), dtype=bool)[None],
                     obs_rng.integers(n_arms, size=n_players)[None], obs_rng.integers(2, size=n_players)[None])
     return np.array(chosen)

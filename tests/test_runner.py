@@ -115,11 +115,13 @@ class TestRunEpisode:
 # N=20, S=25 cross a 609-turn block, and 7000 turns at N=5, S=10 a 6553-turn
 # one.  The random policy's 262-turn stretches on a constant graph are cut by
 # both block ends of 1250 turns, 85 turns after a stretch began; its 21-turn
-# drawn stretches fill a 609-turn block exactly, and the 6553-turn block cuts
-# a 218-turn drawn stretch at N=5, S=10 13 turns after it began
+# drawn stretches fill a 609-turn block exactly, while at N=20, S=24 a 612-turn
+# block ends on an 18-turn drawn stretch, cut short of its 22-turn cap, and the
+# 6553-turn block cuts a 218-turn drawn stretch at N=5, S=10 13 turns after it began
 PER_TURN_CASES = {
     (3, 5, 301): (0.0, 0.5, 1.0),
     (20, 25, 700): (0.0, 0.5, 1.0),
+    (20, 24, 700): (0.5,),
     (20, 25, 1250): (0.0, 0.5, 1.0),
     (5, 10, 7000): (0.5,),
 }
