@@ -19,18 +19,19 @@ stream ends in the state the draw leaves it in (O'Neill, "PCG: A Family
 of Simple Fast Space-Efficient Statistically Good Algorithms for Random
 Number Generation", 2014).
 
-Reports land in one shared (N, 3S) tally matrix of three halves, S
-columns each: the first counts every (arm) report a player has heard,
-the second the successes among them and the third the failures.  A
-turn's delivery is the product ``reach.T @ reports``, where row j of
-``reports`` is player j's one-hot arm followed by the same one-hot
-times the reward it received and times one minus it.  Duplicate reports
-(two neighbours on one arm) are kept, and a collision loser reports its
-0.  ``disseminate`` delivers a row turn, a learning rule's, as one
-product of its (N, N) reach's transpose with its (N, 3S) reports, and a
-stretch of k turns, the random policy's, at once, as one product of the
+Reports land in one shared (N, 2S) tally matrix: row p holds
+``[s_0, f_0, s_1, f_1, ...]``, the successes and failures of each arm
+that player p has heard, so a report adds exactly one 1, at column
+2·arm for a success and 2·arm + 1 for a failure.  No count is stored:
+an arm's count is its successes plus its failures.  A turn's delivery
+is the product ``reach.T @ reports``, where row j of ``reports`` is
+player j's report as that one-hot row.  Duplicate reports (two
+neighbours on one arm) are kept, and a collision loser reports its 0.
+``disseminate`` delivers a row turn, a learning rule's, as one product
+of its (N, N) reach's transpose with its (N, 2S) reports, and a stretch
+of k turns, the random policy's, at once, as one product of the
 (N, k·N) transpose of all its turns' (k·N, N) sender rows with their
-(k·N, 3S) reports: the sum of the turns' products.  A drawn block is
+(k·N, 2S) reports: the sum of the turns' products.  A drawn block is
 C-ordered, so a row's reach and a stretch's sender rows are views of it.
 When one graph G holds for every turn of a stretch, a reach view of turn
 stride 0, the sum is Σₜ Gᵀ Rₜ = Gᵀ Σₜ Rₜ: the players' report rows are
@@ -57,7 +58,7 @@ from functools import lru_cache
 import numpy as np
 
 # Bytes one stretch's per-turn arrays may take, about 256 KiB: a drawn block's
-# (N, 3S) float64 report rows, 21 turns at N=20, S=25, or a constant graph's
+# (N, 2S) float64 report rows, 32 turns at N=20, S=25, or a constant graph's
 # (S + 5N) int64 or float64 collision and index values, 262 turns.
 STRETCH_BYTES = 1 << 18
 
@@ -70,7 +71,7 @@ def _one_graph(reach: np.ndarray) -> bool:
 def stretch_turns(reach: np.ndarray, n_arms: int) -> int:
     """Turns in one stretch of the (turns, N, N) block ``reach``, at least one.
 
-    A drawn block's stretch holds ``STRETCH_BYTES`` of (N, 3S) float64
+    A drawn block's stretch holds ``STRETCH_BYTES`` of (N, 2S) float64
     report rows.  A constant graph's stretch builds none: it holds
     ``STRETCH_BYTES`` of what its turns do build, S float64 collision
     maxima and 5N int64 or float64 values per turn (``env_step``'s keys,
@@ -78,7 +79,7 @@ def stretch_turns(reach: np.ndarray, n_arms: int) -> int:
     ``bincount`` indices).
     """
     n_players = reach.shape[-1]
-    per_turn = 8 * (n_arms + 5 * n_players) if _one_graph(reach) else 24 * n_players * n_arms
+    per_turn = 8 * (n_arms + 5 * n_players) if _one_graph(reach) else 16 * n_players * n_arms
     return max(1, STRETCH_BYTES // per_turn)
 
 
@@ -134,12 +135,11 @@ def _pair_columns(n_players: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _report_rows(n_arms: int) -> np.ndarray:
-    """(arm, reward) -> one float64 report row: one-hot arm, then times reward, then times 1 - reward."""
-    rows = np.zeros((n_arms, 2, 3 * n_arms))
-    arms = np.arange(n_arms)
-    rows[arms, :, arms] = 1
-    rows[arms, 1, n_arms + arms] = 1
-    rows[arms, 0, 2 * n_arms + arms] = 1
+    """Read-only (S, 2, 2S) table: ``[arm, reward]`` is that report's one-hot float64 row.
+
+    A success, reward 1, sets column 2·arm and a failure column 2·arm + 1.
+    """
+    rows = np.ascontiguousarray(np.eye(2 * n_arms).reshape(n_arms, 2, 2 * n_arms)[:, ::-1])
     rows.flags.writeable = False
     return rows
 
@@ -152,8 +152,8 @@ def disseminate(
 ) -> None:
     """Add every (arm, reward) report of a row turn or a stretch to the tallies of all it reaches.
 
-    ``tallies`` is the (N, 3S) float64 matrix, added to in place: a
-    report adds one to its arm's count and to its success or its failure.
+    ``tallies`` is the (N, 2S) float64 matrix, added to in place: a
+    report adds one to its arm's success or to its failure.
     A row turn gives its (N, N) boolean or 0/1 reach matrix, its (N,)
     integer arms and its (N,) rewards; a stretch of k turns its (k, N, N)
     matrices, (k, N) arms and (k, N) rewards.  Reach is read in sender
@@ -162,25 +162,24 @@ def disseminate(
     which are converted to integers once: a reward indexes the
     report-row table and never masks it.  Any layout is accepted, strided
     and transposed views included; the reshapes to (k·N, N) sender rows
-    and (k·N, 3S) report rows copy an operand that is not C-ordered.
+    and (k·N, 2S) report rows copy an operand that is not C-ordered.
     When a stretch's ``reach`` has turn stride 0, as ``sample_reach``
     returns at ``alpha`` 0 or 1, one graph G holds for every turn and the
     stretch is delivered as Gᵀ Σₜ Rₜ: one ``np.bincount`` counts how
     often each player sent each row ``2·arm + reward`` of the table's
-    flat (2S, 3S) view, and those (N, 2S) counts times the table are the
+    flat (2S, 2S) view, and those (N, 2S) counts times the table are the
     players' summed report rows.  Every other stretch, and every row
     turn whatever the strides of its (N, N) reach, takes its report rows
     from the table by (arm, reward), which costs less than a ``bincount``
     for one turn.
     """
     n_players, width = tallies.shape
-    table = _report_rows(width // 3)
-    kinds = 2 * len(table)  # the table's (arm, reward) rows
+    table = _report_rows(width // 2)
     realized = realized.astype(np.intp, copy=False)  # the rewards index the row table, never mask it
     if choices.ndim == 2 and _one_graph(reach):  # deliver the players' summed rows once
-        sent = 2 * choices + realized + np.arange(0, n_players * kinds, kinds)
-        counts = np.bincount(sent.ravel(), minlength=n_players * kinds)
-        reports = np.dot(counts.reshape(n_players, kinds), table.reshape(kinds, width))
+        sent = 2 * choices + realized + np.arange(0, n_players * width, width)
+        counts = np.bincount(sent.ravel(), minlength=n_players * width)
+        reports = np.dot(counts.reshape(n_players, width), table.reshape(width, width))
         reach = reach[:1]
     else:
         reports = table[choices, realized]

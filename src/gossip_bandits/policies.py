@@ -2,11 +2,12 @@
 
 All N players run the same algorithm, so an episode builds one policy
 from its validated ``ExperimentConfig``, the only place the knobs are
-checked, and reads them from it.  It reads the shared (N, 3S) tally matrix
-that the network layer writes: row p holds how many reports of each arm
-player p has heard, then how many of them were successes, then how many
-failures, its own pulls and its neighbours' reports counted alike.  It
-never writes the tallies.
+checked, and reads them from it.  It reads the shared (N, 2S) tally matrix
+that the network layer writes: row p holds ``[s_0, f_0, s_1, f_1, ...]``,
+the successes and failures of each arm that player p has heard, its own
+pulls and its neighbours' reports counted alike.  An arm's count is its
+successes plus its failures; no count is stored.  It never writes the
+tallies.
 They are float64 whole-number counts, float so that the network layer
 delivers a turn with a BLAS product over its boolean reach matrix, and
 exact below 2**53, so every rule reads the same numbers as from integers.
@@ -110,8 +111,8 @@ def mix_probabilities(mu: np.ndarray, n_players: int) -> np.ndarray:
 class Policy:
     """Every player's selection for one episode, from the shared tallies.
 
-    ``counts`` and ``successes`` are the first two (N, S) halves of the
-    tally matrix; only Thompson reads the third, the failures.  A policy
+    ``successes`` and ``failures`` are (N, S) views of the tally matrix's
+    even and odd columns; a rule that needs a count adds them.  A policy
     that sweeps first pulls each arm once before its own rule: in arm
     order, or with ``init_order="random"`` in a permutation per player,
     drawn at construction.  Reports heard during the sweep
@@ -126,7 +127,7 @@ class Policy:
         self.config = config
         self.epsilon = config.epsilon0
         self.n_arms = n_arms = config.n_arms
-        self.counts, self.successes = tallies[:, :n_arms], tallies[:, n_arms:2 * n_arms]
+        self.successes, self.failures = tallies[:, 0::2], tallies[:, 1::2]
         self.rng = rng
         self.sweep = np.empty((0, len(tallies)), dtype=np.int64)  # sweep turns not yet played
         if self.sweeps_first:
@@ -169,7 +170,7 @@ class Ucb1Policy(Policy):
 
     def choose(self) -> np.ndarray:
         # the sweep's own reports make every count positive from here on
-        counts = self.counts
+        counts = self.successes + self.failures
         total = counts.sum(axis=1, keepdims=True)
         index = self.successes / counts + np.sqrt(2.0 * np.log(total) / counts)
         return argmax_rows(index, self.rng)
@@ -180,7 +181,7 @@ class EpsilonGreedyPolicy(Policy):
 
     def choose(self) -> np.ndarray:
         # unseen arms read mean 0: their successes are 0 too
-        means = self.successes / np.maximum(self.counts, 1)
+        means = self.successes / np.maximum(self.successes + self.failures, 1)
         return self.explore(argmax_rows(means, self.rng))
 
 
@@ -199,16 +200,16 @@ class ThompsonPolicy(Policy):
     and none reaches ``choose``: the sweep pulls every arm once, and a
     player always hears its own report.
 
-    ``outcomes`` is an (N, S, 2) view of the tallies' success and failure
-    halves, each arm's pair side by side in the order ``standard_gamma``
-    draws them, so the shapes are one add away.
+    ``outcomes`` is the tallies as an (N, S, 2) C-ordered view, each
+    arm's (successes, failures) side by side in the order
+    ``standard_gamma`` draws them, so the shapes are one add away.
     """
 
     def __init__(self, config: ExperimentConfig, tallies: np.ndarray, rng: np.random.Generator):
         super().__init__(config, tallies, rng)
         n_players, n_arms = len(tallies), self.n_arms
         # copy=False: a copy would not follow the live tallies
-        self.outcomes = tallies[:, n_arms:].reshape(n_players, 2, n_arms, copy=False).transpose(0, 2, 1)
+        self.outcomes = tallies.reshape(n_players, n_arms, 2, copy=False)
         self.shapes = np.empty((n_players, n_arms, 2))  # (successes + 1, failures + 1) per arm
 
     def choose(self) -> np.ndarray:
@@ -233,7 +234,7 @@ class AsympOptPolicy(Policy):
     def choose(self) -> np.ndarray:
         config = self.config
         # unseen arms read mean 0, so they clamp to the floor too
-        means = np.maximum(self.successes / np.maximum(self.counts, 1), config.mean_floor)
+        means = np.maximum(self.successes / np.maximum(self.successes + self.failures, 1), config.mean_floor)
         cdf = mix_probabilities(means, config.n_players).cumsum(axis=1)
         # scaled to the row's total, a uniform stays below its last cumulative
         # mass, and the first arm whose mass exceeds it has positive probability;
@@ -262,7 +263,7 @@ class UniformRandomPolicy(Policy):
     sweeps_first = False
 
     def select(self, limit: int) -> np.ndarray:
-        return self.rng.integers(self.n_arms, size=(limit, len(self.counts)))
+        return self.rng.integers(self.n_arms, size=(limit, len(self.successes)))
 
 
 _KINDS = {

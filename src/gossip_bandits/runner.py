@@ -6,12 +6,12 @@ realizations (turns, S) and graph reach matrices (turns, N, N), each from
 its own substream of the episode seed, which carries on from the previous
 block.  A block is ``BLOCK_BYTES`` of float64 uniforms, arm and graph
 draws together, rounded down to whole turns.  The players share one
-(N, 3S) tally matrix for the whole episode, of float64 whole-number
-counts: each row's reports per arm, then its successes, then its
-failures.  Delivering a turn is a BLAS product (see ``network``); the
-reach matrices stay boolean.  There are no per-player objects: one
-policy, built once per episode, reads the whole matrix and returns every
-player's choices.  A learning rule plays one turn at a time, as a row:
+(N, 2S) tally matrix for the whole episode, of float64 whole-number
+counts: row p holds ``[s_0, f_0, s_1, f_1, ...]``, the successes and
+failures of each arm that player p has heard.  Delivering a turn is a
+BLAS product (see ``network``); the reach matrices stay boolean.  There
+are no per-player objects: one policy, built once per episode, reads the
+whole matrix and returns every player's choices.  A learning rule plays one turn at a time, as a row:
 its ``select()`` returns the (N,) arms, its sweep's next row or its
 rule's choice, and the turn's realizations, reach matrix and arms go to
 ``env_step`` and ``disseminate`` as rows too, one call each per turn.
@@ -25,7 +25,7 @@ builds.  ``env_step`` pays the stretch's realizations and
 call each per stretch.  The runner picks the loop from the policy it
 built.
 ``episode_blocks`` yields each block's choices (turns, N) and
-realizations (turns, S) with the live tallies (N, 3S).  The rewards the
+realizations (turns, S) with the live tallies (N, 2S).  The rewards the
 players received go from ``env_step`` straight to ``disseminate`` and
 are not kept; replaying ``env_step`` on the ``env-winners`` substream
 rebuilds them.  ``run_episode`` hands each block, with the config's
@@ -125,7 +125,7 @@ def episode_blocks(
     n_players, n_turns, block = config.n_players, config.turns, block_turns(config)
     arm_rng, graph_rng = substream(seed, "env-arms"), substream(seed, "graph")
     winner_rng = substream(seed, "env-winners")
-    tallies = np.zeros((n_players, 3 * config.n_arms), dtype=np.float64)
+    tallies = np.zeros((n_players, 2 * config.n_arms), dtype=np.float64)
     policy = make_policy(config, tallies, substream(seed, "players"))
     for first in range(0, n_turns, block):
         length = min(block, n_turns - first)

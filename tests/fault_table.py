@@ -61,14 +61,13 @@ class Fault(NamedTuple):
 FAULTS = (
     Fault(
         "thompson_posterior", "src/gossip_bandits/policies.py",
-        "tallies[:, n_arms:].reshape(n_players, 2, n_arms, copy=False).transpose(0, 2, 1)",
-        "tallies[:, :2 * n_arms].reshape(n_players, 2, n_arms, copy=False)[:, ::-1].transpose(0, 2, 1)",
-        "Thompson samples Beta(s + 1, counts + 1), not Beta(s + 1, failures + 1)",
+        "np.add(self.outcomes, 1.0, out=self.shapes)", "np.add(self.outcomes.cumsum(axis=2), 1.0, out=self.shapes)",
+        "Thompson samples Beta(s + 1, s + f + 1), counts for failures, not Beta(s + 1, f + 1)",
     ),
     Fault(
         "thompson_shapes_swapped", "src/gossip_bandits/policies.py",
-        "tallies[:, n_arms:].reshape(n_players, 2, n_arms, copy=False).transpose(0, 2, 1)",
-        "tallies[:, n_arms:].reshape(n_players, 2, n_arms, copy=False)[:, ::-1].transpose(0, 2, 1)",
+        "tallies.reshape(n_players, n_arms, 2, copy=False)",
+        "tallies.reshape(n_players, n_arms, 2, copy=False)[..., ::-1]",
         "Thompson samples Beta(f + 1, s + 1): the two shapes swap places",
     ),
     Fault(
@@ -168,14 +167,14 @@ FAULTS = (
     ),
     Fault(
         "mean_floor_ignored", "src/gossip_bandits/policies.py",
-        "np.maximum(self.successes / np.maximum(self.counts, 1), config.mean_floor)",
-        "self.successes / np.maximum(self.counts, 1)",
+        "np.maximum(self.successes / np.maximum(self.successes + self.failures, 1), config.mean_floor)",
+        "self.successes / np.maximum(self.successes + self.failures, 1)",
         "asympopt does not clamp its observed means at mean_floor",
     ),
     Fault(
         "random_chunk_transposed", "src/gossip_bandits/policies.py",
-        "self.rng.integers(self.n_arms, size=(limit, len(self.counts)))",
-        "self.rng.integers(self.n_arms, size=(len(self.counts), limit)).T",
+        "self.rng.integers(self.n_arms, size=(limit, len(self.successes)))",
+        "self.rng.integers(self.n_arms, size=(len(self.successes), limit)).T",
         "the random policy draws its turns (N, turns) and transposes them",
     ),
     Fault(
@@ -220,8 +219,8 @@ FAULTS = (
     ),
     Fault(
         "constant_graph_drawn_cap", "src/gossip_bandits/network.py",
-        "    per_turn = 8 * (n_arms + 5 * n_players) if _one_graph(reach) else 24 * n_players * n_arms\n",
-        "    per_turn = 24 * n_players * n_arms\n",
+        "    per_turn = 8 * (n_arms + 5 * n_players) if _one_graph(reach) else 16 * n_players * n_arms\n",
+        "    per_turn = 16 * n_players * n_arms\n",
         "a constant-graph block is cut into stretches sized by report rows it never builds",
     ),
     Fault(

@@ -14,6 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
+from support import failures_of, new_tallies, successes_of
+
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the probability simplex (sort-based)."""
@@ -143,17 +145,14 @@ def reference_tallies(reach, choices, realized, n_arms: int) -> np.ndarray:
     """One turn's report-by-report delivery, the reference for ``network.disseminate``.
 
     Every receiver tallies each sender whose row of the (N, N) sender-row
-    ``reach`` reaches it, once per unit of the entry: the sender's arm in
-    the count half, its reward in the success half and one minus it in the
-    failure half.
+    ``reach`` reaches it, once per unit of the entry: a success of the
+    sender's arm if its reward is 1, else a failure.
     """
     n = len(choices)
-    tallies = np.zeros((n, 3 * n_arms), dtype=np.int64)
+    tallies = new_tallies(n, n_arms, dtype=np.int64)
     for receiver in range(n):
         for sender in range(n):
-            won = int(realized[sender])
+            heard = successes_of(tallies) if realized[sender] else failures_of(tallies)
             for _ in range(int(reach[sender, receiver])):
-                tallies[receiver, choices[sender]] += 1
-                tallies[receiver, n_arms + choices[sender]] += won
-                tallies[receiver, 2 * n_arms + choices[sender]] += 1 - won
+                heard[receiver, choices[sender]] += 1
     return tallies

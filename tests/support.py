@@ -12,13 +12,32 @@ from gossip_bandits.network import disseminate, stretch_turns
 from gossip_bandits.policies import UniformRandomPolicy, make_policy
 from gossip_bandits.rng import substream
 from gossip_bandits.runner import _FIELD_TYPES, CSV_COLUMNS, AggregateRecord, episode_blocks
-from oracles import best_subset_reward
 
 SERIES = RunRecord._fields
 
 
+def new_tallies(n_players: int, n_arms: int, fill: float = 0.0, dtype=np.float64) -> np.ndarray:
+    """An (N, 2S) tally matrix, every entry ``fill``: row p holds ``[s_0, f_0, s_1, f_1, ...]``."""
+    return np.full((n_players, 2 * n_arms), fill, dtype=dtype)
+
+
+def successes_of(tallies: np.ndarray) -> np.ndarray:
+    """The (..., S) successes each row has heard of each arm: a view of the even columns."""
+    return tallies[..., 0::2]
+
+
+def failures_of(tallies: np.ndarray) -> np.ndarray:
+    """The (..., S) failures each row has heard of each arm: a view of the odd columns."""
+    return tallies[..., 1::2]
+
+
+def counts_of(tallies: np.ndarray) -> np.ndarray:
+    """The (..., S) reports each row has heard of each arm: its successes plus its failures."""
+    return successes_of(tallies) + failures_of(tallies)
+
+
 def simulate_episode(config, alpha: float, seed: int):
-    """The engine's blocks joined: choices (turns, N), realizations (turns, S), final tallies (N, 3S)."""
+    """The engine's blocks joined: choices (turns, N), realizations (turns, S), final tallies (N, 2S)."""
     choices, rewards, tallies = zip(*episode_blocks(config, alpha, seed))
     return np.concatenate(choices), np.concatenate(rewards), tallies[-1]
 
@@ -28,7 +47,7 @@ def stretch_cap(n_players: int, n_arms: int, alpha: float) -> int:
 
     At ``alpha`` 0 or 1 the block is one graph broadcast over its turns, turn
     stride 0, as ``sample_reach`` returns it; otherwise its turns are stored
-    one after another, and a stretch is capped by its (N, 3S) float64 report
+    one after another, and a stretch is capped by its (N, 2S) float64 report
     rows.  The stand-in block stores one or two bytes whatever N is.
     """
     stored = 1 if alpha in (0.0, 1.0) else 2
@@ -77,7 +96,7 @@ def reference_episode(config, alpha: float, seed: int):
     arm_rng, graph_rng, winner_rng, players = (
         substream(seed, tag) for tag in ("env-arms", "graph", "env-winners", "players"))
     first, second = np.triu_indices(n_players, k=1)
-    tallies = np.zeros((n_players, 3 * n_arms), dtype=np.float64)
+    tallies = new_tallies(n_players, n_arms)
     policy = make_policy(config, tallies, players)
     choices = np.empty((turns, n_players), dtype=np.int64)
     rewards = np.empty((turns, n_arms), dtype=bool)
@@ -132,6 +151,8 @@ def per_turn_terms(choices, rewards, means) -> dict[str, list]:
     The baseline is the subset-enumeration oracle, and reward and loss are
     summed independently over the occupied and unoccupied arms.
     """
+    from oracles import best_subset_reward  # imported here: the oracles read the tally layout from this module
+
     best = best_subset_reward(means, len(choices[0]))
     terms: dict[str, list] = {name: [] for name in SERIES}
     for turn_choices, arm_rewards in zip(choices, rewards):

@@ -27,7 +27,7 @@ from oracles import (
     random_simplex_points,
 )
 from gossip_bandits.policies import mix_probabilities
-from support import simulate_episode
+from support import counts_of, simulate_episode, successes_of
 
 MU_SPREAD = (0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.01)
 MU_CLUSTERED = (0.7, 0.68, 0.66, 0.64, 0.62, 0.4, 0.38, 0.36, 0.34, 0.32)
@@ -236,12 +236,12 @@ def test_criterion_10_payouts_conserve_reward():
             algorithm=algorithm, means=MU_SPREAD, alphas=alphas,
             turns=turns, repetitions=reps, base_seed=108,
         )
-        n_players, n_arms = cfg.n_players, cfg.n_arms
+        n_players = cfg.n_players
         for alpha_index, alpha in enumerate(alphas):
             for r in range(reps):
                 choices, rewards, tallies = simulate_episode(cfg, alpha, episode_seed(108, alpha_index, r))
                 reward = build_run_record(choices, rewards, cfg.means, n_players).reward[-1]
-                counts, successes = tallies[:, :n_arms].sum(axis=1), tallies[:, n_arms:2 * n_arms].sum(axis=1)
+                counts, successes = counts_of(tallies).sum(axis=1), successes_of(tallies).sum(axis=1)
                 if alpha == 0.0:
                     ok = successes.sum() == reward and (counts == turns).all()
                 else:
@@ -261,10 +261,9 @@ def test_criterion_11_collision_winner_is_fair():
         algorithm="random", means=MU_SPREAD, alphas=(0.0,),
         turns=2000, repetitions=reps, base_seed=107,
     )
-    n_arms = cfg.n_arms
     diffs = np.empty(reps)
     for r in range(reps):
-        successes = simulate_episode(cfg, 0.0, episode_seed(107, 0, r))[2][:, n_arms:2 * n_arms].sum(axis=1)
+        successes = successes_of(simulate_episode(cfg, 0.0, episode_seed(107, 0, r))[2]).sum(axis=1)
         diffs[r] = successes[0] - successes[-1]
     se = diffs.std(ddof=1) / math.sqrt(reps)
     z = diffs.mean() / se

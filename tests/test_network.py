@@ -5,15 +5,15 @@ import pytest
 
 from gossip_bandits.config import ExperimentConfig
 from gossip_bandits.env import env_step
-from gossip_bandits.network import disseminate, sample_reach
+from gossip_bandits.network import _report_rows, disseminate, sample_reach
 from gossip_bandits.runner import block_turns
 from oracles import reference_tallies
-from support import LAYOUTS, layouts, stretch_cap
+from support import LAYOUTS, counts_of, failures_of, layouts, new_tallies, stretch_cap, successes_of
 
 
 def deliver(reach, choices, realized, n_arms):
     """The tallies one row turn delivers: a learning rule's (N, N) reach, (N,) arms and (N,) rewards."""
-    tallies = np.zeros((len(choices), 3 * n_arms), dtype=np.float64)
+    tallies = new_tallies(len(choices), n_arms)
     disseminate(tallies, np.asarray(reach), np.asarray(choices), np.asarray(realized))
     return tallies
 
@@ -97,29 +97,42 @@ class TestSampleReach:
 class TestDisseminate:
     def test_no_edges_deliver_own_report_only(self):
         tallies = deliver(np.eye(3, dtype=np.int64), [0, 1, 2], [1, 0, 1], n_arms=3)
-        assert np.array_equal(tallies[:, :3], np.eye(3))
-        assert np.array_equal(tallies[:, 3:6], np.diag([1, 0, 1]))
-        assert np.array_equal(tallies[:, 6:], np.diag([0, 1, 0]))
+        assert np.array_equal(counts_of(tallies), np.eye(3))
+        assert np.array_equal(successes_of(tallies), np.diag([1, 0, 1]))
+        assert np.array_equal(failures_of(tallies), np.diag([0, 1, 0]))
+        # the one-hot report rows: exactly one 1, at column 2·arm for a success and 2·arm + 1 for a failure
+        table = _report_rows(3)
+        assert table.shape == (3, 2, 6) and not table.flags.writeable
+        for arm in range(3):
+            assert np.array_equal(table[arm, 1], np.eye(6)[2 * arm])
+            assert np.array_equal(table[arm, 0], np.eye(6)[2 * arm + 1])
 
     def test_complete_graph_delivers_everything_to_everyone(self):
         tallies = deliver(np.ones((5, 5), dtype=np.int64), [0, 1, 2, 3, 4], [1] * 5, n_arms=5)
-        assert (tallies[:, :10] == 1).all() and (tallies[:, 10:] == 0).all()
+        assert (counts_of(tallies) == 1).all() and (successes_of(tallies) == 1).all() and (failures_of(tallies) == 0).all()
 
     def test_hand_traced_single_edge(self):
         # players 0,1 on arm 2 (0 won), player 2 alone on arm 4 (reward 0);
         # the edge 0-1 makes both hear two reports on arm 2, one a success and one a failure
         reach = np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]])
         tallies = deliver(reach, [2, 2, 4], [1, 0, 0], n_arms=5)
-        assert tallies[0].tolist() == [0, 0, 2, 0, 0] + [0, 0, 1, 0, 0] + [0, 0, 1, 0, 0]
-        assert tallies[1].tolist() == [0, 0, 2, 0, 0] + [0, 0, 1, 0, 0] + [0, 0, 1, 0, 0]
-        assert tallies[2].tolist() == [0, 0, 0, 0, 1] + [0, 0, 0, 0, 0] + [0, 0, 0, 0, 1]
+        for p, (counts, successes, failures) in enumerate([
+            ([0, 0, 2, 0, 0], [0, 0, 1, 0, 0], [0, 0, 1, 0, 0]),
+            ([0, 0, 2, 0, 0], [0, 0, 1, 0, 0], [0, 0, 1, 0, 0]),
+            ([0, 0, 0, 0, 1], [0, 0, 0, 0, 0], [0, 0, 0, 0, 1]),
+        ]):
+            assert counts_of(tallies[p]).tolist() == counts
+            assert successes_of(tallies[p]).tolist() == successes
+            assert failures_of(tallies[p]).tolist() == failures
 
     def test_accumulates_across_turns(self):
-        tallies = np.zeros((2, 6), dtype=np.float64)
+        tallies = new_tallies(2, 2)
         reach = np.ones((2, 2), dtype=np.int64)
         disseminate(tallies, reach, np.array([0, 1]), np.array([1, 0]))
         disseminate(tallies, reach, np.array([0, 0]), np.array([0, 1]))
-        assert tallies.tolist() == [[3, 1, 2, 0, 1, 1]] * 2
+        assert counts_of(tallies).tolist() == [[3, 1]] * 2
+        assert successes_of(tallies).tolist() == [[2, 0]] * 2
+        assert failures_of(tallies).tolist() == [[1, 1]] * 2
 
     def test_matches_report_by_report_reference(self):
         rng = np.random.default_rng(22)
@@ -132,20 +145,22 @@ class TestDisseminate:
             tallies = deliver(reach, choices, realized, n_arms)
             assert np.array_equal(tallies, reference_tallies(reach, choices, realized, n_arms))
             # one report per (receiver, sender) pair the reach matrix links
-            assert tallies[:, :n_arms].sum() == n + 2 * int(np.triu(reach, 1).sum())
-            # a tally's successes and failures add up to its count
-            assert np.array_equal(tallies[:, n_arms:2 * n_arms] + tallies[:, 2 * n_arms:], tallies[:, :n_arms])
+            assert counts_of(tallies).sum() == n + 2 * int(np.triu(reach, 1).sum())
 
     def test_collision_losers_report_zero(self):
         # the arm paid 1 but only the winner's report carries it
         realized = env_step(np.zeros(3, dtype=np.int64)[None], np.ones(2, dtype=bool)[None], np.random.default_rng(23))[0]
         tallies = deliver(np.ones((3, 3), dtype=np.int64), [0, 0, 0], realized, n_arms=2)
-        assert tallies.tolist() == [[3, 0, 1, 0, 2, 0]] * 3
+        assert counts_of(tallies).tolist() == [[3, 0]] * 3
+        assert successes_of(tallies).tolist() == [[1, 0]] * 3
+        assert failures_of(tallies).tolist() == [[2, 0]] * 3
 
     def test_boolean_rewards_count_as_rewards(self):
         # env_step's booleans; with two players a mask would fit the reward axis
         tallies = deliver(np.ones((2, 2), dtype=bool), [0, 1], [True, False], n_arms=3)
-        assert tallies.tolist() == [[1, 1, 0, 1, 0, 0, 0, 1, 0]] * 2
+        assert counts_of(tallies).tolist() == [[1, 1, 0]] * 2
+        assert successes_of(tallies).tolist() == [[1, 0, 0]] * 2
+        assert failures_of(tallies).tolist() == [[0, 1, 0]] * 2
 
     @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("graph", ["drawn", "constant"])
@@ -173,7 +188,7 @@ class TestDisseminate:
                 one_way = np.broadcast_to(one_way[0, 0], one_way.shape)
                 given = (one_way[0], *given[1:])
                 assert given[0].strides[0] == 0
-        tallies = np.zeros((n, 3 * n_arms))
+        tallies = new_tallies(n, n_arms)
         disseminate(tallies, *given)
         expected = sum(reference_tallies(r, c, w, n_arms) for r, c, w in zip(one_way, choices, realized))
         assert np.array_equal(tallies, expected)
@@ -189,16 +204,16 @@ class TestStretch:
             reach = (rng.random((n_turns, n, n)) < 0.4) | np.eye(n, dtype=bool)
             choices = rng.integers(n_arms, size=(n_turns, n))
             realized = rng.random((n_turns, n)) < 0.5
-            stretch = np.zeros((n, 3 * n_arms))
+            stretch = new_tallies(n, n_arms)
             disseminate(stretch, reach, choices, realized)
-            turns = np.zeros((n, 3 * n_arms))
+            turns = new_tallies(n, n_arms)
             for t in range(n_turns):
                 disseminate(turns, reach[t], choices[t], realized[t])
             assert np.array_equal(stretch, turns)
             expected = sum(reference_tallies(r, c, w, n_arms) for r, c, w in zip(reach, choices, realized))
             assert np.array_equal(stretch, expected)
             # the first turn twice is a stretch: it and the row read its one-way matrix alike
-            once, twice = np.zeros((n, 3 * n_arms)), np.zeros((n, 3 * n_arms))
+            once, twice = new_tallies(n, n_arms), new_tallies(n, n_arms)
             disseminate(once, reach[0], choices[0], realized[0])
             disseminate(twice, reach[[0, 0]], choices[[0, 0]], realized[[0, 0]])
             assert np.array_equal(twice, 2 * once)
@@ -210,13 +225,13 @@ class TestStretch:
         reach = np.ones((n_turns, n, n), dtype=bool)
         choices = np.ones((n_turns, n), dtype=np.int64)
         realized = np.ones((n_turns, n), dtype=bool)
-        stretch = np.full((n, 3 * n_arms), 2.0**40)
+        stretch = new_tallies(n, n_arms, 2.0**40)
         disseminate(stretch, reach, choices, realized)
-        turns = np.full((n, 3 * n_arms), 2.0**40)
+        turns = new_tallies(n, n_arms, 2.0**40)
         for t in range(n_turns):
             disseminate(turns, reach[t], choices[t], realized[t])
         assert np.array_equal(stretch, turns)
-        assert (stretch[:, [1, n_arms + 1]] == 2.0**40 + n_turns * n).all()
+        assert (successes_of(stretch)[:, 1] == 2.0**40 + n_turns * n).all()
 
 
 class TestConstantGraph:
@@ -241,11 +256,11 @@ class TestConstantGraph:
             reach = np.broadcast_to(graph, (k, n, n))
             choices = rng.integers(n_arms, size=(k, n))
             realized = (rng.random((k, n)) < 0.5).astype(rewards)
-            stretch = np.zeros((n, 3 * n_arms))
+            stretch = new_tallies(n, n_arms)
             disseminate(stretch, reach, choices, realized)
             expected = sum(reference_tallies(graph, c, w, n_arms) for c, w in zip(choices, realized))
             assert np.array_equal(stretch, expected), name
             # the same turns as a drawn block's copy take the per-turn product
-            drawn = np.zeros((n, 3 * n_arms))
+            drawn = new_tallies(n, n_arms)
             disseminate(drawn, np.ascontiguousarray(reach), choices, realized)
             assert np.array_equal(drawn, expected), name

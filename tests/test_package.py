@@ -90,11 +90,11 @@ def test_runner_calls_the_patched_names_at_run_time(monkeypatch):
                                              turns=1000, repetitions=1)
     wide = gossip_bandits.ExperimentConfig(algorithm="egreedy", n_players=20, means=(0.5,) * 30,
                                            turns=100, repetitions=1)
-    assert (stretch_cap(20, 25, 1.0), stretch_cap(20, 25, 0.5)) == (262, 21)
+    assert (stretch_cap(20, 25, 1.0), stretch_cap(20, 25, 0.5)) == (262, 32)
     stretch_ranks = {"env_step": {(2, 2)}, "disseminate": {(2, 3, 2, 2)}}
     row_ranks = {"env_step": {(1, 1)}, "disseminate": {(2, 2, 1, 1)}}
     for config, alpha, most_calls, most_turns, kernel_ranks in (
-            (dense, 1.0, 5, 262, stretch_ranks), (dense, 0.5, dense.turns // 10, 21, stretch_ranks),
+            (dense, 1.0, 5, 262, stretch_ranks), (dense, 0.5, dense.turns // 10, 32, stretch_ranks),
             (wide, 0.5, wide.turns, 1, row_ranks), (wide, 1.0, wide.turns, 1, row_ranks)):
         calls.clear()
         rows.clear()

@@ -24,7 +24,17 @@ from oracles import (
     mix_by_dropping,
     random_simplex_points,
 )
-from support import LAYOUTS, layouts, select_turn, simulate_episode, stretch_cap
+from support import (
+    LAYOUTS,
+    counts_of,
+    failures_of,
+    layouts,
+    new_tallies,
+    select_turn,
+    simulate_episode,
+    stretch_cap,
+    successes_of,
+)
 
 MU_SPREAD = (0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.01)
 POLICIES = ["ucb1", "egreedy", "thompson", "asympopt", "random"]
@@ -33,24 +43,21 @@ POLICIES = ["ucb1", "egreedy", "thompson", "asympopt", "random"]
 def episode(name, n_arms, n_players=1, seed=0, **fields):
     """An episode policy over a fresh tally matrix; the players draw from one generator."""
     cfg = ExperimentConfig(algorithm=name, means=(0.5,) * n_arms, n_players=n_players, **fields)
-    tallies = np.zeros((n_players, 3 * n_arms), dtype=np.float64)
+    tallies = new_tallies(n_players, n_arms)
     return make_policy(cfg, tallies, np.random.default_rng(seed)), tallies
 
 
 def prime(tallies, counts, successes):
     """Load every player's tally row directly, failures = counts - successes; a flat list is copied to each row."""
-    n_arms = tallies.shape[1] // 3
-    tallies[:, :n_arms] = counts
-    tallies[:, n_arms:2 * n_arms] = successes
-    tallies[:, 2 * n_arms:] = np.subtract(counts, successes)
+    successes_of(tallies)[:] = successes
+    failures_of(tallies)[:] = np.subtract(counts, successes)
 
 
 def report_own(tallies, arms):
     """Add each player's own report of ``arms``, a success on odd arms, to its tally row."""
-    n_arms, rows, won = tallies.shape[1] // 3, np.arange(len(tallies)), arms % 2
-    tallies[rows, arms] += 1
-    tallies[rows, n_arms + arms] += won
-    tallies[rows, 2 * n_arms + arms] += 1 - won
+    rows, won = np.arange(len(tallies)), arms % 2
+    successes_of(tallies)[rows, arms] += won
+    failures_of(tallies)[rows, arms] += 1 - won
 
 
 def prob_beta_exceeds(a, b, c, d):
@@ -84,10 +91,13 @@ class TestSharedTallies:
             choices = np.array(select_turn(policy))
             before = tallies.copy()
             disseminate(tallies, reach[None], choices[None], (choices % 2)[None])
-            assert (tallies - before)[:, :4].sum() == 9
-            assert np.shares_memory(policy.counts, tallies)
-            assert np.array_equal(policy.counts, tallies[:, :4])
-            assert np.array_equal(policy.successes, tallies[:, 4:8])
+            assert counts_of(tallies - before).sum() == 9
+            assert np.shares_memory(policy.successes, tallies) and np.shares_memory(policy.failures, tallies)
+            assert np.array_equal(policy.successes, successes_of(tallies))
+            assert np.array_equal(policy.failures, failures_of(tallies))
+            if name == "thompson":
+                assert np.shares_memory(policy.outcomes, tallies) and policy.outcomes.flags.c_contiguous
+                assert np.array_equal(policy.outcomes, np.stack([successes_of(tallies), failures_of(tallies)], -1))
         snapshot = tallies.copy()
         select_turn(policy)
         assert np.array_equal(tallies, snapshot)
@@ -103,7 +113,7 @@ class TestSharedTallies:
         for dtype in (np.int64, np.float64):
             cfg = ExperimentConfig(algorithm=name, means=(0.5,) * 4, n_players=3,
                                    init_order=init_order, epsilon0=0.5, decay=0.99)
-            tallies = np.zeros((3, 12), dtype=dtype)
+            tallies = new_tallies(3, 4, dtype=dtype)
             prime(tallies, counts, successes)
             policy = make_policy(cfg, tallies, np.random.default_rng(41))
             chosen = []
@@ -220,7 +230,7 @@ class TestUcb1:
         # each row's bonus uses its own total: row 1 prefers its least-pulled arm
         pol, tallies = episode("ucb1", 3, n_players=2)
         prime(tallies, counts=[[1, 1, 1], [4, 1, 2]], successes=[[1, 0, 0], [3, 0, 1]])
-        counts, successes = tallies[:, :3], tallies[:, 3:6]
+        counts, successes = counts_of(tallies), successes_of(tallies)
         expected = [
             int(np.argmax(s / c + np.sqrt(2.0 * np.log(c.sum()) / c)))
             for c, s in zip(counts, successes)
@@ -343,7 +353,7 @@ class TestThompson:
         unchecked = ThompsonPolicy.choose
 
         def checked(policy):
-            smallest.append(policy.counts.min())
+            smallest.append((policy.successes + policy.failures).min())
             return unchecked(policy)
 
         monkeypatch.setattr(ThompsonPolicy, "choose", checked)
@@ -472,7 +482,7 @@ class TestAsympOpt:
         # tallies primed so observed means equal the spread vector exactly
         pol, tallies = episode("asympopt", 10, n_players=5, seed=45, epsilon0=0.0)
         prime(tallies, counts=[100] * 10, successes=[90, 80, 70, 60, 50, 40, 30, 20, 10, 1])
-        assert np.array_equal(pol.successes[0] / pol.counts[0], MU_SPREAD)
+        assert np.array_equal(pol.successes[0] / counts_of(tallies)[0], MU_SPREAD)
         c = mix_probabilities(np.array(MU_SPREAD), 5)
         n = 10**5
         chosen = picks(pol, n // 5).ravel()
@@ -506,7 +516,7 @@ class TestAsympOpt:
             prime(tallies, counts, data.binomial(counts, data.random(n_arms)))
             replay = copy.deepcopy(pol.rng)
             chosen = pol.select()
-            means = np.maximum(pol.successes / np.maximum(pol.counts, 1), pol.config.mean_floor)
+            means = np.maximum(pol.successes / np.maximum(counts_of(tallies), 1), pol.config.mean_floor)
             mix = mix_probabilities(means, n_players)
             cdf = mix.cumsum(axis=1)
             draw = replay.random(n_players) * cdf[:, -1]
@@ -583,7 +593,7 @@ class TestStretches:
 
 def drive(policy, tallies, turns=200):
     """Choices of ``turns`` selections under reports that do not depend on them."""
-    n_players, n_arms = tallies.shape[0], tallies.shape[1] // 3
+    n_players, n_arms = successes_of(tallies).shape
     obs_rng = np.random.default_rng(777)
     chosen = []
     for _ in range(turns):
