@@ -84,6 +84,31 @@ class TestRunEpisode:
             assert np.array_equal(counts_of(row), everyone)
             assert successes_of(row).sum() == realized.sum()
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("algorithm", POLICY_NAMES)
+    def test_counts_are_successes_plus_failures(self, algorithm, alpha):
+        # every delivered report lands in exactly one of the two halves, so their
+        # sum counts the reports heard: at least a player's own pulls, at most everyone's
+        cfg = small_config(algorithm=algorithm, n_players=3, turns=300)
+        n_arms = cfg.n_arms
+        choices, rewards, tallies = simulate_episode(cfg, alpha, 17)
+        realized = received_rewards(choices, rewards, 17)
+        assert tallies.shape == (3, 2 * n_arms)
+        assert np.array_equal(tallies, np.rint(tallies)) and tallies.min() >= 0
+        everyone = np.bincount(choices.ravel(), minlength=n_arms)
+        all_wins = np.bincount(choices.ravel(), realized.ravel(), n_arms)
+        for p, row in enumerate(tallies):
+            own = np.bincount(choices[:, p], minlength=n_arms)
+            own_wins = np.bincount(choices[:, p], realized[:, p], n_arms)
+            counts, wins = counts_of(row), successes_of(row)
+            assert np.all((own <= counts) & (counts <= everyone))
+            assert np.all((own_wins <= wins) & (wins <= all_wins))
+            assert np.all((own - own_wins <= failures_of(row)) & (failures_of(row) <= everyone - all_wins))
+            if alpha == 0.0:
+                assert np.array_equal(counts, own) and np.array_equal(wins, own_wins)
+            if alpha == 1.0:
+                assert np.array_equal(counts, everyone) and np.array_equal(wins, all_wins)
+
     def test_identical_inputs_reproduce_bitwise(self):
         cfg = small_config(algorithm="egreedy")
         a = run_episode(cfg, 0.7, 99, every_turn(cfg))
@@ -114,13 +139,15 @@ class TestRunEpisode:
 # N=20, S=25 cross a 609-turn block, and 7000 turns at N=5, S=10 a 6553-turn
 # one.  The random policy's 262-turn stretches on a constant graph are cut by
 # both block ends of 1250 turns, 85 turns after a stretch began; its 32-turn
-# drawn stretches leave a one-turn stretch at the end of a 609-turn block, while
+# drawn stretches leave a one-turn stretch at the end of a 609-turn block, its
+# 34-turn drawn stretches fill a 612-turn block exactly at N=20, S=24, while
 # at N=20, S=23 a 615-turn block ends on a 20-turn drawn stretch, cut short of
 # its 35-turn cap, and the 6553-turn block cuts a 327-turn drawn stretch at
 # N=5, S=10 13 turns after it began
 PER_TURN_CASES = {
     (3, 5, 301): (0.0, 0.5, 1.0),
     (20, 25, 700): (0.0, 0.5, 1.0),
+    (20, 24, 700): (0.5,),
     (20, 23, 700): (0.5,),
     (20, 25, 1250): (0.0, 0.5, 1.0),
     (5, 10, 7000): (0.5,),
