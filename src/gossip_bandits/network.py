@@ -19,7 +19,7 @@ stream ends in the state the draw leaves it in (O'Neill, "PCG: A Family
 of Simple Fast Space-Efficient Statistically Good Algorithms for Random
 Number Generation", 2014).
 
-Reports land in one shared (N, 2S) tally matrix: row p holds
+Reports land in an episode's one shared (N, 2S) tally matrix: row p holds
 ``[s_0, f_0, s_1, f_1, ...]``, the successes and failures of each arm
 that player p has heard, so a report adds exactly one 1, at column
 2·arm for a success and 2·arm + 1 for a failure.  No count is stored:
@@ -31,8 +31,12 @@ neighbours on one arm) are kept, and a collision loser reports its 0.
 of its (N, N) reach's transpose with its (N, 2S) reports, and a stretch
 of k turns, the random policy's, at once, as one product of the
 (N, k·N) transpose of all its turns' (k·N, N) sender rows with their
-(k·N, 2S) reports: the sum of the turns' products.  A drawn block is
-C-ordered, so a row's reach and a stretch's sender rows are views of it.
+(k·N, 2S) reports: the sum of the turns' products.  One turn of a
+lockstep block of B episodes is delivered as one batched ``np.matmul``
+of its (B, N, N) reach transposes with its (B, N, 2S) reports, each
+episode's reports to its own row of the (B, N, 2S) tallies.  A drawn
+block is C-ordered, so a row's reach and a stretch's sender rows are
+views of it.
 When one graph G holds for every turn of a stretch, a reach view of turn
 stride 0, the sum is Σₜ Gᵀ Rₜ = Gᵀ Σₜ Rₜ: the players' report rows are
 summed over the stretch and delivered in one (N, N) product.
@@ -105,7 +109,7 @@ def sample_reach(
     edges and a column of True, every player's own report, through the
     cached table ``_pair_columns``.
     """
-    # n_players comes from the validated config; run_episode takes alpha on its own
+    # n_players comes from the validated config; run_episode takes the alphas on their own
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"connectivity {alpha} outside [0, 1]")
     pairs = n_players * (n_players - 1) // 2
@@ -150,18 +154,24 @@ def disseminate(
     choices: np.ndarray,
     realized: np.ndarray,
 ) -> None:
-    """Add every (arm, reward) report of a row turn or a stretch to the tallies of all it reaches.
+    """Add every (arm, reward) report of a row turn, a stretch or a block turn to the tallies of all it reaches.
 
     ``tallies`` is the (N, 2S) float64 matrix, added to in place: a
     report adds one to its arm's success or to its failure.
     A row turn gives its (N, N) boolean or 0/1 reach matrix, its (N,)
     integer arms and its (N,) rewards; a stretch of k turns its (k, N, N)
-    matrices, (k, N) arms and (k, N) rewards.  Reach is read in sender
+    matrices, (k, N) arms and (k, N) rewards.  One turn of a lockstep
+    block of B episodes gives the block's (B, N, 2S) float64 tallies with
+    its (B, N, N) reach, (B, N) arms and (B, N) rewards, row b episode b's,
+    and each episode's reports reach only its own tallies, in one batched
+    ``np.matmul``; it never takes the constant-graph path, even when
+    ``reach`` has stride 0.  Reach is read in sender
     rows: ``reach[..., j, i]`` is true when player j's report reaches
     player i.  The rewards are 0/1 integers or ``env_step``'s booleans,
     which are converted to integers once: a reward indexes the
-    report-row table and never masks it.  Any layout is accepted, strided
-    and transposed views included; the reshapes to (k·N, N) sender rows
+    report-row table and never masks it.  Any layout is accepted, of every
+    operand, the tallies too, strided and transposed views included; the
+    reshapes to (k·N, N) sender rows
     and (k·N, 2S) report rows copy an operand that is not C-ordered.
     When a stretch's ``reach`` has turn stride 0, as ``sample_reach``
     returns at ``alpha`` 0 or 1, one graph G holds for every turn and the
@@ -173,15 +183,17 @@ def disseminate(
     from the table by (arm, reward), which costs less than a ``bincount``
     for one turn.
     """
-    n_players, width = tallies.shape
+    n_players, width = tallies.shape[-2:]
     table = _report_rows(width // 2)
     realized = realized.astype(np.intp, copy=False)  # the rewards index the row table, never mask it
-    if choices.ndim == 2 and _one_graph(reach):  # deliver the players' summed rows once
+    if tallies.ndim == choices.ndim == 2 and _one_graph(reach):  # deliver the players' summed rows once
         sent = 2 * choices + realized + np.arange(0, n_players * width, width)
         counts = np.bincount(sent.ravel(), minlength=n_players * width)
         reports = np.dot(counts.reshape(n_players, width), table.reshape(width, width))
         reach = reach[:1]
     else:
         reports = table[choices, realized]
-    # np.dot, not @: for a boolean and a floating-point operand it is the cheaper call
-    tallies += np.dot(reach.reshape(-1, n_players).T, reports.reshape(-1, width))
+    # np.dot, not @: for a boolean and a floating-point operand it is the cheaper call; a
+    # block turn's (B, N, N) reach delivers each episode's reports to its own tallies
+    tallies += np.dot(reach.reshape(-1, n_players).T, reports.reshape(-1, width)) if tallies.ndim == 2 \
+        else np.matmul(reach.swapaxes(1, 2), reports)

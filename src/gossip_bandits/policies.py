@@ -1,4 +1,4 @@
-"""The arm-selection algorithms, one object per episode.
+"""The arm-selection algorithms, one object per episode or per lockstep block.
 
 All N players run the same algorithm, so an episode builds one policy
 from its validated ``ExperimentConfig``, the only place the knobs are
@@ -18,18 +18,30 @@ working on every player's tally row at once.  Only the random baseline's
 ``limit`` rows, since its arms read no tally.  The runner sets
 ``limit``; a policy draws nothing for a turn it does not return.
 
-All players draw from one generator, the episode's ``players``
+A lockstep block of B episodes builds one policy over the block's
+(B, N, 2S) tallies, in any layout, with ``rng.Streams``, one ``players``
+generator per episode: its ``select()`` returns the (B, N) arms of one
+turn of every episode, and the random baseline's ``select(limit)`` the
+(B, limit, N) stretches.  The arithmetic runs on the (B, N, S) views at
+once; only the draws loop over the episodes, each from its own stream,
+in the order a lone episode draws.  A draw that only some episodes make
+(a tie-break, the exploring players' arms) is made by those episodes
+alone, so an episode's choices do not depend on the others in its block.
+
+All players of an episode draw from one generator, the episode's ``players``
 substream, and every draw of a turn is one array call over the rows:
 the sweep's permutations, the tie-breaks, the exploration coins and arms,
 Thompson's posterior draws and asympopt's categorical draws.  Thompson
 draws its Beta posteriors as NumPy's ``beta`` does, from gammas, but
 with one ``standard_gamma`` call over every arm's pair of shapes: the
 same values in the same order, since the sweep leaves no arm at count 0
-(see ``ThompsonPolicy``).  A run is
-reproducible from its seed alone, but a player's choices depend on the
-draws of the others.  The annealed ε is one shared value: every player
-selects once per turn, so all of theirs are equal at every turn.  It
-decays once per ``select`` call, that is once per turn.
+(see ``ThompsonPolicy``).  Asympopt draws its categorical uniforms and
+its exploration coins in one ``random`` call, the values of the two
+calls in turn.  A run is reproducible from its seed alone, but a
+player's choices depend on the draws of the others.  The annealed ε is
+one shared value: every player selects once per turn, so all of theirs
+are equal at every turn, and every episode of a block is at the same
+turn.  It decays once per ``select`` call, that is once per turn.
 """
 
 from __future__ import annotations
@@ -41,30 +53,37 @@ import numpy as np
 
 if TYPE_CHECKING:
     from .config import ExperimentConfig
+    from .rng import Streams
 
 INIT_ORDERS = ("sequential", "random")
 
 
-def argmax_rows(values: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def argmax_rows(values: np.ndarray, rng: np.random.Generator | Streams) -> np.ndarray:
     """Each row's index of its maximum; exact ties are broken uniformly at random.
 
     ``values`` holds no NaN.  The first maximum of each row comes from one
     ``argmax``, and the last from one ``argmax`` of the reversed rows; where
     they coincide in every row, each row's maximum is unique, that index
     is the answer and nothing is drawn.  Only when some row has several
-    maxima, one uniform per entry ranks the entries equal to their row's
-    maximum, and each row takes its best-ranked one.
+    maxima, one uniform per entry of its episode ranks the entries equal
+    to their row's maximum, and each row takes its best-ranked one.
 
-    ``values`` is a (rows, S) real array in any layout: C- or
+    ``values`` is one episode's (rows, S) real array with one generator
+    ``rng``, or a lockstep block's (B, rows, S) with ``rng.Streams``, one
+    generator per episode: only an episode with a tied row draws, from its
+    own stream, what it would draw alone.  Any layout is accepted: C- or
     Fortran-ordered, transposed or strided.  It is not written.  The
-    result is a (rows,) array of integer indices.
+    result is a (rows,) or (B, rows) array of integer indices.
     """
-    best = values.argmax(axis=1)
+    best = values.argmax(axis=-1)
     # the reversed rows' argmax is S - 1 minus the last maximum's index
-    if True not in (best + values[:, ::-1].argmax(axis=1) != values.shape[1] - 1).tolist():
-        return best
-    tied = values == values.max(axis=1, keepdims=True)
-    return np.where(tied, rng.random(tied.shape), -1.0).argmax(axis=1)
+    tied = best + values[..., ::-1].argmax(axis=-1) != values.shape[-1] - 1
+    if True in tied.ravel().tolist():  # cheaper than ndarray.any() on a few rows
+        streams, scores, rows = (rng, values, best) if values.ndim == 3 else ([rng], values[None], best[None])
+        for b in np.flatnonzero(tied.reshape(len(rows), -1).any(axis=1)):  # an episode with a tied row
+            top = scores[b] == scores[b].max(axis=1, keepdims=True)
+            rows[b] = np.where(top, streams[b].random(top.shape), -1.0).argmax(axis=1)
+    return best
 
 
 @lru_cache(maxsize=None)
@@ -109,15 +128,20 @@ def mix_probabilities(mu: np.ndarray, n_players: int) -> np.ndarray:
 
 
 class Policy:
-    """Every player's selection for one episode, from the shared tallies.
+    """Every player's selection for one episode or one lockstep block, from the shared tallies.
 
-    ``successes`` and ``failures`` are (N, S) views of the tally matrix's
-    even and odd columns; a rule that needs a count adds them.  A policy
+    ``tallies`` is one episode's (N, 2S) float64 matrix, with the
+    episode's one generator ``rng``, or a block's (B, N, 2S), with
+    ``rng.Streams``, one generator per episode; any layout is accepted,
+    and the policy keeps views of it, never copies.  ``successes`` and
+    ``failures`` are (N, S) or (B, N, S) views of the tallies' even and
+    odd columns; a rule that needs a count adds them.  A policy
     that sweeps first pulls each arm once before its own rule: in arm
     order, or with ``init_order="random"`` in a permutation per player,
     drawn at construction.  Reports heard during the sweep
     still reach the tallies; they just don't redirect it.  ``sweep`` holds
-    the sweep's turns not yet played, a (turns, N) array in play order.
+    the sweep's turns not yet played, a (turns, N) or (turns, B, N) array
+    in play order.
     ``select`` plays them one at a time before it calls ``choose()``.
     """
 
@@ -127,17 +151,17 @@ class Policy:
         self.config = config
         self.epsilon = config.epsilon0
         self.n_arms = n_arms = config.n_arms
-        self.successes, self.failures = tallies[:, 0::2], tallies[:, 1::2]
+        self.successes, self.failures = tallies[..., 0::2], tallies[..., 1::2]
         self.rng = rng
-        self.sweep = np.empty((0, len(tallies)), dtype=np.int64)  # sweep turns not yet played
+        self.sweep = np.empty((0, *tallies.shape[:-1]), dtype=np.int64)  # sweep turns not yet played
         if self.sweeps_first:
-            order = np.tile(np.arange(n_arms), (len(tallies), 1))
+            order = np.tile(np.arange(n_arms), (*tallies.shape[:-1], 1))
             if config.init_order == "random":
-                order = rng.permuted(order, axis=1)
-            self.sweep = order.T
+                order = rng.permuted(order, axis=-1)
+            self.sweep = np.moveaxis(order, -1, 0)
 
     def select(self) -> np.ndarray:
-        """One turn's choices, the (N,) arms; ε decays once per call.
+        """One turn's choices, the (N,) or (B, N) arms; ε decays once per call.
 
         The sweep's rows come first; only when none is left does
         ``choose()`` decide the turn.
@@ -150,18 +174,23 @@ class Policy:
         return arms
 
     def choose(self) -> np.ndarray:
-        """The algorithm's own step after the sweep: one turn's choices, (N,)."""
+        """The algorithm's own step after the sweep: one turn's choices, (N,) or (B, N)."""
         raise NotImplementedError
 
-    def explore(self, arms: np.ndarray) -> np.ndarray:
+    def explore(self, arms: np.ndarray, coins: np.ndarray | None = None) -> np.ndarray:
         """``arms``, but each player pulls a uniform arm instead with probability ε.
 
-        The uniform arms are drawn only on a turn where some player explores.
+        ``coins`` are the players' uniforms for the toss, drawn here when
+        not given.  The uniform arms are drawn only on a turn where some
+        player explores, and in a block only by an episode with an
+        explorer, from its own stream; ``arms`` is fresh and is written.
         """
-        rng = self.rng
-        exploring = rng.random(len(arms)) >= 1.0 - self.epsilon
-        if True in exploring.tolist():  # cheaper than ndarray.any() on N entries
-            arms = np.where(exploring, rng.integers(self.n_arms, size=len(arms)), arms)
+        rng, n_players = self.rng, arms.shape[-1]
+        exploring = (rng.random(n_players) if coins is None else coins) >= 1.0 - self.epsilon
+        if True in exploring.ravel().tolist():  # cheaper than ndarray.any() on a few entries
+            streams, flags, rows = (rng, exploring, arms) if arms.ndim == 2 else ([rng], exploring[None], arms[None])
+            for b in np.flatnonzero(flags.any(axis=1)):  # an episode with an explorer
+                rows[b] = np.where(flags[b], streams[b].integers(self.n_arms, size=n_players), rows[b])
         return arms
 
 
@@ -171,7 +200,7 @@ class Ucb1Policy(Policy):
     def choose(self) -> np.ndarray:
         # the sweep's own reports make every count positive from here on
         counts = self.successes + self.failures
-        total = counts.sum(axis=1, keepdims=True)
+        total = counts.sum(axis=-1, keepdims=True)
         index = self.successes / counts + np.sqrt(2.0 * np.log(total) / counts)
         return argmax_rows(index, self.rng)
 
@@ -181,7 +210,7 @@ class EpsilonGreedyPolicy(Policy):
 
     def choose(self) -> np.ndarray:
         # unseen arms read mean 0: their successes are 0 too
-        means = self.successes / np.maximum(self.successes + self.failures, 1)
+        means = self.successes / np.maximum(self.successes + self.failures, 1.0)
         return self.explore(argmax_rows(means, self.rng))
 
 
@@ -200,17 +229,19 @@ class ThompsonPolicy(Policy):
     and none reaches ``choose``: the sweep pulls every arm once, and a
     player always hears its own report.
 
-    ``outcomes`` is the tallies as an (N, S, 2) C-ordered view, each
-    arm's (successes, failures) side by side in the order
-    ``standard_gamma`` draws them, so the shapes are one add away.
+    ``outcomes`` is the tallies as an (N, S, 2) or (B, N, S, 2) view,
+    C-ordered when the tallies are, each arm's (successes, failures) side
+    by side in the order ``standard_gamma`` draws them, so the shapes are
+    one add away.  Splitting the last axis in two never needs a copy, so
+    the view exists for every layout.  A block draws each episode's
+    gammas from its own stream, one call per episode.
     """
 
     def __init__(self, config: ExperimentConfig, tallies: np.ndarray, rng: np.random.Generator):
         super().__init__(config, tallies, rng)
-        n_players, n_arms = len(tallies), self.n_arms
         # copy=False: a copy would not follow the live tallies
-        self.outcomes = tallies.reshape(n_players, n_arms, 2, copy=False)
-        self.shapes = np.empty((n_players, n_arms, 2))  # (successes + 1, failures + 1) per arm
+        self.outcomes = tallies.reshape(*tallies.shape[:-1], self.n_arms, 2, copy=False)
+        self.shapes = np.empty(self.outcomes.shape)  # (successes + 1, failures + 1) per arm
 
     def choose(self) -> np.ndarray:
         shapes = np.add(self.outcomes, 1.0, out=self.shapes)
@@ -234,14 +265,16 @@ class AsympOptPolicy(Policy):
     def choose(self) -> np.ndarray:
         config = self.config
         # unseen arms read mean 0, so they clamp to the floor too
-        means = np.maximum(self.successes / np.maximum(self.successes + self.failures, 1), config.mean_floor)
-        cdf = mix_probabilities(means, config.n_players).cumsum(axis=1)
+        means = np.maximum(self.successes / np.maximum(self.successes + self.failures, 1.0), config.mean_floor)
+        cdf = mix_probabilities(means, config.n_players).cumsum(axis=-1)
         # scaled to the row's total, a uniform stays below its last cumulative
         # mass, and the first arm whose mass exceeds it has positive probability;
         # cdf never decreases along a row, so the masses at or below the draw
         # are a prefix, and that first index equals their count
-        draw = self.rng.random(len(cdf)) * cdf[:, -1]
-        return self.explore((cdf > draw[:, None]).argmax(axis=1))
+        # the draw's uniforms, then explore's coins: one call draws both, in that order
+        uniforms = self.rng.random(2 * config.n_players)
+        draw = uniforms[..., :config.n_players] * cdf[..., -1]
+        return self.explore((cdf > draw[..., None]).argmax(axis=-1), uniforms[..., config.n_players:])
 
 
 class UniformRandomPolicy(Policy):
@@ -249,7 +282,8 @@ class UniformRandomPolicy(Policy):
 
     The arms do not depend on the tallies, so it is the one policy played
     in stretches: ``select(limit)`` draws a (limit, N) stretch of turns in
-    one ``integers(S, size=(limit, N))`` call: one call
+    one ``integers(S, size=(limit, N))`` call, or a block's (B, limit, N),
+    one such call per episode: one call
     per turn cost about 9.5 µs (NumPy 2.4.6), nearly all of it call
     overhead.  The rows are the per-turn draws, in order, and the stream
     ends where one call per turn leaves it: NumPy draws each bounded
@@ -263,7 +297,7 @@ class UniformRandomPolicy(Policy):
     sweeps_first = False
 
     def select(self, limit: int) -> np.ndarray:
-        return self.rng.integers(self.n_arms, size=(limit, len(self.successes)))
+        return self.rng.integers(self.n_arms, size=(limit, self.config.n_players))
 
 
 _KINDS = {

@@ -5,7 +5,11 @@ whose seed is mixed from the episode seed and a role label: arm draws,
 winner draws, the per-turn graphs, and one stream that all players share.
 Substreams never share state, so the reward sequence of the environment
 does not depend on how much randomness a policy consumes, and episodes
-can run concurrently without coordination.
+can run concurrently without coordination, or side by side in one
+lockstep block: ``Streams`` holds a block's generators of one role, one
+per episode, and draws from each what that episode draws alone
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011,
+for independent streams per task).
 """
 
 from __future__ import annotations
@@ -30,3 +34,26 @@ def substream(seed: int, *tags: int | str) -> np.random.Generator:
     """Return an independent generator for a named role under ``seed``."""
     return np.random.default_rng(derive_seed(seed, *tags))
 
+
+class Streams(tuple):
+    """A lockstep block's generators of one role, one per episode, drawn from as one.
+
+    Each method draws from every stream, in episode order, what the
+    ``np.random.Generator`` method of its name draws for one episode, and
+    stacks the draws along a new first axis, the episode axis, so stream b
+    ends where episode b's own calls would leave it.  An array argument is
+    split along that axis: episode b's stream gets row b.  Indexing gives
+    episode b's own generator, for a draw only some episodes make.
+    """
+
+    def random(self, size) -> np.ndarray:
+        return np.array([rng.random(size) for rng in self])
+
+    def integers(self, high, size) -> np.ndarray:
+        return np.array([rng.integers(high, size=size) for rng in self])
+
+    def standard_gamma(self, shape: np.ndarray) -> np.ndarray:
+        return np.array([rng.standard_gamma(row) for rng, row in zip(self, shape)])
+
+    def permuted(self, x: np.ndarray, axis: int) -> np.ndarray:
+        return np.array([rng.permuted(row, axis=axis) for rng, row in zip(self, x)])

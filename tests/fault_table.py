@@ -61,13 +61,13 @@ class Fault(NamedTuple):
 FAULTS = (
     Fault(
         "thompson_posterior", "src/gossip_bandits/policies.py",
-        "np.add(self.outcomes, 1.0, out=self.shapes)", "np.add(self.outcomes.cumsum(axis=2), 1.0, out=self.shapes)",
+        "np.add(self.outcomes, 1.0, out=self.shapes)", "np.add(self.outcomes.cumsum(axis=-1), 1.0, out=self.shapes)",
         "Thompson samples Beta(s + 1, s + f + 1), counts for failures, not Beta(s + 1, f + 1)",
     ),
     Fault(
         "thompson_shapes_swapped", "src/gossip_bandits/policies.py",
-        "tallies.reshape(n_players, n_arms, 2, copy=False)",
-        "tallies.reshape(n_players, n_arms, 2, copy=False)[..., ::-1]",
+        "tallies.reshape(*tallies.shape[:-1], self.n_arms, 2, copy=False)",
+        "tallies.reshape(*tallies.shape[:-1], self.n_arms, 2, copy=False)[..., ::-1]",
         "Thompson samples Beta(f + 1, s + 1): the two shapes swap places",
     ),
     Fault(
@@ -78,36 +78,32 @@ FAULTS = (
     Fault(
         "winner_lowest_priority", "src/gossip_bandits/env.py",
         "        top = np.zeros(arm_rewards.size)  # priorities are >= 0\n"
-        "        np.maximum.at(top, keys, priority)\n"
-        "        realized &= (priority >= top[keys]).reshape(realized.shape)\n",
+        "        np.maximum.at(top, keys.ravel(), priority.ravel())  # raveled: ufunc.at's fast path\n"
+        "        realized &= priority >= top[keys]\n",
         "        top = np.ones(arm_rewards.size)\n"
-        "        np.minimum.at(top, keys, priority)\n"
-        "        realized &= (priority <= top[keys]).reshape(realized.shape)\n",
+        "        np.minimum.at(top, keys.ravel(), priority.ravel())\n"
+        "        realized &= priority <= top[keys]\n",
         "a collision goes to the lowest priority on the arm",
     ),
     Fault(
         "loser_keeps_realization", "src/gossip_bandits/env.py",
-        "        realized &= (priority >= top[keys]).reshape(realized.shape)\n", "",
+        "        realized &= priority >= top[keys]\n", "",
         "every player on a collided arm receives its realization",
     ),
     Fault(
         "priorities_every_turn", "src/gossip_bandits/env.py",
-        "        drawn = len(set(choices.tolist())) < n_players  # a repeated arm is its collision\n"
-        "    else:\n"
-        "        keys = choices + np.arange(0, arm_rewards.size, arm_rewards.shape[1])[:, None]\n"
-        "        ranked = np.sort(choices, axis=1)  # a turn's repeated arms sit side by side\n"
-        "        collided = (ranked[:, 1:] == ranked[:, :-1]).any(axis=1)\n"
-        "        drawn = np.count_nonzero(collided)\n",
-        "        drawn = 1\n"
-        "    else:\n"
-        "        keys = choices + np.arange(0, arm_rewards.size, arm_rewards.shape[1])[:, None]\n"
-        "        drawn = len(choices)\n",
+        "        priority = winner_rng.random(n_players) if len(set(choices.tolist())) < n_players else None\n"
+        "    elif isinstance(winner_rng, Streams):  # a block turn: a collided episode draws from its own stream\n"
+        "        collided = [len(set(arms)) < n_players for arms in choices.tolist()]\n",
+        "        priority = winner_rng.random(n_players)\n"
+        "    elif isinstance(winner_rng, Streams):\n"
+        "        collided = [True] * len(choices)\n",
         "the priorities are drawn on every turn, with or without a collision",
     ),
     Fault(
         "argmax_first_tie", "src/gossip_bandits/policies.py",
-        "    return np.where(tied, rng.random(tied.shape), -1.0).argmax(axis=1)\n",
-        "    return best\n",
+        "    if True in tied.ravel().tolist():  # cheaper than ndarray.any() on a few rows\n",
+        "    if False:\n",
         "argmax_rows always takes the first tied index",
     ),
     Fault(
@@ -130,9 +126,9 @@ FAULTS = (
     ),
     Fault(
         "winner_lowest_index", "src/gossip_bandits/env.py",
-        "        priority = winner_rng.random(drawn * n_players)\n",
-        "        winner_rng.random(drawn * n_players)\n"
-        "        priority = np.tile(np.linspace(1.0, 0.0, n_players), drawn)\n",
+        "    if priority is not None:\n",
+        "    if priority is not None:\n"
+        "        priority = np.where(priority > 0, np.linspace(1.0, 0.5, n_players), 0.0)\n",
         "a collision goes to the lowest-numbered player on the arm; the draw still happens",
     ),
     Fault(
@@ -149,7 +145,8 @@ FAULTS = (
     ),
     Fault(
         "sweep_skipped", "src/gossip_bandits/policies.py",
-        "            self.sweep = order.T\n", "            self.sweep = order.T[:0]\n",
+        "            self.sweep = np.moveaxis(order, -1, 0)\n",
+        "            self.sweep = np.moveaxis(order, -1, 0)[:0]\n",
         "the pull-each-arm-once sweep is skipped",
     ),
     Fault(
@@ -167,20 +164,20 @@ FAULTS = (
     ),
     Fault(
         "mean_floor_ignored", "src/gossip_bandits/policies.py",
-        "np.maximum(self.successes / np.maximum(self.successes + self.failures, 1), config.mean_floor)",
-        "self.successes / np.maximum(self.successes + self.failures, 1)",
+        "np.maximum(self.successes / np.maximum(self.successes + self.failures, 1.0), config.mean_floor)",
+        "self.successes / np.maximum(self.successes + self.failures, 1.0)",
         "asympopt does not clamp its observed means at mean_floor",
     ),
     Fault(
         "random_chunk_transposed", "src/gossip_bandits/policies.py",
-        "self.rng.integers(self.n_arms, size=(limit, len(self.successes)))",
-        "self.rng.integers(self.n_arms, size=(len(self.successes), limit)).T",
+        "self.rng.integers(self.n_arms, size=(limit, self.config.n_players))",
+        "self.rng.integers(self.n_arms, size=(self.config.n_players, limit)).swapaxes(-1, -2)",
         "the random policy draws its turns (N, turns) and transposes them",
     ),
     Fault(
         "stretch_delivers_first_turn_only", "src/gossip_bandits/network.py",
-        "    tallies += np.dot(reach.reshape(-1, n_players).T, reports.reshape(-1, width))\n",
-        "    tallies += np.dot(reach[0].T, reports[0])\n",
+        "    tallies += np.dot(reach.reshape(-1, n_players).T, reports.reshape(-1, width)) if tallies.ndim == 2 \\\n",
+        "    tallies += np.dot(reach[0].T, reports[0]) if tallies.ndim == 2 \\\n",
         "a stretch delivers only its first turn's reports",
     ),
     Fault(
@@ -212,9 +209,9 @@ FAULTS = (
     ),
     Fault(
         "one_turn_reads_receiver_rows", "src/gossip_bandits/network.py",
-        "    tallies += np.dot(reach.reshape(-1, n_players).T, reports.reshape(-1, width))\n",
+        "    tallies += np.dot(reach.reshape(-1, n_players).T, reports.reshape(-1, width)) if tallies.ndim == 2 \\\n",
         "    tallies += np.dot(reach if choices.ndim == 1 else reach.reshape(-1, n_players).T,\n"
-        "                      reports.reshape(-1, width))\n",
+        "                      reports.reshape(-1, width)) if tallies.ndim == 2 \\\n",
         "a row turn reads its reach matrix in receiver rows, not sender rows",
     ),
     Fault(
@@ -225,29 +222,42 @@ FAULTS = (
     ),
     Fault(
         "priorities_for_every_stretch_row", "src/gossip_bandits/env.py",
-        "        priority = winner_rng.random(drawn * n_players)\n"
-        "        if len(priority) < len(keys):  # some turn of the stretch has no collision\n",
-        "        priority = winner_rng.random(len(keys))\n"
+        "        priority = winner_rng.random((drawn, n_players)) if drawn else None\n"
+        "        if 0 < drawn < len(keys):  # some turn of the stretch has no collision\n",
+        "        priority = winner_rng.random((len(keys), n_players)) if drawn else None\n"
         "        if False:\n",
         "a stretch with a collision draws priorities for every one of its turns",
     ),
     Fault(
         "collision_rows_unsorted", "src/gossip_bandits/env.py",
-        "        ranked = np.sort(choices, axis=1)  # a turn's repeated arms sit side by side\n",
+        "        ranked = np.sort(choices, axis=1)\n",
         "        ranked = choices\n",
         "a stretch compares each turn's neighbouring players' arms without sorting them",
     ),
     Fault(
         "collision_rows_sorted_over_turns", "src/gossip_bandits/env.py",
-        "        ranked = np.sort(choices, axis=1)  # a turn's repeated arms sit side by side\n",
+        "        ranked = np.sort(choices, axis=1)\n",
         "        ranked = np.sort(choices, axis=0)\n",
         "a stretch sorts its arms down the turns, not along each turn, to find collisions",
     ),
     Fault(
+        "block_shares_players_stream", "src/gossip_bandits/runner.py",
+        "    heard, players, winners = (x[0] if len(seeds) == 1 else x for x in (tallies, player_rngs, winner_rngs))\n",
+        "    player_rngs = Streams([player_rngs[0]] * len(seeds))\n"
+        "    heard, players, winners = (x[0] if len(seeds) == 1 else x for x in (tallies, player_rngs, winner_rngs))\n",
+        "every episode of a block draws from episode 0's players stream",
+    ),
+    Fault(
+        "block_keys_without_episode", "src/gossip_bandits/env.py",
+        "    keys = choices if choices.ndim == 1 else choices + np.arange(",
+        "    keys = choices if choices.ndim == 1 or isinstance(winner_rng, Streams) else choices + np.arange(",
+        "a block turn's collision keys drop the b*S offset: every episode is paid and collides on episode 0's arms",
+    ),
+    Fault(
         "paid_mask_on_a_copy", "src/gossip_bandits/env.py",
-        "        realized &= (priority >= top[keys]).reshape(realized.shape)\n",
+        "        realized &= priority >= top[keys]\n",
         "        paid = realized.ravel()\n"
-        "        paid &= priority >= top[keys]\n",
+        "        paid &= (priority >= top[keys]).ravel()\n",
         "the payout mask lands on ravel's copy of rewards that are not C-ordered: every collider is paid",
     ),
 )

@@ -36,10 +36,16 @@ def counts_of(tallies: np.ndarray) -> np.ndarray:
     return successes_of(tallies) + failures_of(tallies)
 
 
+def simulate_block(config, alphas, seeds):
+    """Episodes (``alphas[b]``, ``seeds[b]``) played in one lockstep block, the engine's blocks of turns
+    joined: each episode's choices (turns, N), realizations (turns, S) and final tallies (N, 2S)."""
+    choices, rewards, tallies = zip(*episode_blocks(config, alphas, seeds))
+    return list(zip(np.concatenate(choices).swapaxes(0, 1), np.concatenate(rewards).swapaxes(0, 1), tallies[-1]))
+
+
 def simulate_episode(config, alpha: float, seed: int):
-    """The engine's blocks joined: choices (turns, N), realizations (turns, S), final tallies (N, 2S)."""
-    choices, rewards, tallies = zip(*episode_blocks(config, alpha, seed))
-    return np.concatenate(choices), np.concatenate(rewards), tallies[-1]
+    """One episode played alone: choices (turns, N), realizations (turns, S), final tallies (N, 2S)."""
+    return simulate_block(config, [alpha], [seed])[0]
 
 
 def stretch_cap(n_players: int, n_arms: int, alpha: float) -> int:

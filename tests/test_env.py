@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gossip_bandits.env import draw_arm_rewards, env_step
-from gossip_bandits.rng import substream
+from gossip_bandits.rng import Streams, substream
 from oracles import pairwise_env_step
 from support import LAYOUTS, layouts
 
@@ -240,3 +240,31 @@ class TestStretch:
         assert paid[1].tolist() == [True] * 3
         assert paid[0].tolist() == [first[0] > first[1], first[1] > first[0], True]
         assert paid[2].tolist() == [third[0] > third[2], True, third[2] > third[0]]
+
+
+class TestBlockTurn:
+    """One turn of a lockstep block, (B, N), against its B row turns, each on its own twin stream."""
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("n_players, n_arms, collided", [
+        (3, 4, {True, False}), (5, 10, {True, False}), (20, 25, {True}), (1, 3, {False})])
+    def test_a_block_turn_pays_and_draws_what_its_rows_do(self, n_players, n_arms, collided, layout):
+        # keys b*S + arm keep episodes apart: a block of one arm range would pay a
+        # collided row's winner on another episode's realization; each collided row
+        # draws from its own stream, and a row without a collision draws nothing
+        data = np.random.default_rng(96)
+        seen = set()
+        for call in range(40):
+            n_episodes = int(data.integers(1, 8))
+            choices = data.integers(n_arms, size=(n_episodes, n_players))
+            rewards = data.random((n_episodes, n_arms)) < 0.5
+            fast = Streams(np.random.default_rng([97, call, b]) for b in range(n_episodes))
+            twins = [np.random.default_rng([97, call, b]) for b in range(n_episodes)]
+            given = layouts(choices)[layout], layouts(rewards)[layout]
+            paid = env_step(*given, fast)
+            assert paid.shape == choices.shape and paid.dtype == bool
+            assert np.array_equal(paid, [env_step(c, r, twin) for c, r, twin in zip(choices, rewards, twins)])
+            assert [rng.bit_generator.state for rng in fast] == [twin.bit_generator.state for twin in twins]
+            assert np.array_equal(given[0], choices) and np.array_equal(given[1], rewards)
+            seen.update(len(set(row)) < n_players for row in choices.tolist())
+        assert seen == collided

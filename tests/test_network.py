@@ -194,6 +194,24 @@ class TestDisseminate:
         assert np.array_equal(tallies, expected)
 
 
+class TestBlockTurn:
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("n, n_arms, n_episodes", [(5, 10, 3), (20, 25, 7), (1, 3, 2), (4, 2, 1)])
+    def test_a_block_turn_delivers_what_its_episodes_do_alone(self, n, n_arms, n_episodes, layout):
+        # one-way reach, read in sender rows; episode b's reports reach only
+        # episode b's (N, 2S) tallies, which start at distinct counts, and every
+        # operand, the tallies written in place included, comes in the layout
+        rng = np.random.default_rng(31)
+        one_way = (rng.random((n_episodes, n, n)) < 0.4) | np.eye(n, dtype=bool)
+        choices = rng.integers(n_arms, size=(n_episodes, n))
+        realized = rng.random((n_episodes, n)) < 0.5
+        start = rng.integers(0, 9, size=(n_episodes, n, 2 * n_arms)).astype(np.float64)
+        expected = start + [reference_tallies(r, c, w, n_arms) for r, c, w in zip(one_way, choices, realized)]
+        tallies = layouts(start)[layout]
+        disseminate(tallies, layouts(one_way)[layout], layouts(choices)[layout], layouts(realized)[layout])
+        assert np.array_equal(tallies, expected)
+
+
 class TestStretch:
     @pytest.mark.parametrize("n, n_arms, n_turns", [(5, 10, 7), (20, 25, 32), (3, 2, 1), (1, 3, 4)])
     def test_a_stretch_delivers_the_sum_of_its_turns(self, n, n_arms, n_turns):

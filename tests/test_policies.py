@@ -7,6 +7,7 @@ import pytest
 from gossip_bandits import policies
 from gossip_bandits.config import ConfigError, ExperimentConfig
 from gossip_bandits.network import disseminate
+from gossip_bandits.rng import Streams
 from gossip_bandits.policies import (
     INIT_ORDERS,
     AsympOptPolicy,
@@ -199,6 +200,52 @@ class TestArgmaxRandomTie:
         assert np.array_equal(argmax_rows(given, fast), argmax_rows_by_mask(values, reference))
         assert fast.bit_generator.state == reference.bit_generator.state
         assert np.array_equal(given, values)
+
+
+class TestBlocks:
+    """A lockstep block of B episodes against its episodes played alone, each on a twin of its stream."""
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("levels", [None, 3])
+    def test_argmax_rows_breaks_each_episodes_ties_on_its_own_stream(self, levels, layout):
+        # values on a few levels tie in some episodes and not in others; an
+        # episode without a tied row draws nothing
+        data = np.random.default_rng(39)
+        for call in range(30):
+            shape = (int(data.integers(1, 8)), int(data.integers(1, 21)), int(data.integers(1, 26)))
+            values = data.random(shape) if levels is None else data.integers(levels, size=shape) / levels
+            fast = Streams(np.random.default_rng([40, call, b]) for b in range(shape[0]))
+            twins = [np.random.default_rng([40, call, b]) for b in range(shape[0])]
+            given = layouts(values)[layout]
+            chosen = argmax_rows(given, fast)
+            assert chosen.shape == shape[:2]
+            assert np.array_equal(chosen, [argmax_rows(v, twin) for v, twin in zip(values, twins)])
+            assert [rng.bit_generator.state for rng in fast] == [twin.bit_generator.state for twin in twins]
+            assert np.array_equal(given, values)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("init_order", INIT_ORDERS)
+    @pytest.mark.parametrize("name", POLICIES)
+    def test_a_block_selects_what_its_episodes_select_alone(self, name, init_order, layout):
+        # a policy over the (B, N, 2S) tallies in any layout, on rng.Streams, against
+        # B policies over (N, 2S) copies: few distinct counts make ties common, and
+        # each player's own reports reach both sides' tallies every turn
+        n_episodes, n_players, n_arms = 3, 4, 5
+        cfg = ExperimentConfig(algorithm=name, means=(0.5,) * n_arms, n_players=n_players,
+                               init_order=init_order, epsilon0=0.5, decay=0.99)
+        start = np.random.default_rng(42).integers(0, 3, size=(n_episodes, n_players, 2 * n_arms)).astype(float)
+        alone = [start[b].copy() for b in range(n_episodes)]
+        twins = [make_policy(cfg, tallies, np.random.default_rng([43, b])) for b, tallies in enumerate(alone)]
+        block = layouts(start)[layout]
+        policy = make_policy(cfg, block, Streams(np.random.default_rng([43, b]) for b in range(n_episodes)))
+        for _ in range(30):
+            arms = policy.select(1)[:, 0] if name == "random" else policy.select()
+            assert arms.shape == (n_episodes, n_players)
+            for b, (twin, tallies) in enumerate(zip(twins, alone)):
+                assert np.array_equal(arms[b], select_turn(twin)), b
+                report_own(tallies, arms[b])
+                report_own(block[b], arms[b])
+        assert [rng.bit_generator.state for rng in policy.rng] == [twin.rng.bit_generator.state for twin in twins]
 
 
 class TestUcb1:

@@ -21,7 +21,7 @@ from gossip_bandits import (
 from gossip_bandits import runner
 from gossip_bandits.metrics import RunRecord
 from gossip_bandits.network import sample_reach
-from gossip_bandits.policies import POLICY_NAMES
+from gossip_bandits.policies import INIT_ORDERS, POLICY_NAMES
 from gossip_bandits.rng import substream
 from gossip_bandits.runner import CSV_COLUMNS
 import support
@@ -33,6 +33,7 @@ from support import (
     read_results_csv,
     received_rewards,
     reference_episode,
+    simulate_block,
     simulate_episode,
     successes_of,
 )
@@ -111,8 +112,8 @@ class TestRunEpisode:
 
     def test_identical_inputs_reproduce_bitwise(self):
         cfg = small_config(algorithm="egreedy")
-        a = run_episode(cfg, 0.7, 99, every_turn(cfg))
-        b = run_episode(cfg, 0.7, 99, every_turn(cfg))
+        a, = run_episode(cfg, [0.7], [99], every_turn(cfg))
+        b, = run_episode(cfg, [0.7], [99], every_turn(cfg))
         assert np.array_equal(a.reward, b.reward)
         assert np.array_equal(a.loss, b.loss)
         assert np.array_equal(a.regret_literal, b.regret_literal)
@@ -120,7 +121,7 @@ class TestRunEpisode:
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError, match="connectivity"):
-            run_episode(small_config(), 1.5, 0, (1,))
+            run_episode(small_config(), [1.5], [0], (1,))
 
     def test_metadata_reruns_bit_identically(self, tmp_path):
         # the config echoed into JSON output is enough to rerun any of its episodes
@@ -130,8 +131,8 @@ class TestRunEpisode:
         rebuilt = config_from_dict(json.loads(path.read_text())["config"])
         assert rebuilt == cfg
         seed = episode_seed(rebuilt.base_seed, 1, 2)
-        record = run_episode(cfg, 1.0, seed, every_turn(cfg))
-        again = run_episode(rebuilt, rebuilt.alphas[1], seed, every_turn(rebuilt))
+        record, = run_episode(cfg, [1.0], [seed], every_turn(cfg))
+        again, = run_episode(rebuilt, [rebuilt.alphas[1]], [seed], every_turn(rebuilt))
         assert np.array_equal(record.regret_occupancy, again.regret_occupancy)
 
 
@@ -155,29 +156,34 @@ PER_TURN_CASES = {
 
 
 @functools.cache
-def against_the_per_turn_reference(algorithm, n_players, n_arms, turns, alpha):
+def against_the_per_turn_reference(algorithm, n_players, n_arms, turns, alpha, block=(61,)):
     """Play one config once with the engine and once with the per-turn loop,
-    recording the substreams each makes, for both tests that compare them: the
+    recording the substreams each makes, for the tests that compare them: the
     arrays that differ, the tags of the substreams each side made, and the
-    substreams that end in different states."""
+    substreams that end in different states.  The engine plays episode seed 61
+    in a lockstep block of the seeds ``block``: seed 61 alone by default, else
+    beside seeds at alpha 0 and 1, which mixes stride-0 and drawn reach."""
     def recorded(module):
         made = {}
 
         def recording(seed, *tags):
-            made[tags] = substream(seed, *tags)
-            return made[tags]
+            made[seed, tags] = substream(seed, *tags)
+            return made[seed, tags]
 
         patch.setattr(module, "substream", recording)
         return made
 
     cfg = ExperimentConfig(algorithm=algorithm, n_players=n_players, turns=turns,
                            means=tuple(np.linspace(0.95, 0.05, n_arms)))
+    alphas = [{61: alpha, 62: 0.0, 63: 1.0}[seed] for seed in block]
     with pytest.MonkeyPatch.context() as patch:
         engine, reference = recorded(runner), recorded(support)
+        played = simulate_block(cfg, alphas, block)[block.index(61)]
         differ = [name for name, got, expected in zip(("choices", "realizations", "tallies"),
-                                                      simulate_episode(cfg, alpha, 61),
-                                                      reference_episode(cfg, alpha, 61))
+                                                      played, reference_episode(cfg, alpha, 61))
                   if not np.array_equal(got, expected)]
+    engine = {tags: rng for (seed, tags), rng in engine.items() if seed == 61}
+    reference = {tags: rng for (_, tags), rng in reference.items()}
     moved = [tags for tags, rng in engine.items()
              if rng.bit_generator.state != reference[tags].bit_generator.state]
     return differ, (sorted(engine), sorted(reference)), moved
@@ -223,6 +229,18 @@ class TestStreamContract:
             assert streams == 2 * ([("env-arms",), ("env-winners",), ("graph",), ("players",)],), alpha
             assert moved == [], alpha
 
+    @pytest.mark.parametrize("algorithm", POLICY_NAMES)
+    @pytest.mark.parametrize("n_players, n_arms, turns, alpha", [
+        (3, 5, 301, 0.5), (5, 10, 2500, 0.5), (20, 25, 700, 0.5), (20, 25, 700, 1.0)])
+    def test_an_episode_in_a_block_of_three_matches_the_per_turn_reference(
+            self, algorithm, n_players, n_arms, turns, alpha):
+        # the block's 2184-turn blocks at N=5, S=10 and its 203-turn ones at N=20,
+        # S=25 are a third of one episode's, and these horizons cross them
+        differ, streams, moved = against_the_per_turn_reference(
+            algorithm, n_players, n_arms, turns, alpha, block=(62, 61, 63))
+        assert differ == [] and moved == []
+        assert streams == 2 * ([("env-arms",), ("env-winners",), ("graph",), ("players",)],)
+
     def test_a_repetition_does_not_depend_on_how_many_run(self):
         # alpha index 1, repetition 1
         rows = [
@@ -246,11 +264,11 @@ class TestBlocks:
     def test_block_length_does_not_change_results(self, monkeypatch, algorithm, alpha):
         cfg = small_config(algorithm=algorithm, n_players=3, means=(0.9, 0.6, 0.5, 0.3, 0.1))
         assert runner.block_turns(cfg) >= cfg.turns
-        record = run_episode(cfg, alpha, 21, self.CHECKPOINTS)
+        record, = run_episode(cfg, [alpha], [21], self.CHECKPOINTS)
         _, _, tallies = simulate_episode(cfg, alpha, 21)
         for turns in (1, 3, 7, cfg.turns, 1000):  # 3 cuts the five-turn sweep
             self.set_block_turns(monkeypatch, cfg, turns)
-            again = run_episode(cfg, alpha, 21, self.CHECKPOINTS)
+            again, = run_episode(cfg, [alpha], [21], self.CHECKPOINTS)
             for name, series, other in zip(SERIES, record, again):
                 assert np.array_equal(series, other), (turns, name)
             assert np.array_equal(simulate_episode(cfg, alpha, 21)[2], tallies), turns
@@ -258,7 +276,7 @@ class TestBlocks:
     @pytest.mark.parametrize("checkpoints", [(0,), (41,), (5, 41)])
     def test_rejects_checkpoints_outside_the_episode(self, checkpoints):
         with pytest.raises(ValueError, match="checkpoints"):
-            run_episode(small_config(), 0.5, 0, checkpoints)
+            run_episode(small_config(), [0.5], [0], checkpoints)
 
     def test_memory_does_not_grow_with_the_horizon(self):
         def peak(turns):
@@ -266,7 +284,7 @@ class TestBlocks:
                                    alphas=(0.5,), turns=turns, repetitions=1)
             tracemalloc.start()
             try:
-                run_episode(cfg, 0.5, episode_seed(cfg.base_seed, 0, 0), runner.default_checkpoints(turns))
+                run_episode(cfg, [0.5], [episode_seed(cfg.base_seed, 0, 0)], runner.default_checkpoints(turns))
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -275,13 +293,52 @@ class TestBlocks:
         assert peak(40_000) - peak(4_000) <= 0.5 * 2**20
 
 
+def block_play(cfg, episodes, size):
+    """Each episode's record and final tallies, the (alpha, seed) ``episodes`` played in order in blocks of ``size``."""
+    records, tallies = [], []
+    for first in range(0, len(episodes), size):
+        alphas, seeds = zip(*episodes[first:first + size])
+        records += run_episode(cfg, alphas, seeds, every_turn(cfg))
+        tallies += [final for _, _, final in simulate_block(cfg, alphas, seeds)]
+    return records, tallies
+
+
+class TestLockstep:
+    # nine episodes, alpha 0, 0.3 and 1 in turn: blocks of two and of seven mix
+    # stride-0 reach with drawn reach
+    EPISODES = [(alpha, seed) for seed in (41, 42, 43) for alpha in (0.0, 0.3, 1.0)]
+
+    @pytest.mark.parametrize("means", [(0.9, 0.6, 0.5, 0.3, 0.1), (0.5,) * 5])  # equal means tie often
+    @pytest.mark.parametrize("init_order", INIT_ORDERS)
+    @pytest.mark.parametrize("algorithm", POLICY_NAMES)
+    def test_an_episode_does_not_depend_on_its_block(self, monkeypatch, algorithm, init_order, means):
+        cfg = small_config(algorithm=algorithm, init_order=init_order, means=means, n_players=3, turns=60)
+        # 40-turn blocks for one episode, 20 for a block of two and 5 for a block of
+        # seven: the 60-turn horizon crosses block ends at every size
+        TestBlocks.set_block_turns(monkeypatch, cfg, 40)
+        alone = block_play(cfg, self.EPISODES, 1)
+        for size in (2, 7):
+            assert runner.block_turns(cfg, size) == runner.block_turns(cfg) // size
+            records, tallies = block_play(cfg, self.EPISODES, size)
+            for episode, (record, again) in enumerate(zip(alone[0], records)):
+                for name, series, other in zip(SERIES, record, again):
+                    assert np.array_equal(series, other), (size, episode, name)
+            for episode, (final, other) in enumerate(zip(alone[1], tallies)):
+                assert np.array_equal(final, other), (size, episode)
+
+    def test_a_block_is_cut_into_a_bth_of_the_turns(self):
+        for cfg in (small_config(), ExperimentConfig(n_players=20, means=(0.5,) * 25), ExperimentConfig()):
+            for size in (1, 2, 3, 7, 50):
+                assert runner.block_turns(cfg, size) == max(1, runner.block_turns(cfg) // size)
+
+
 class TestSeeding:
     def test_each_repetition_gets_its_own_outcome(self):
         cfg = small_config(algorithm="thompson")
         seeds = {episode_seed(cfg.base_seed, 0, r) for r in range(10)}
         assert len(seeds) == 10
-        a = run_episode(cfg, 0.5, episode_seed(cfg.base_seed, 0, 0), every_turn(cfg))
-        b = run_episode(cfg, 0.5, episode_seed(cfg.base_seed, 0, 1), every_turn(cfg))
+        a, = run_episode(cfg, [0.5], [episode_seed(cfg.base_seed, 0, 0)], every_turn(cfg))
+        b, = run_episode(cfg, [0.5], [episode_seed(cfg.base_seed, 0, 1)], every_turn(cfg))
         assert not np.array_equal(a.reward, b.reward)
 
     def test_output_path_does_not_touch_outcomes(self):
